@@ -14,7 +14,7 @@ from .tensor import (
     FactorOrder,
     PureState,
     SubsystemLabel,
-    kron,
+    batch_purity,
     kron_all,
     outer,
     partial_trace,
@@ -45,6 +45,7 @@ from .states import (
     momentum_state,
     sign_pattern_state,
     spin_state,
+    spin_states,
 )
 from .entanglement import (
     PARTITIONS,
@@ -97,6 +98,7 @@ __all__ = [
     "SweepResult",
     "WignerRotation",
     "assemble",
+    "batch_purity",
     "boost_operator",
     "check_suite",
     "conservation_report",
@@ -107,7 +109,6 @@ __all__ = [
     "invariance_defect",
     "invariant_spin_state",
     "jy_matrix",
-    "kron",
     "kron_all",
     "linear_entropy",
     "momentum_state",
@@ -123,6 +124,7 @@ __all__ = [
     "sign_pattern_state",
     "single_particle_boost",
     "spin_state",
+    "spin_states",
     "state_purity",
     "wigner_angle",
     "wigner_d",

@@ -35,7 +35,7 @@ from .tensor import (
     CANONICAL_ORDER,
     FactorOrder,
     SubsystemLabel,
-    kron,
+    kron_all,
     permute_operator,
 )
 
@@ -164,7 +164,7 @@ def _check_boost_factorization(boost_fn: BoostFn) -> CheckResult:
         best = math.inf
         for sign in (1.0, -1.0):
             sp = single_particle_boost(sign * omega)
-            best = min(best, float(np.abs(u - kron(sp, sp)).max()))
+            best = min(best, float(np.abs(u - kron_all(sp, sp)).max()))
         worst = max(worst, best)
     passed = worst < MATRIX_TOL
     return CheckResult(

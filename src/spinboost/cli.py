@@ -174,8 +174,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         partition=args.partition,
         theta_grid=args.theta_grid,
         phi_grid=args.phi_grid,
-        output=args.out,
-        format=fmt,
     )
     result = run_sweep(config)
     if spec.omega is None:

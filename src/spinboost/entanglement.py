@@ -19,7 +19,7 @@ import numpy as np
 
 from .lorentz import boost_operator
 from .states import MomentumParams, SpinParams, get_named_state, momentum_state, spin_state, assemble
-from .tensor import PureState, SubsystemLabel, state_purity
+from .tensor import CANONICAL_ORDER, PureState, SubsystemLabel, batch_purity
 
 CONSERVATION_TOL = 1e-10
 
@@ -81,12 +81,22 @@ def parse_partition(text: str) -> Partition:
         raise ValueError(f"unknown partition {text!r}; known: {known}") from None
 
 
-def linear_entropy(psi: PureState | np.ndarray, partition: Partition) -> float:
+def linear_entropy(psi: PureState | np.ndarray, partition: Partition) -> float | np.ndarray:
     """Sum over partition parts of (1 - purity of the reduced state).
 
-    Accepts a PureState or a raw canonical-order amplitude vector.
+    Accepts a PureState, a raw canonical-order amplitude vector, or a
+    (cells, 36) array of canonical-order rows; a batch gives one entropy
+    per row, a single state a float.
     """
-    return sum(1.0 - state_purity(psi, part) for part in partition.parts)
+    if isinstance(psi, PureState):
+        rows, order = psi.amplitudes, psi.order
+    else:
+        rows, order = np.asarray(psi), CANONICAL_ORDER
+    # one row-major copy serves every part; strided rows would make each part's
+    # transpose a cache-missing gather
+    batch = np.ascontiguousarray(np.atleast_2d(rows))
+    total = sum(1.0 - batch_purity(batch, part, order) for part in partition.parts)
+    return total if rows.ndim == 2 else float(total[0])
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import kron, kron_all
+from .tensor import kron_all
 
 SUPPORTED_SPINS = (0.5, 1.0)
 
@@ -24,14 +24,35 @@ def wigner_angle(xi: float, eta: float) -> float:
 
     The angle is arctan(sinh(xi) sinh(eta) / (cosh(xi) + cosh(eta))). The
     ratio grows without bound with the rapidities, so the angle fills
-    [0, pi/2) and reaches pi/2 only in the infinite-rapidity limit.
-    Symmetric in its arguments and monotone nondecreasing in each.
+    [0, pi/2) and reaches pi/2 only in the infinite-rapidity limit, or where
+    the ratio is beyond double precision. Symmetric in its arguments and
+    monotone nondecreasing in each.
     """
-    if xi < 0 or eta < 0:
-        raise ValueError("rapidities must be nonnegative")
+    _check_rapidities(xi, eta)
     if xi == 0.0 or eta == 0.0:
         return 0.0
-    return math.atan(math.sinh(xi) * math.sinh(eta) / (math.cosh(xi) + math.cosh(eta)))
+    try:
+        ratio = math.sinh(xi) * math.sinh(eta) / (math.cosh(xi) + math.cosh(eta))
+    except OverflowError:
+        ratio = math.inf
+    if math.isfinite(ratio):
+        return math.atan(ratio)
+    # past rapidity ~710 the hyperbolic functions overflow; the same ratio
+    # in bounded functions is tanh(xi) tanh(eta) / (sech(xi) + sech(eta))
+    return math.atan2(math.tanh(xi) * math.tanh(eta), _sech(xi) + _sech(eta))
+
+
+def _sech(x: float) -> float:
+    """1/cosh(x) for x >= 0, underflowing to 0 instead of overflowing."""
+    e = math.exp(-x)
+    return 2.0 * e / (1.0 + e * e)
+
+
+def _check_rapidities(xi: float, eta: float) -> None:
+    if not (math.isfinite(xi) and math.isfinite(eta)):
+        raise ValueError("rapidities must be finite")
+    if xi < 0 or eta < 0:
+        raise ValueError("rapidities must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -52,13 +73,13 @@ class BoostSpec:
         if direct and rapidities:
             raise ValueError("give either omega or the rapidity pair, not both")
         if direct:
+            # the range test also rejects nan, which fails every comparison
             if not 0.0 <= self.omega <= math.pi / 2:
                 raise ValueError("direct omega must lie in [0, pi/2]")
         else:
             if self.xi is None or self.eta is None:
                 raise ValueError("both xi and eta are required")
-            if self.xi < 0 or self.eta < 0:
-                raise ValueError("rapidities must be nonnegative")
+            _check_rapidities(self.xi, self.eta)
 
     def resolve(self) -> float:
         if self.omega is not None:
@@ -145,4 +166,5 @@ def single_particle_boost(omega: float) -> np.ndarray:
     The composite boost factors as the product of one copy per particle
     after reordering factors to [pA, sA, pB, sB].
     """
-    return kron(_P_PLUS, wigner_d(1, omega).matrix) + kron(_P_MINUS, wigner_d(1, -omega).matrix)
+    return (kron_all(_P_PLUS, wigner_d(1, omega).matrix)
+            + kron_all(_P_MINUS, wigner_d(1, -omega).matrix))

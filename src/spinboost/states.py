@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .lorentz import wigner_d
-from .tensor import NORM_TOL, PureState, kron
+from .tensor import NORM_TOL, PureState, kron_all
 
 
 class SpinFamily(Enum):
@@ -38,8 +38,10 @@ class SpinParams:
 
 
 # basis positions of the three amplitudes of each family within the 9-dim spin space
-_S1_INDICES = (0, 4, 8)  # |1 1>, |0 0>, |-1 -1>
-_S2_INDICES = (2, 6, 4)  # |1 -1>, |-1 1>, |0 0>
+_FAMILY_INDICES = {
+    SpinFamily.S1: (0, 4, 8),  # |1 1>, |0 0>, |-1 -1>
+    SpinFamily.S2: (2, 6, 4),  # |1 -1>, |-1 1>, |0 0>
+}
 
 # momentum basis positions within the 4-dim momentum space
 _IDX_PLUS_MINUS = 1  # |p+ p->
@@ -49,25 +51,33 @@ _IDX_MINUS_PLUS = 2  # |p- p+>
 def momentum_state(params: MomentumParams | float) -> np.ndarray:
     """cos(alpha) |p+ p-> + sin(alpha) |p- p+> as a 4-dim vector."""
     alpha = params.alpha if isinstance(params, MomentumParams) else float(params)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     vec = np.zeros(4, dtype=complex)
     vec[_IDX_PLUS_MINUS] = math.cos(alpha)
     vec[_IDX_MINUS_PLUS] = math.sin(alpha)
     return vec
 
 
-def spin_state(params: SpinParams) -> np.ndarray:
-    """Three-term spin superposition of the requested family, 9-dim vector.
+def spin_states(family: SpinFamily, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Three-term spin superpositions of one family, a (cells, 9) array of rows.
 
     Family S1 puts (sin t cos p, sin t sin p, cos t) on |1 1>, |0 0>, |-1 -1>;
-    family S2 uses |1 -1>, |-1 1>, |0 0> instead.
+    family S2 uses |1 -1>, |-1 1>, |0 0> instead. Row k takes its angles
+    from thetas[k] and phis[k].
     """
-    indices = _S1_INDICES if params.family is SpinFamily.S1 else _S2_INDICES
-    vec = np.zeros(9, dtype=complex)
-    st = math.sin(params.theta)
-    vec[indices[0]] = st * math.cos(params.phi)
-    vec[indices[1]] = st * math.sin(params.phi)
-    vec[indices[2]] = math.cos(params.theta)
-    return vec
+    i0, i1, i2 = _FAMILY_INDICES[family]
+    st = np.sin(thetas)
+    rows = np.zeros((st.size, 9), dtype=complex)
+    rows[:, i0] = st * np.cos(phis)
+    rows[:, i1] = st * np.sin(phis)
+    rows[:, i2] = np.cos(thetas)
+    return rows
+
+
+def spin_state(params: SpinParams) -> np.ndarray:
+    """Spin vector of one family member, 9-dim: spin_states as a batch of one."""
+    return spin_states(params.family, [params.theta], [params.phi])[0]
 
 
 def assemble(spin: np.ndarray, momentum: np.ndarray) -> PureState:
@@ -109,7 +119,7 @@ def invariance_defect(spin: np.ndarray, omega: float) -> float:
     Zero exactly for the invariant state; order 0.5 for the other sign
     patterns of the same three-term family.
     """
-    rot = kron(wigner_d(1, omega).matrix, wigner_d(1, -omega).matrix)
+    rot = kron_all(wigner_d(1, omega).matrix, wigner_d(1, -omega).matrix)
     spin = np.asarray(spin, dtype=complex)
     return float(np.linalg.norm(rot @ spin - spin))
 

@@ -12,28 +12,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import IO
 
 import numpy as np
 
-from .entanglement import Partition
+from .entanglement import Partition, linear_entropy
 from .lorentz import BoostSpec, boost_operator
-from .states import SpinFamily, momentum_state
-from .tensor import SubsystemLabel
+from .states import SpinFamily, momentum_state, spin_states
 
 COLLECT_TOL = 1e-9
 DEFAULT_MERGE_RADIUS = 3.0
-
-_AXIS = {
-    SubsystemLabel.PA: 0,
-    SubsystemLabel.PB: 1,
-    SubsystemLabel.SA: 2,
-    SubsystemLabel.SB: 3,
-}
-_DIMS = (2, 2, 3, 3)
-_S1_INDICES = (0, 4, 8)
-_S2_INDICES = (2, 6, 4)
 
 
 @dataclass(frozen=True)
@@ -45,6 +33,8 @@ class GridSpec:
     count: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError("grid endpoints must be finite")
         if self.count < 2:
             raise ValueError("grid count must be at least 2")
 
@@ -69,12 +59,6 @@ class SweepConfig:
     partition: Partition
     theta_grid: GridSpec = DEFAULT_THETA_GRID
     phi_grid: GridSpec = DEFAULT_PHI_GRID
-    output: Path | None = None
-    format: str = "csv"
-
-    def __post_init__(self) -> None:
-        if self.format not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
 
 
 @dataclass(frozen=True)
@@ -92,40 +76,6 @@ class SweepResult:
     phi_grid: GridSpec | None = None
 
 
-def _spin_columns(family: SpinFamily, thetas_flat: np.ndarray, phis_flat: np.ndarray) -> np.ndarray:
-    """Spin vectors for every cell as a (9, cells) array."""
-    indices = _S1_INDICES if family is SpinFamily.S1 else _S2_INDICES
-    spins = np.zeros((9, thetas_flat.size), dtype=complex)
-    st = np.sin(thetas_flat)
-    spins[indices[0]] = st * np.cos(phis_flat)
-    spins[indices[1]] = st * np.sin(phis_flat)
-    spins[indices[2]] = np.cos(thetas_flat)
-    return spins
-
-
-def _entropy_columns(columns: np.ndarray, partition: Partition) -> np.ndarray:
-    """Linear entropy of each column of a (36, cells) amplitude array.
-
-    Each cell occupies its own leading tensor slice, so every reduction runs
-    within a single cell and batching cannot change any value.
-    """
-    cells = columns.shape[1]
-    tens = np.ascontiguousarray(columns.T).reshape((cells,) + _DIMS)
-    total = np.zeros(cells)
-    for part in partition.parts:
-        keep = sorted(_AXIS[label] for label in part)
-        rest = [ax for ax in range(4) if ax not in keep]
-        dim_keep = 1
-        for ax in keep:
-            dim_keep *= _DIMS[ax]
-        perm = [0] + [ax + 1 for ax in keep] + [ax + 1 for ax in rest]
-        a = np.ascontiguousarray(np.transpose(tens, perm)).reshape(cells, dim_keep, -1)
-        gram = np.einsum("mik,mjk->mij", a, a.conj(), optimize=False)
-        purities = np.einsum("mij,mij->m", gram, gram.conj(), optimize=False).real
-        total += 1.0 - purities
-    return total
-
-
 def delta_e_grid(
     family: SpinFamily,
     alpha: float,
@@ -134,14 +84,17 @@ def delta_e_grid(
     thetas: np.ndarray,
     phis: np.ndarray,
 ) -> np.ndarray:
-    """Entanglement-change surface over a (theta, phi) grid, theta outer."""
-    tt = np.repeat(thetas, phis.size)
-    pp = np.tile(phis, thetas.size)
-    spins = _spin_columns(family, tt, pp)
+    """Entanglement-change surface over a (theta, phi) grid, theta outer.
+
+    Each cell is one column of the (36, cells) state array that the boost
+    multiplies; the entropies read the same arrays as (cells, 36) rows.
+    """
+    tt, pp = np.repeat(thetas, phis.size), np.tile(phis, thetas.size)
+    spins = np.ascontiguousarray(spin_states(family, tt, pp).T)
     mom = momentum_state(alpha)
-    psi = (mom[:, None, None] * spins[None, :, :]).reshape(36, tt.size)
+    psi = (mom[:, None, None] * spins[None, :, :]).reshape(-1, tt.size)
     boosted = boost_operator(omega) @ psi
-    change = _entropy_columns(boosted, partition) - _entropy_columns(psi, partition)
+    change = linear_entropy(boosted.T, partition) - linear_entropy(psi.T, partition)
     return change.reshape(thetas.size, phis.size)
 
 
@@ -211,6 +164,8 @@ def find_extrema(result: SweepResult, merge_radius: float = DEFAULT_MERGE_RADIUS
     values = result.values
     if values.size == 0:
         raise ValueError("empty sweep grid")
+    if not np.isfinite(values).all():
+        raise ValueError("sweep surface contains non-finite values")
     vmax = float(values.max())
     vmin = float(values.min())
     if vmax - vmin < COLLECT_TOL:
@@ -269,9 +224,21 @@ def read_csv(stream: IO[str]) -> SweepResult:
     n_theta, rem = divmod(len(values), n_phi)
     if rem != 0:
         raise ValueError("CSV rows do not form a rectangular grid")
+    theta_cells = np.array(thetas).reshape(n_theta, n_phi)
+    phi_cells = np.array(phis).reshape(n_theta, n_phi)
+    grid_thetas, grid_phis = theta_cells[:, 0], phi_cells[0]
+    if (
+        n_theta < 2
+        or n_phi < 2
+        or not (theta_cells == grid_thetas[:, None]).all()
+        or not (phi_cells == grid_phis).all()
+        or np.unique(grid_thetas).size != n_theta
+        or np.unique(grid_phis).size != n_phi
+    ):
+        raise ValueError("CSV rows do not form a theta x phi grid with theta outer")
     return SweepResult(
-        thetas=np.array(thetas[::n_phi]),
-        phis=np.array(phis[:n_phi]),
+        thetas=grid_thetas,
+        phis=grid_phis,
         values=np.array(values).reshape(n_theta, n_phi),
     )
 
@@ -300,16 +267,27 @@ def write_json(result: SweepResult, stream: IO[str]) -> None:
 
 
 def read_json(stream: IO[str]) -> SweepResult:
+    """Rebuild a SweepResult from a JSON envelope, checking its keys and shape."""
     envelope = json.load(stream)
-    config = envelope["config"]
-    tg = GridSpec(**config["theta_grid"])
-    pg = GridSpec(**config["phi_grid"])
-    shape = tuple(envelope["shape"])
-    values = np.array(envelope["values"]).reshape(shape)
+    try:
+        config = envelope["config"]
+        tg = GridSpec(**config["theta_grid"])
+        pg = GridSpec(**config["phi_grid"])
+        thetas, phis = tg.points, pg.points
+        shape = tuple(envelope["shape"])
+        values = np.array(envelope["values"], dtype=float)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed JSON sweep envelope ({type(exc).__name__}: {exc})") from None
+    if shape != (tg.count, pg.count) or values.shape != (tg.count * pg.count,):
+        raise ValueError(
+            f"JSON sweep shape {list(shape)} with {values.size} values does not match "
+            f"the {tg.count} x {pg.count} grid"
+        )
+    values = values.reshape(shape)
     family = SpinFamily(config["family"]) if config.get("family") else None
     return SweepResult(
-        thetas=tg.points,
-        phis=pg.points,
+        thetas=thetas,
+        phis=phis,
         values=values,
         family=family,
         alpha=config.get("alpha"),

@@ -131,11 +131,6 @@ class DensityMatrix:
             raise ValueError("density matrix has a significantly negative eigenvalue")
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def kron_all(*mats: np.ndarray) -> np.ndarray:
     """Kronecker product of several matrices, left to right."""
     out = np.asarray(mats[0])
@@ -195,18 +190,15 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.trace(r @ r).real)
 
 
-def state_purity(psi: PureState | np.ndarray, keep: Iterable[SubsystemLabel],
-                 order: FactorOrder = CANONICAL_ORDER) -> float:
-    """Purity of the reduced state of a pure state, without forming the full projector.
+def batch_purity(rows: np.ndarray, keep: Iterable[SubsystemLabel],
+                 order: FactorOrder = CANONICAL_ORDER) -> np.ndarray:
+    """Purity of the reduced state over `keep` for each row of a (cells, total_dim) array.
 
-    Accepts either a PureState or a raw canonical-order amplitude vector
-    (the raw path skips normalization checks and exists for engine code that
-    must see unnormalized vectors as they are).
+    Each row is a pure state over `order`, reduced through its Gram matrix
+    without forming the full projector. Every reduction runs within a
+    single row, so batching cannot change any value. Rows are taken as they
+    are, without normalization checks.
     """
-    if isinstance(psi, PureState):
-        vec, order = psi.amplitudes, psi.order
-    else:
-        vec = np.asarray(psi, dtype=complex)
     keep = set(keep)
     if not keep:
         raise ValueError("keep must be a nonempty set of labels")
@@ -216,9 +208,24 @@ def state_purity(psi: PureState | np.ndarray, keep: Iterable[SubsystemLabel],
     dk = 1
     for ax in kept_axes:
         dk *= dims[ax]
-    a = np.transpose(vec.reshape(dims), kept_axes + rest_axes).reshape(dk, -1)
-    gram = a @ a.conj().T
-    return float(np.sum(np.abs(gram) ** 2))
+    rows = np.asarray(rows, dtype=complex)
+    cells = rows.shape[0]
+    perm = [0] + [ax + 1 for ax in kept_axes] + [ax + 1 for ax in rest_axes]
+    tens = np.transpose(rows.reshape((cells,) + dims), perm)
+    a = np.ascontiguousarray(tens).reshape(cells, dk, -1)
+    gram = np.einsum("mik,mjk->mij", a, a.conj(), optimize=False)
+    return np.einsum("mij,mij->m", gram, gram.conj(), optimize=False).real
+
+
+def state_purity(psi: PureState | np.ndarray, keep: Iterable[SubsystemLabel],
+                 order: FactorOrder = CANONICAL_ORDER) -> float:
+    """Purity of the reduced state of one pure state: a batch of one.
+
+    Accepts either a PureState or a raw amplitude vector over `order`.
+    """
+    if isinstance(psi, PureState):
+        psi, order = psi.amplitudes, psi.order
+    return float(batch_purity(np.asarray(psi)[None, :], keep, order)[0])
 
 
 def permute_factors(psi: PureState, new_order: FactorOrder) -> PureState:

@@ -283,3 +283,92 @@ def test_check_command_json(capsys):
     assert payload["passed"] is True
     assert len(payload["checks"]) == 11
     assert all(entry["passed"] for entry in payload["checks"])
+
+
+SWEEP_BASE = ["sweep", "--family", "s1", "--omega", "0.3", "--partition", "svp"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["sweep", "--family", "s1", "--alpha", "nan", "--omega", "0.3", "--partition", "svp",
+          *SMALL_GRID], 2),
+        ([*SWEEP_BASE, "--alpha", "0.5", "--theta-grid", "0:inf:3"], 1),
+        ([*SWEEP_BASE, "--alpha", "0.5", "--phi-grid", "nan:1:3"], 1),
+        (["sweep", "--family", "s1", "--alpha", "0.5", "--xi", "nan", "--eta", "1",
+          "--partition", "svp", *SMALL_GRID], 2),
+        (["delta-e", "--state", "s00", "--alpha", "nan", "--omega", "0.3", "--partition", "svp"], 2),
+        (["wigner-angle", "--xi", "nan", "--eta", "1"], 2),
+        (["wigner-angle", "--xi", "1", "--eta", "inf"], 2),
+    ],
+    ids=["sweep-alpha-nan", "sweep-theta-grid-inf", "sweep-phi-grid-nan", "sweep-xi-nan",
+         "delta-e-alpha-nan", "wigner-xi-nan", "wigner-eta-inf"],
+)
+def test_non_finite_inputs_rejected(argv, code, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    argv = [*argv, "--out", str(out)] if argv[0] == "sweep" else argv
+    assert main(argv) == code
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_wigner_angle_large_rapidities(capsys):
+    assert main(["wigner-angle", "--xi", "1000", "--eta", "1000"]) == 0
+    assert float(capsys.readouterr().out) == math.pi / 2
+    assert main(["wigner-angle", "--xi", "1000", "--eta", "0.001"]) == 0
+    assert abs(float(capsys.readouterr().out) - 0.001) < 1e-9
+
+
+def _write_small_sweep(path, capsys):
+    assert main(["sweep", "--family", "s1", "--alpha", "0.785", "--omega", "0.3",
+                 "--partition", "svp", *SMALL_GRID, "--out", str(path)]) == 0
+    capsys.readouterr()
+
+
+def test_extrema_rejects_phi_outer_csv(tmp_path, capsys):
+    thetas = np.linspace(0.0, math.pi, 5)
+    phis = np.linspace(0.0, 2 * math.pi, 9)
+    rows = [f"{t:.17g},{p:.17g},{math.sin(t) * math.cos(p):.17g}" for p in phis for t in thetas]
+    path = tmp_path / "phi_outer.csv"
+    path.write_text("theta,phi,delta_e\n" + "\n".join(rows) + "\n")
+    assert main(["extrema", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "theta outer" in captured.err
+
+
+@pytest.mark.parametrize("edit", ["drop-config", "drop-values", "drop-grid", "short-values",
+                                  "wrong-shape"])
+def test_extrema_rejects_malformed_json(edit, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    _write_small_sweep(path, capsys)
+    envelope = json.loads(path.read_text())
+    if edit == "drop-config":
+        del envelope["config"]
+    elif edit == "drop-values":
+        del envelope["values"]
+    elif edit == "drop-grid":
+        del envelope["config"]["phi_grid"]
+    elif edit == "short-values":
+        envelope["values"].pop()
+    else:
+        envelope["shape"] = [9, 7]
+    path.write_text(json.dumps(envelope))
+    assert main(["extrema", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_extrema_rejects_non_finite_cell(bad, tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    _write_small_sweep(path, capsys)
+    lines = path.read_text().splitlines()
+    t, p, _ = lines[20].split(",")
+    lines[20] = f"{t},{p},{bad}"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["extrema", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err

@@ -22,7 +22,14 @@ from spinboost.states import (
     momentum_state,
     spin_state,
 )
-from spinboost.tensor import PureState, SubsystemLabel
+from spinboost.tensor import (
+    FactorOrder,
+    PureState,
+    SubsystemLabel,
+    batch_purity,
+    permute_factors,
+    state_purity,
+)
 
 PA, PB, SA, SB = (
     SubsystemLabel.PA,
@@ -106,10 +113,24 @@ def test_linear_entropy_invariant_spin_with_plus_minus_momentum():
 def test_linear_entropy_accepts_pure_state_and_ndarray():
     rng = np.random.default_rng(5)
     psi = family_state(rng)
+    # the same state with its factors reordered, so kept axes are not canonical
+    moved = permute_factors(psi, FactorOrder(((SB, 3), (PA, 2), (SA, 3), (PB, 2))))
     for partition in PARTITIONS.values():
         a = linear_entropy(psi, partition)
         b = linear_entropy(psi.amplitudes, partition)
         assert a == b
+        assert abs(linear_entropy(moved, partition) - a) < 1e-14
+        for part in partition.parts:
+            assert abs(state_purity(moved, part) - state_purity(psi, part)) < 1e-14
+    # a (cells, 36) batch gives exactly the per-row values
+    rows = np.array([family_state(rng).amplitudes for _ in range(6)])
+    for partition in PARTITIONS.values():
+        batch = linear_entropy(rows, partition)
+        assert batch.shape == (6,)
+        assert batch.tolist() == [linear_entropy(row, partition) for row in rows]
+        for part in partition.parts:
+            purities = batch_purity(rows, part)
+            assert purities.tolist() == [state_purity(row, part) for row in rows]
 
 
 def test_delta_e_zero_boost_is_identity():

@@ -13,7 +13,7 @@ from spinboost.lorentz import (
     wigner_angle,
     wigner_d,
 )
-from spinboost.tensor import CANONICAL_ORDER, FactorOrder, SubsystemLabel, kron, permute_operator
+from spinboost.tensor import CANONICAL_ORDER, FactorOrder, SubsystemLabel, kron_all, permute_operator
 
 PA, PB, SA, SB = (
     SubsystemLabel.PA,
@@ -73,6 +73,25 @@ def test_wigner_angle_rejects_negative_rapidity():
         wigner_angle(-0.1, 1.0)
     with pytest.raises(ValueError):
         wigner_angle(1.0, -2.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            wigner_angle(bad, 1.0)
+        with pytest.raises(ValueError):
+            wigner_angle(1.0, bad)
+
+
+def test_wigner_angle_past_cosh_overflow():
+    # cosh overflows near rapidity 710; the bounded form takes over there
+    assert wigner_angle(1000.0, 1000.0) == math.pi / 2
+    assert abs(wigner_angle(1000.0, 0.001) - 0.001) < 1e-9
+    assert wigner_angle(0.001, 1000.0) == wigner_angle(1000.0, 0.001)
+    # the limit in xi at fixed eta is atan(sinh(eta)), on both sides of the switch
+    for xi in (700.0, 709.7, 711.0, 1e6):
+        assert abs(wigner_angle(xi, 1.0) - math.atan(math.sinh(1.0))) < 1e-15
+    # no jump at the switch: nondecreasing up to the one-ulp round-off that
+    # the original formula also shows
+    grid = [wigner_angle(float(x), 0.5) for x in np.linspace(1.0, 800.0, 50)]
+    assert all(b >= a - math.ulp(a) for a, b in zip(grid, grid[1:]))
 
 
 def test_boost_spec_paths():
@@ -87,6 +106,13 @@ def test_boost_spec_paths():
         BoostSpec(omega=math.pi)
     with pytest.raises(ValueError):
         BoostSpec()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            BoostSpec(xi=bad, eta=1.0)
+        with pytest.raises(ValueError):
+            BoostSpec(xi=1.0, eta=bad)
+        with pytest.raises(ValueError):
+            BoostSpec(omega=bad)
 
 
 def test_jy_matrix_spectra():
@@ -176,7 +202,7 @@ def test_boost_factorizes_into_single_particle_copies():
     for omega in (0.2, math.pi / 8, 1.0, math.pi / 2):
         u = permute_operator(boost_operator(omega), CANONICAL_ORDER, PARTICLE_ORDER)
         sp = single_particle_boost(omega)
-        assert np.max(np.abs(u - kron(sp, sp))) < 1e-13
+        assert np.max(np.abs(u - kron_all(sp, sp))) < 1e-13
 
 
 def test_boost_sector_action_on_basis_states():
@@ -194,7 +220,7 @@ def test_boost_sector_action_on_basis_states():
         mom = np.zeros(4, dtype=complex)
         mom[pa * 2 + pb] = 1.0
         vec = np.kron(mom, spin)
-        expected = np.kron(mom, kron(da, db) @ spin)
+        expected = np.kron(mom, kron_all(da, db) @ spin)
         assert np.max(np.abs(u @ vec - expected)) < 1e-13
 
 

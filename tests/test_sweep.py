@@ -40,17 +40,9 @@ def test_grid_spec_validation_and_points():
     assert spec.step == 0.25
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 1)
-
-
-def test_sweep_config_rejects_unknown_format():
-    with pytest.raises(ValueError):
-        SweepConfig(
-            family=SpinFamily.S1,
-            alpha=0.5,
-            omega_spec=BoostSpec(omega=0.2),
-            partition=PARTITIONS["AvsB"],
-            format="xml",
-        )
+    for start, stop in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(ValueError):
+            GridSpec(start, stop, 5)
 
 
 def test_grid_kernel_matches_scalar_evaluation():
@@ -145,6 +137,19 @@ def test_csv_header_validation():
         read_csv(io.StringIO("a,b,c\n1,2,3\n"))
     with pytest.raises(ValueError):
         read_csv(io.StringIO("theta,phi,delta_e\n"))
+
+
+def test_csv_rows_must_form_theta_outer_product():
+    result = run_sweep(small_config(nt=5, np_=9))
+    buf = io.StringIO()
+    write_csv(result, buf)
+    header, *rows = buf.getvalue().splitlines()
+    phi_outer = [rows[i * 9 + j] for j in range(9) for i in range(5)]
+    repeated_block = rows[:9] * 5
+    ragged = rows[:8] + rows[9:] + rows[8:9]
+    for bad in (phi_outer, repeated_block, ragged, rows[:9]):
+        with pytest.raises(ValueError):
+            read_csv(io.StringIO("\n".join([header, *bad]) + "\n"))
 
 
 def test_json_round_trip_exact():
