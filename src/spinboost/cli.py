@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -50,6 +51,14 @@ def _grid_spec(text: str) -> GridSpec:
         return GridSpec(float(parts[0]), float(parts[1]), int(parts[2]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _merge_radius(text: str) -> float:
+    radius = float(text)
+    # the comparison also rejects nan, which fails every comparison
+    if not radius >= 0.0:
+        raise argparse.ArgumentTypeError(f"merge radius must be nonnegative, got {text!r}")
+    return radius
 
 
 def _family(text: str) -> SpinFamily:
@@ -117,7 +126,7 @@ def build_parser() -> _Parser:
 
     p_extrema = sub.add_parser("extrema", help="extrema report for a sweep file")
     p_extrema.add_argument("--in", dest="infile", type=Path, required=True)
-    p_extrema.add_argument("--merge-radius", type=float, default=DEFAULT_MERGE_RADIUS,
+    p_extrema.add_argument("--merge-radius", type=_merge_radius, default=DEFAULT_MERGE_RADIUS,
                            help="cluster radius in grid steps")
 
     p_check = sub.add_parser("check", help="run the self-check suite")
@@ -182,8 +191,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.out is None:
         writer(result, sys.stdout)
     else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            writer(result, handle)
+        # write beside the target and rename, so a failure leaves no partial
+        # file and an existing one stays as it was
+        tmp = args.out.with_name(f".{args.out.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as handle:
+                writer(result, handle)
+            os.replace(tmp, args.out)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     if args.summary:
         _print_extrema(find_extrema(result), sys.stderr)
     return 0

@@ -86,15 +86,22 @@ def delta_e_grid(
 ) -> np.ndarray:
     """Entanglement-change surface over a (theta, phi) grid, theta outer.
 
-    Each cell is one column of the (36, cells) state array that the boost
-    multiplies; the entropies read the same arrays as (cells, 36) rows.
+    Every amplitude of a family sweep is real (family and momentum
+    coefficients and the Wigner d1 rotation), so each cell is a real
+    (4, 9) row of momentum sectors by spin amplitudes. The boost acts on
+    each sector through its own 9x9 diagonal block; a per-row einsum
+    keeps every cell's arithmetic independent of how the grid is batched.
     """
     tt, pp = np.repeat(thetas, phis.size), np.tile(phis, thetas.size)
-    spins = np.ascontiguousarray(spin_states(family, tt, pp).T)
-    mom = momentum_state(alpha)
-    psi = (mom[:, None, None] * spins[None, :, :]).reshape(-1, tt.size)
-    boosted = boost_operator(omega) @ psi
-    change = linear_entropy(boosted.T, partition) - linear_entropy(psi.T, partition)
+    spins = spin_states(family, tt, pp).real
+    mom = momentum_state(alpha).real
+    psi = mom[None, :, None] * spins[:, None, :]
+    cells, sectors, dim = psi.shape
+    u = boost_operator(omega).real.reshape(sectors, dim, sectors, dim)
+    blocks = np.stack([u[s, :, s] for s in range(sectors)])
+    boosted = np.einsum("msj,sij->msi", psi, blocks, optimize=False)
+    change = (linear_entropy(boosted.reshape(cells, -1), partition)
+              - linear_entropy(psi.reshape(cells, -1), partition))
     return change.reshape(thetas.size, phis.size)
 
 
@@ -157,10 +164,13 @@ def _cluster(points: list[tuple[int, int]], radius: float) -> list[list[tuple[in
 def find_extrema(result: SweepResult, merge_radius: float = DEFAULT_MERGE_RADIUS) -> ExtremaReport:
     """Collect and cluster the global maxima and minima of a sweep surface.
 
-    merge_radius is measured in grid steps. Representatives are the
+    merge_radius is measured in grid steps, nonnegative and possibly
+    infinite (one cluster per extreme). Representatives are the
     best-valued point of each cluster, ties broken toward smaller
     (theta, phi); output is ordered by (theta, phi) ascending.
     """
+    if not merge_radius >= 0.0:
+        raise ValueError(f"merge radius must be nonnegative, got {merge_radius}")
     values = result.values
     if values.size == 0:
         raise ValueError("empty sweep grid")
@@ -195,9 +205,11 @@ def find_extrema(result: SweepResult, merge_radius: float = DEFAULT_MERGE_RADIUS
 def write_csv(result: SweepResult, stream: IO[str]) -> None:
     """Emit the grid as CSV with header theta,phi,delta_e, theta outer."""
     stream.write("theta,phi,delta_e\n")
-    for i, theta in enumerate(result.thetas):
-        for j, phi in enumerate(result.phis):
-            stream.write(f"{theta:.17g},{phi:.17g},{result.values[i, j]:.17g}\n")
+    # each coordinate is formatted once; each theta row is one write
+    phi_cols = [f",{phi:.17g}," for phi in result.phis.tolist()]
+    for theta, row in zip(result.thetas.tolist(), result.values):
+        head = f"{theta:.17g}"
+        stream.write("".join([f"{head}{phi}{v:.17g}\n" for phi, v in zip(phi_cols, row.tolist())]))
 
 
 def read_csv(stream: IO[str]) -> SweepResult:

@@ -195,9 +195,11 @@ def batch_purity(rows: np.ndarray, keep: Iterable[SubsystemLabel],
     """Purity of the reduced state over `keep` for each row of a (cells, total_dim) array.
 
     Each row is a pure state over `order`, reduced through its Gram matrix
-    without forming the full projector. Every reduction runs within a
-    single row, so batching cannot change any value. Rows are taken as they
-    are, without normalization checks.
+    without forming the full projector. A pure state has the same purity
+    on both sides of a cut, so the Gram matrix is taken on the smaller
+    side. Real rows stay real and complex rows complex. Every reduction
+    runs within a single row, so batching cannot change any value. Rows
+    are taken as they are, without normalization checks.
     """
     keep = set(keep)
     if not keep:
@@ -208,11 +210,17 @@ def batch_purity(rows: np.ndarray, keep: Iterable[SubsystemLabel],
     dk = 1
     for ax in kept_axes:
         dk *= dims[ax]
-    rows = np.asarray(rows, dtype=complex)
+    if dk * dk > order.total_dim:
+        kept_axes, rest_axes = rest_axes, kept_axes
+        dk = order.total_dim // dk
+    rows = np.asarray(rows)
+    if not np.iscomplexobj(rows):
+        rows = rows.astype(float, copy=False)
     cells = rows.shape[0]
     perm = [0] + [ax + 1 for ax in kept_axes] + [ax + 1 for ax in rest_axes]
     tens = np.transpose(rows.reshape((cells,) + dims), perm)
     a = np.ascontiguousarray(tens).reshape(cells, dk, -1)
+    # conj() of a real array is the array itself, so real rows stay real
     gram = np.einsum("mik,mjk->mij", a, a.conj(), optimize=False)
     return np.einsum("mij,mij->m", gram, gram.conj(), optimize=False).real
 

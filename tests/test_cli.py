@@ -372,3 +372,48 @@ def test_extrema_rejects_non_finite_cell(bad, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "non-finite" in captured.err
+
+
+@pytest.mark.parametrize("radius", ["-1", "nan", "-inf", "wide"])
+def test_extrema_rejects_bad_merge_radius(radius, tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    _write_small_sweep(path, capsys)
+    assert main(["extrema", "--in", str(path), "--merge-radius", radius]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+
+
+def test_extrema_infinite_merge_radius_merges_everything(tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    main(["sweep", "--family", "s1", "--alpha", "0.785", "--omega", "0.3926990816987241",
+          "--partition", "1v3", "--theta-grid", "0:3.141592653589793:25",
+          "--phi-grid", "0:6.283185307179586:49", "--out", str(path)])
+    capsys.readouterr()
+    assert main(["extrema", "--in", str(path), "--merge-radius", "inf"]) == 0
+    out = capsys.readouterr().out
+    assert "maxima (1 cluster):" in out
+    assert "minima (1 cluster):" in out
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_sweep_writer_failure_leaves_no_partial_file(existing, tmp_path, capsys, monkeypatch):
+    import spinboost.cli as cli
+
+    def failing_writer(result, stream):
+        stream.write("theta,phi,delta_e\n")
+        raise OSError("disk full")
+
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--family", "s1", "--alpha", "0.785", "--omega", "0.3",
+            "--partition", "svp", *SMALL_GRID, "--out", str(out)]
+    if existing:
+        assert main(argv) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+    before = out.read_bytes() if existing else None
+    monkeypatch.setattr(cli, "write_csv", failing_writer)
+    assert main(argv) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["s.csv"] if existing else [])
+    if existing:
+        assert out.read_bytes() == before

@@ -86,6 +86,33 @@ def test_grid_cells_independent_of_batching():
     assert np.array_equal(full, col_chunks)
 
 
+@pytest.mark.parametrize("family", list(SpinFamily))
+@pytest.mark.parametrize("partition", list(PARTITIONS))
+def test_grid_cells_evaluated_alone_match_full_grid(family, partition):
+    """A grid of one cell gives the same bits as that cell inside the full grid."""
+    thetas = np.linspace(0.0, math.pi, 9)
+    phis = np.linspace(0.0, 2 * math.pi, 17)
+    part = PARTITIONS[partition]
+    full = delta_e_grid(family, 0.7, math.pi / 8, part, thetas, phis)
+    alone = np.array(
+        [
+            [delta_e_grid(family, 0.7, math.pi / 8, part, thetas[i : i + 1], phis[j : j + 1])[0, 0]
+             for j in range(phis.size)]
+            for i in range(thetas.size)
+        ]
+    )
+    assert np.array_equal(full, alone)
+
+
+def test_delta_e_grid_is_real():
+    thetas = np.linspace(0.0, math.pi, 3)
+    phis = np.linspace(0.0, 2 * math.pi, 4)
+    for partition in PARTITIONS.values():
+        grid = delta_e_grid(SpinFamily.S2, 0.7, math.pi / 4, partition, thetas, phis)
+        assert grid.dtype == np.float64
+        assert grid.shape == (3, 4)
+
+
 def test_run_sweep_metadata_and_shape():
     config = small_config()
     result = run_sweep(config)
@@ -130,6 +157,27 @@ def test_csv_round_trip_exact():
     assert np.array_equal(back.values, result.values)
     assert np.array_equal(back.thetas, result.thetas)
     assert np.array_equal(back.phis, result.phis)
+
+
+def test_write_csv_matches_per_cell_reference():
+    thetas = np.array([-0.0, 5e-324, 1.0, 1e300])
+    phis = np.array([0.0, -2.5, 1e-300, 3.141592653589793, 7.0])
+    values = np.array(
+        [
+            [-0.0, 5e-324, -5e-324, 1e300, -1e300],
+            [0.1, -0.2, 1.0 / 3.0, 0.0, 2.220446049250313e-16],
+            [123456789.125, -1e-17, 1e16, -7.0, 0.5],
+            [math.pi, -math.e, 1e-320, 4.5e15, -0.0],
+        ]
+    )
+    buf = io.StringIO()
+    write_csv(SweepResult(thetas=thetas, phis=phis, values=values), buf)
+    reference = "theta,phi,delta_e\n" + "".join(
+        f"{theta:.17g},{phi:.17g},{values[i, j]:.17g}\n"
+        for i, theta in enumerate(thetas)
+        for j, phi in enumerate(phis)
+    )
+    assert buf.getvalue() == reference
 
 
 def test_csv_header_validation():
@@ -243,6 +291,23 @@ def test_find_extrema_known_sweep_maxima():
     assert abs(t1 - math.pi / 2) < 1e-12 and abs(p1 - math.pi / 2) < 1e-12
     assert abs(t2 - math.pi / 2) < 1e-12 and abs(p2 - 3 * math.pi / 2) < 1e-12
     assert abs(v1 - 0.5) < tol and abs(v2 - 0.5) < tol
+
+
+def test_find_extrema_merge_radius_validation():
+    thetas = np.linspace(0.0, 1.0, 21)
+    phis = np.linspace(0.0, 1.0, 21)
+    values = np.zeros((21, 21))
+    values[2, 2] = values[18, 18] = 1.0
+    values[5, 5] = values[15, 3] = -1.0
+    result = SweepResult(thetas=thetas, phis=phis, values=values)
+    for bad in (-1.0, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            find_extrema(result, merge_radius=bad)
+    # an infinite radius merges every hit into one cluster per extreme
+    report = find_extrema(result, merge_radius=math.inf)
+    assert report.maxima == ((thetas[2], phis[2], 1.0),)
+    assert report.minima == ((thetas[5], phis[5], -1.0),)
+    assert len(find_extrema(result, merge_radius=0.0).maxima) == 2
 
 
 def test_find_extrema_empty_grid_rejected():
