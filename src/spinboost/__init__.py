@@ -25,7 +25,6 @@ from .tensor import (
 )
 from .lorentz import (
     BoostSpec,
-    WignerRotation,
     boost_operator,
     jy_matrix,
     single_particle_boost,
@@ -34,7 +33,6 @@ from .lorentz import (
 )
 from .states import (
     NAMED_STATES,
-    MomentumParams,
     NamedState,
     SpinFamily,
     SpinParams,
@@ -49,11 +47,10 @@ from .states import (
 )
 from .entanglement import (
     PARTITIONS,
-    ConservationReport,
     DeltaEResult,
     Partition,
-    conservation_report,
     delta_e,
+    family_entropies,
     linear_entropy,
     parse_partition,
 )
@@ -79,13 +76,11 @@ __all__ = [
     "BoostSpec",
     "CheckReport",
     "CheckResult",
-    "ConservationReport",
     "DeltaEResult",
     "DensityMatrix",
     "ExtremaReport",
     "FactorOrder",
     "GridSpec",
-    "MomentumParams",
     "NAMED_STATES",
     "NamedState",
     "PARTITIONS",
@@ -96,14 +91,13 @@ __all__ = [
     "SubsystemLabel",
     "SweepConfig",
     "SweepResult",
-    "WignerRotation",
     "assemble",
     "batch_purity",
     "boost_operator",
     "check_suite",
-    "conservation_report",
     "delta_e",
     "delta_e_grid",
+    "family_entropies",
     "find_extrema",
     "get_named_state",
     "invariance_defect",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lorentz import boost_operator
-from .states import MomentumParams, SpinParams, get_named_state, momentum_state, spin_state, assemble
+from .states import SpinFamily, SpinParams, get_named_state, momentum_state, spin_states
 from .tensor import CANONICAL_ORDER, PureState, SubsystemLabel, batch_purity
 
 CONSERVATION_TOL = 1e-10
@@ -99,6 +99,35 @@ def linear_entropy(psi: PureState | np.ndarray, partition: Partition) -> float |
     return total if rows.ndim == 2 else float(total[0])
 
 
+def family_entropies(
+    family: SpinFamily,
+    alpha: float,
+    omega: float,
+    partition: Partition,
+    thetas: np.ndarray,
+    phis: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy before and after the boost of one family member per cell.
+
+    Cell k takes its angles from thetas[k] and phis[k]. Every amplitude of
+    a family state is real (family and momentum coefficients and the
+    Wigner d1 rotation), so each cell is a real (4, 9) row of momentum
+    sectors by spin amplitudes. The boost acts on each sector through its
+    own 9x9 diagonal block; a per-row einsum keeps every cell's arithmetic
+    independent of how the cells are batched, so one cell alone gives the
+    same bits as inside a grid.
+    """
+    spins = spin_states(family, thetas, phis).real
+    mom = momentum_state(alpha).real
+    psi = mom[None, :, None] * spins[:, None, :]
+    cells, sectors, dim = psi.shape
+    u = boost_operator(omega).real.reshape(sectors, dim, sectors, dim)
+    blocks = np.stack([u[s, :, s] for s in range(sectors)])
+    boosted = np.einsum("msj,sij->msi", psi, blocks, optimize=False)
+    return (linear_entropy(psi.reshape(cells, -1), partition),
+            linear_entropy(boosted.reshape(cells, -1), partition))
+
+
 @dataclass(frozen=True)
 class DeltaEResult:
     """Entanglement before and after a boost, and their difference."""
@@ -106,67 +135,18 @@ class DeltaEResult:
     e_before: float
     e_after: float
     delta: float
-    partition: Partition
     omega: float
 
 
-def _resolve_spin(spin: SpinParams | str | np.ndarray) -> np.ndarray:
-    if isinstance(spin, SpinParams):
-        return spin_state(spin)
-    if isinstance(spin, str):
-        return get_named_state(spin).spin_vector()
-    return np.asarray(spin, dtype=complex)
-
-
-def delta_e(
-    spin: SpinParams | str | np.ndarray,
-    momentum: MomentumParams | float,
-    omega: float,
-    partition: Partition,
-) -> DeltaEResult:
+def delta_e(spin: SpinParams | str, alpha: float, omega: float, partition: Partition) -> DeltaEResult:
     """Linear-entropy change produced by the boost of angle omega.
 
-    `spin` may be family parameters, a named-state identifier, or a raw
-    9-dim spin vector; `momentum` is the alpha parameter.
+    `spin` is family parameters or a named-state identifier; `alpha` is the
+    momentum parameter. The point is a one-cell batch of family_entropies.
     """
-    psi = assemble(_resolve_spin(spin), momentum_state(momentum))
-    boosted = PureState(boost_operator(omega) @ psi.amplitudes)
-    e_before = linear_entropy(psi, partition)
-    e_after = linear_entropy(boosted, partition)
-    return DeltaEResult(
-        e_before=e_before,
-        e_after=e_after,
-        delta=e_after - e_before,
-        partition=partition,
-        omega=omega,
+    params = get_named_state(spin).params if isinstance(spin, str) else spin
+    before, after = family_entropies(
+        params.family, alpha, omega, partition, [params.theta], [params.phi]
     )
-
-
-@dataclass(frozen=True)
-class ConservationReport:
-    """Per-partition entanglement change with conservation violations flagged.
-
-    AvsB and the mixed partition must conserve entanglement for every state
-    because the boost factors into single-particle unitaries; a violation
-    there indicates a broken transformation, not physics.
-    """
-
-    deltas: dict[str, float]
-    violations: tuple[str, ...]
-
-    @property
-    def conserved(self) -> bool:
-        return not self.violations
-
-
-def conservation_report(psi: PureState, omega: float) -> ConservationReport:
-    """Evaluate the boost's entanglement change in all four partitions."""
-    boosted = PureState(boost_operator(omega) @ psi.amplitudes)
-    deltas = {
-        name: linear_entropy(boosted, part) - linear_entropy(psi, part)
-        for name, part in PARTITIONS.items()
-    }
-    violations = tuple(
-        name for name in ("AvsB", "mixed") if abs(deltas[name]) > CONSERVATION_TOL
-    )
-    return ConservationReport(deltas=deltas, violations=violations)
+    e_before, e_after = float(before[0]), float(after[0])
+    return DeltaEResult(e_before=e_before, e_after=e_after, delta=e_after - e_before, omega=omega)

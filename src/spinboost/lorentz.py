@@ -87,15 +87,6 @@ class BoostSpec:
         return wigner_angle(self.xi, self.eta)
 
 
-@dataclass(frozen=True)
-class WignerRotation:
-    """Spin-j rotation about y by angle beta, as a real orthogonal matrix."""
-
-    j: float
-    beta: float
-    matrix: np.ndarray
-
-
 def jy_matrix(j: float) -> np.ndarray:
     """Angular-momentum y generator for spin j, basis ordered by descending m."""
     j = float(j)
@@ -110,7 +101,7 @@ def jy_matrix(j: float) -> np.ndarray:
     return (jplus - jplus.conj().T) / 2j
 
 
-def wigner_d(j: float, beta: float) -> WignerRotation:
+def wigner_d(j: float, beta: float) -> np.ndarray:
     """Closed-form small-d rotation matrix, equal to exp(-i beta Jy) entrywise.
 
     The j = 1 form, in the basis (|1>, |0>, |-1>), is the workhorse; j = 1/2
@@ -122,18 +113,16 @@ def wigner_d(j: float, beta: float) -> WignerRotation:
     c, s = math.cos(beta), math.sin(beta)
     if j == 0.5:
         ch, sh = math.cos(beta / 2), math.sin(beta / 2)
-        mat = np.array([[ch, -sh], [sh, ch]], dtype=complex)
-    else:
-        r = math.sqrt(2.0)
-        mat = np.array(
-            [
-                [(1 + c) / 2, -s / r, (1 - c) / 2],
-                [s / r, c, -s / r],
-                [(1 - c) / 2, s / r, (1 + c) / 2],
-            ],
-            dtype=complex,
-        )
-    return WignerRotation(j=j, beta=float(beta), matrix=mat)
+        return np.array([[ch, -sh], [sh, ch]], dtype=complex)
+    r = math.sqrt(2.0)
+    return np.array(
+        [
+            [(1 + c) / 2, -s / r, (1 - c) / 2],
+            [s / r, c, -s / r],
+            [(1 - c) / 2, s / r, (1 + c) / 2],
+        ],
+        dtype=complex,
+    )
 
 
 _P_PLUS = np.diag([1.0, 0.0]).astype(complex)
@@ -154,8 +143,8 @@ def boost_operator(omega: float) -> np.ndarray:
     u = np.zeros((36, 36), dtype=complex)
     for proj_a, sign_a in _SECTORS:
         for proj_b, sign_b in _SECTORS:
-            da = wigner_d(1, sign_a * omega).matrix
-            db = wigner_d(1, sign_b * omega).matrix
+            da = wigner_d(1, sign_a * omega)
+            db = wigner_d(1, sign_b * omega)
             u += kron_all(proj_a, proj_b, da, db)
     return u
 
@@ -166,5 +155,4 @@ def single_particle_boost(omega: float) -> np.ndarray:
     The composite boost factors as the product of one copy per particle
     after reordering factors to [pA, sA, pB, sB].
     """
-    return (kron_all(_P_PLUS, wigner_d(1, omega).matrix)
-            + kron_all(_P_MINUS, wigner_d(1, -omega).matrix))
+    return kron_all(_P_PLUS, wigner_d(1, omega)) + kron_all(_P_MINUS, wigner_d(1, -omega))

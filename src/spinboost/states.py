@@ -26,11 +26,6 @@ class SpinFamily(Enum):
 
 
 @dataclass(frozen=True)
-class MomentumParams:
-    alpha: float
-
-
-@dataclass(frozen=True)
 class SpinParams:
     family: SpinFamily
     theta: float
@@ -48,9 +43,9 @@ _IDX_PLUS_MINUS = 1  # |p+ p->
 _IDX_MINUS_PLUS = 2  # |p- p+>
 
 
-def momentum_state(params: MomentumParams | float) -> np.ndarray:
+def momentum_state(alpha: float) -> np.ndarray:
     """cos(alpha) |p+ p-> + sin(alpha) |p- p+> as a 4-dim vector."""
-    alpha = params.alpha if isinstance(params, MomentumParams) else float(params)
+    alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     vec = np.zeros(4, dtype=complex)
@@ -119,7 +114,7 @@ def invariance_defect(spin: np.ndarray, omega: float) -> float:
     Zero exactly for the invariant state; order 0.5 for the other sign
     patterns of the same three-term family.
     """
-    rot = kron_all(wigner_d(1, omega).matrix, wigner_d(1, -omega).matrix)
+    rot = kron_all(wigner_d(1, omega), wigner_d(1, -omega))
     spin = np.asarray(spin, dtype=complex)
     return float(np.linalg.norm(rot @ spin - spin))
 

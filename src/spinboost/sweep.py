@@ -16,9 +16,9 @@ from typing import IO
 
 import numpy as np
 
-from .entanglement import Partition, linear_entropy
-from .lorentz import BoostSpec, boost_operator
-from .states import SpinFamily, momentum_state, spin_states
+from .entanglement import Partition, family_entropies
+from .lorentz import BoostSpec
+from .states import SpinFamily
 
 COLLECT_TOL = 1e-9
 DEFAULT_MERGE_RADIUS = 3.0
@@ -35,16 +35,14 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("grid endpoints must be finite")
+        if self.start == self.stop:
+            raise ValueError("grid endpoints must differ")
         if self.count < 2:
             raise ValueError("grid count must be at least 2")
 
     @property
     def points(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
-
-    @property
-    def step(self) -> float:
-        return (self.stop - self.start) / (self.count - 1)
 
 
 DEFAULT_THETA_GRID = GridSpec(0.0, math.pi, 121)
@@ -84,25 +82,11 @@ def delta_e_grid(
     thetas: np.ndarray,
     phis: np.ndarray,
 ) -> np.ndarray:
-    """Entanglement-change surface over a (theta, phi) grid, theta outer.
-
-    Every amplitude of a family sweep is real (family and momentum
-    coefficients and the Wigner d1 rotation), so each cell is a real
-    (4, 9) row of momentum sectors by spin amplitudes. The boost acts on
-    each sector through its own 9x9 diagonal block; a per-row einsum
-    keeps every cell's arithmetic independent of how the grid is batched.
-    """
-    tt, pp = np.repeat(thetas, phis.size), np.tile(phis, thetas.size)
-    spins = spin_states(family, tt, pp).real
-    mom = momentum_state(alpha).real
-    psi = mom[None, :, None] * spins[:, None, :]
-    cells, sectors, dim = psi.shape
-    u = boost_operator(omega).real.reshape(sectors, dim, sectors, dim)
-    blocks = np.stack([u[s, :, s] for s in range(sectors)])
-    boosted = np.einsum("msj,sij->msi", psi, blocks, optimize=False)
-    change = (linear_entropy(boosted.reshape(cells, -1), partition)
-              - linear_entropy(psi.reshape(cells, -1), partition))
-    return change.reshape(thetas.size, phis.size)
+    """Entanglement-change surface over a (theta, phi) grid, theta outer."""
+    before, after = family_entropies(
+        family, alpha, omega, partition, np.repeat(thetas, phis.size), np.tile(phis, thetas.size)
+    )
+    return (after - before).reshape(thetas.size, phis.size)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -140,25 +124,27 @@ class ExtremaReport:
     flat: bool = False
 
 
-def _cluster(points: list[tuple[int, int]], radius: float) -> list[list[tuple[int, int]]]:
-    """Group index pairs whose euclidean distance is at most radius."""
-    clusters: list[list[tuple[int, int]]] = []
-    remaining = sorted(points)
-    while remaining:
-        seed = remaining.pop(0)
-        group = [seed]
-        frontier = [seed]
-        while frontier:
-            ci, cj = frontier.pop()
-            linked = [
-                p for p in remaining if (p[0] - ci) ** 2 + (p[1] - cj) ** 2 <= radius ** 2
-            ]
-            for p in linked:
-                remaining.remove(p)
-            group.extend(linked)
-            frontier.extend(linked)
-        clusters.append(group)
-    return clusters
+def _cluster(hits: np.ndarray, radius: float) -> np.ndarray:
+    """Single-linkage labels of (n, 2) grid indices, linked within radius steps.
+
+    Each cluster grows from its first unlabelled hit by frontier steps that
+    claim every unlabelled hit within the radius of the last claimed ones,
+    so chains of close hits share a label however long they are.
+    """
+    labels = np.full(len(hits), -1)
+    r2 = radius * radius
+    for seed in range(len(hits)):
+        if labels[seed] >= 0:
+            continue
+        labels[seed] = seed
+        frontier = hits[seed : seed + 1]
+        while frontier.size:
+            free = np.flatnonzero(labels < 0)
+            d2 = ((hits[free, None, :] - frontier[None, :, :]) ** 2).sum(axis=2)
+            linked = free[(d2 <= r2).any(axis=1)]
+            labels[linked] = seed
+            frontier = hits[linked]
+    return labels
 
 
 def find_extrema(result: SweepResult, merge_radius: float = DEFAULT_MERGE_RADIUS) -> ExtremaReport:
@@ -182,11 +168,12 @@ def find_extrema(result: SweepResult, merge_radius: float = DEFAULT_MERGE_RADIUS
         return ExtremaReport(maxima=(), minima=(), merge_radius=merge_radius, flat=True)
 
     def collect(target: float, sign: float) -> tuple[tuple[float, float, float], ...]:
-        hits = [tuple(ij) for ij in np.argwhere(sign * (target - values) < COLLECT_TOL)]
+        hits = np.argwhere(sign * (target - values) < COLLECT_TOL)
+        labels = _cluster(hits, merge_radius)
         reps = []
-        for group in _cluster(hits, merge_radius):
+        for label in np.unique(labels):
             best = min(
-                group,
+                map(tuple, hits[labels == label]),
                 key=lambda ij: (-sign * values[ij], result.thetas[ij[0]], result.phis[ij[1]]),
             )
             reps.append(

@@ -47,25 +47,17 @@ _LABEL_DIMS = {
 
 @dataclass(frozen=True)
 class FactorOrder:
-    """Ordered (label, dim) pairs fixing the composite index convention."""
+    """Ordered subsystem labels fixing the composite index convention."""
 
-    factors: tuple[tuple[SubsystemLabel, int], ...]
+    labels: tuple[SubsystemLabel, ...]
 
     def __post_init__(self) -> None:
-        labels = [label for label, _ in self.factors]
-        if len(set(labels)) != len(labels):
+        if len(set(self.labels)) != len(self.labels):
             raise ValueError("factor labels must be unique")
-        for label, dim in self.factors:
-            if dim != label.dim:
-                raise ValueError(f"label {label.value} has fixed dimension {label.dim}, got {dim}")
-
-    @property
-    def labels(self) -> tuple[SubsystemLabel, ...]:
-        return tuple(label for label, _ in self.factors)
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.factors)
+        return tuple(label.dim for label in self.labels)
 
     @property
     def total_dim(self) -> int:
@@ -83,12 +75,7 @@ class FactorOrder:
 
 
 CANONICAL_ORDER = FactorOrder(
-    (
-        (SubsystemLabel.PA, 2),
-        (SubsystemLabel.PB, 2),
-        (SubsystemLabel.SA, 3),
-        (SubsystemLabel.SB, 3),
-    )
+    (SubsystemLabel.PA, SubsystemLabel.PB, SubsystemLabel.SA, SubsystemLabel.SB)
 )
 
 
@@ -161,7 +148,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[SubsystemLabel]) -> Density
 
     kept = [label for label in CANONICAL_ORDER.labels if label in keep]
     kept_axes = [order.axis(label) for label in kept]
-    n = len(order.factors)
+    n = len(order.labels)
     dims = order.dims
 
     # einsum label mechanics: traced axes share a letter between bra and ket
@@ -180,8 +167,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[SubsystemLabel]) -> Density
     for label in kept:
         dk *= label.dim
     reduced = np.einsum(spec, tens).reshape(dk, dk)
-    new_order = FactorOrder(tuple((label, label.dim) for label in kept))
-    return DensityMatrix(reduced, new_order)
+    return DensityMatrix(reduced, FactorOrder(tuple(kept)))
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -205,7 +191,7 @@ def batch_purity(rows: np.ndarray, keep: Iterable[SubsystemLabel],
     if not keep:
         raise ValueError("keep must be a nonempty set of labels")
     kept_axes = sorted(order.axis(label) for label in keep)
-    rest_axes = [ax for ax in range(len(order.factors)) if ax not in kept_axes]
+    rest_axes = [ax for ax in range(len(order.labels)) if ax not in kept_axes]
     dims = order.dims
     dk = 1
     for ax in kept_axes:
@@ -238,7 +224,7 @@ def state_purity(psi: PureState | np.ndarray, keep: Iterable[SubsystemLabel],
 
 def permute_factors(psi: PureState, new_order: FactorOrder) -> PureState:
     """Reindex a state vector into a different factor order."""
-    if set(new_order.factors) != set(psi.order.factors):
+    if set(new_order.labels) != set(psi.order.labels):
         raise ValueError("new order must be a permutation of the state's factor order")
     perm = [psi.order.axis(label) for label in new_order.labels]
     amps = np.transpose(psi.amplitudes.reshape(psi.order.dims), perm).ravel()
@@ -247,9 +233,9 @@ def permute_factors(psi: PureState, new_order: FactorOrder) -> PureState:
 
 def permute_operator(matrix: np.ndarray, order: FactorOrder, new_order: FactorOrder) -> np.ndarray:
     """Reindex an operator's rows and columns into a different factor order."""
-    if set(new_order.factors) != set(order.factors):
+    if set(new_order.labels) != set(order.labels):
         raise ValueError("new order must be a permutation of the operator's factor order")
-    n = len(order.factors)
+    n = len(order.labels)
     perm = [order.axis(label) for label in new_order.labels]
     dims = order.dims
     tens = np.asarray(matrix).reshape(dims + dims)

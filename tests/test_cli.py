@@ -152,6 +152,11 @@ def test_usage_errors_exit_one(capsys):
               "--partition", "avb", "--theta-grid", "zero:one:two"])
         == 1
     )
+    assert (
+        main(["sweep", "--family", "s1", "--alpha", "0.7", "--omega", "0.1",
+              "--partition", "avb", "--theta-grid", "1:1:5"])
+        == 1
+    )
     capsys.readouterr()
 
 
@@ -338,7 +343,7 @@ def test_extrema_rejects_phi_outer_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit", ["drop-config", "drop-values", "drop-grid", "short-values",
-                                  "wrong-shape"])
+                                  "wrong-shape", "equal-endpoints"])
 def test_extrema_rejects_malformed_json(edit, tmp_path, capsys):
     path = tmp_path / "s.json"
     _write_small_sweep(path, capsys)
@@ -351,6 +356,8 @@ def test_extrema_rejects_malformed_json(edit, tmp_path, capsys):
         del envelope["config"]["phi_grid"]
     elif edit == "short-values":
         envelope["values"].pop()
+    elif edit == "equal-endpoints":
+        envelope["config"]["theta_grid"]["stop"] = envelope["config"]["theta_grid"]["start"]
     else:
         envelope["shape"] = [9, 7]
     path.write_text(json.dumps(envelope))

@@ -7,7 +7,6 @@ import pytest
 
 from spinboost.states import (
     NAMED_STATES,
-    MomentumParams,
     SpinFamily,
     SpinParams,
     assemble,
@@ -37,7 +36,6 @@ def test_momentum_state_components():
     assert vec[1] == math.cos(alpha)  # |p+ p->
     assert vec[2] == math.sin(alpha)  # |p- p+>
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-15
-    assert np.array_equal(momentum_state(MomentumParams(alpha)), vec)
 
 
 def test_spin_state_family_slots():

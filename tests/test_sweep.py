@@ -37,10 +37,9 @@ def small_config(omega=math.pi / 8, partition="1vs3", nt=13, np_=25, family=Spin
 def test_grid_spec_validation_and_points():
     spec = GridSpec(0.0, 1.0, 5)
     assert np.array_equal(spec.points, np.linspace(0.0, 1.0, 5))
-    assert spec.step == 0.25
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 1)
-    for start, stop in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)):
+    for start, stop in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0), (1.0, 1.0)):
         with pytest.raises(ValueError):
             GridSpec(start, stop, 5)
 
@@ -61,7 +60,7 @@ def test_grid_kernel_matches_scalar_evaluation():
                         math.pi / 8,
                         PARTITIONS[partition],
                     ).delta
-                    assert abs(grid[i, j] - scalar) < 1e-12
+                    assert grid[i, j] == scalar
 
 
 def test_grid_cells_independent_of_batching():
@@ -266,6 +265,13 @@ def test_find_extrema_clusters_nearby_points():
     # shrinking the radius below one step separates the pair
     report_fine = find_extrema(result, merge_radius=0.5)
     assert len(report_fine.maxima) == 3
+    # single linkage is transitive: a chain of hits 2 steps apart is one
+    # cluster once the radius spans a link, though its ends are 4 apart
+    chain = np.zeros((21, 21))
+    chain[10, 4] = chain[10, 6] = chain[10, 8] = 1.0
+    chained = SweepResult(thetas=thetas, phis=phis, values=chain)
+    assert find_extrema(chained, merge_radius=2.5).maxima == ((thetas[10], phis[4], 1.0),)
+    assert len(find_extrema(chained, merge_radius=1.5).maxima) == 3
 
 
 def test_find_extrema_collects_within_tolerance():
