@@ -18,8 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lorentz import boost_operator
-from .states import SpinFamily, SpinParams, get_named_state, momentum_state, spin_states
-from .tensor import CANONICAL_ORDER, PureState, SubsystemLabel, batch_purity
+from .states import (
+    MOMENTUM_BRANCHES,
+    SpinFamily,
+    SpinParams,
+    get_named_state,
+    momentum_state,
+    spin_states,
+)
+from .tensor import CANONICAL_ORDER, FactorOrder, PureState, SubsystemLabel, batch_purity
 
 CONSERVATION_TOL = 1e-10
 
@@ -99,6 +106,39 @@ def linear_entropy(psi: PureState | np.ndarray, partition: Partition) -> float |
     return total if rows.ndim == 2 else float(total[0])
 
 
+# on the two populated branches pA labels the branch and fixes pB
+_BRANCH_ORDER = FactorOrder((_PA, _SA, _SB))
+_SPIN_ORDER = FactorOrder((_SA, _SB))
+_SPINS = frozenset({_SA, _SB})
+
+
+def _branch_entropy(rows: np.ndarray, partition: Partition) -> np.ndarray:
+    """Linear entropy of (cells, 2, 9) two-branch rows, one value per cell.
+
+    A part that holds both momenta keeps the branch coherence, so it is
+    pA and its spins over the (cells, 18) rows. A part that holds neither
+    traces the branch out: its spins over the same rows. A part that holds
+    exactly one momentum sees the branches as a direct sum, so its purity
+    is the sum of per-branch purities of its spins; with no spins that is
+    each branch's squared norm, squared.
+    """
+    cells = rows.shape[0]
+    coherent = rows.reshape(cells, -1)
+    branches = rows.reshape(2 * cells, -1)
+    total = 0.0
+    for part in partition.parts:
+        spins = part & _SPINS
+        momenta = len(part - _SPINS)
+        if momenta == 1:
+            per_branch = batch_purity(branches, spins or _SPINS, _SPIN_ORDER)
+            purity = per_branch.reshape(cells, 2).sum(axis=1)
+        else:
+            keep = spins | {_PA} if momenta == 2 else spins
+            purity = batch_purity(coherent, keep, _BRANCH_ORDER)
+        total = total + (1.0 - purity)
+    return total
+
+
 def family_entropies(
     family: SpinFamily,
     alpha: float,
@@ -109,23 +149,23 @@ def family_entropies(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Entropy before and after the boost of one family member per cell.
 
-    Cell k takes its angles from thetas[k] and phis[k]. Every amplitude of
-    a family state is real (family and momentum coefficients and the
-    Wigner d1 rotation), so each cell is a real (4, 9) row of momentum
-    sectors by spin amplitudes. The boost acts on each sector through its
-    own 9x9 diagonal block; a per-row einsum keeps every cell's arithmetic
-    independent of how the cells are batched, so one cell alone gives the
-    same bits as inside a grid.
+    Cell k takes its angles from thetas[k] and phis[k]. The momentum state
+    populates only |p+ p-> and |p- p+>, and the boost keeps each sector,
+    so each cell is a real (2, 9) row of those two branches by spin
+    amplitudes. Each branch is boosted by its own 9x9 diagonal block; a
+    per-row einsum keeps every cell's arithmetic independent of how the
+    cells are batched, so one cell alone gives the same bits as inside a
+    grid. Before and after go through the same branch reduction.
     """
-    spins = spin_states(family, thetas, phis).real
-    mom = momentum_state(alpha).real
-    psi = mom[None, :, None] * spins[:, None, :]
-    cells, sectors, dim = psi.shape
-    u = boost_operator(omega).real.reshape(sectors, dim, sectors, dim)
-    blocks = np.stack([u[s, :, s] for s in range(sectors)])
-    boosted = np.einsum("msj,sij->msi", psi, blocks, optimize=False)
-    return (linear_entropy(psi.reshape(cells, -1), partition),
-            linear_entropy(boosted.reshape(cells, -1), partition))
+    mom = momentum_state(alpha)
+    if np.delete(mom, MOMENTUM_BRANCHES).any():
+        raise ValueError("momentum state populates |p+ p+> or |p- p->, outside the two branches")
+    coeffs = mom[list(MOMENTUM_BRANCHES)].real
+    psi = coeffs[None, :, None] * spin_states(family, thetas, phis)[:, None, :]
+    u = boost_operator(omega).real.reshape(4, 9, 4, 9)
+    blocks = np.stack([u[s, :, s] for s in MOMENTUM_BRANCHES])
+    boosted = np.einsum("mbj,bij->mbi", psi, blocks, optimize=False)
+    return _branch_entropy(psi, partition), _branch_entropy(boosted, partition)
 
 
 @dataclass(frozen=True)

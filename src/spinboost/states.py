@@ -38,9 +38,9 @@ _FAMILY_INDICES = {
     SpinFamily.S2: (2, 6, 4),  # |1 -1>, |-1 1>, |0 0>
 }
 
-# momentum basis positions within the 4-dim momentum space
-_IDX_PLUS_MINUS = 1  # |p+ p->
-_IDX_MINUS_PLUS = 2  # |p- p+>
+# momentum basis positions 2*pA + pB of the two branches |p+ p-> and |p- p+>;
+# branch b holds pA = b and pB = 1 - b
+MOMENTUM_BRANCHES = (1, 2)
 
 
 def momentum_state(alpha: float) -> np.ndarray:
@@ -49,13 +49,12 @@ def momentum_state(alpha: float) -> np.ndarray:
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     vec = np.zeros(4, dtype=complex)
-    vec[_IDX_PLUS_MINUS] = math.cos(alpha)
-    vec[_IDX_MINUS_PLUS] = math.sin(alpha)
+    vec[list(MOMENTUM_BRANCHES)] = math.cos(alpha), math.sin(alpha)
     return vec
 
 
 def spin_states(family: SpinFamily, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Three-term spin superpositions of one family, a (cells, 9) array of rows.
+    """Three-term spin superpositions of one family, a real (cells, 9) array of rows.
 
     Family S1 puts (sin t cos p, sin t sin p, cos t) on |1 1>, |0 0>, |-1 -1>;
     family S2 uses |1 -1>, |-1 1>, |0 0> instead. Row k takes its angles
@@ -63,7 +62,7 @@ def spin_states(family: SpinFamily, thetas: np.ndarray, phis: np.ndarray) -> np.
     """
     i0, i1, i2 = _FAMILY_INDICES[family]
     st = np.sin(thetas)
-    rows = np.zeros((st.size, 9), dtype=complex)
+    rows = np.zeros((st.size, 9))
     rows[:, i0] = st * np.cos(phis)
     rows[:, i1] = st * np.sin(phis)
     rows[:, i2] = np.cos(thetas)

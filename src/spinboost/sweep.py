@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from typing import IO
 
@@ -125,13 +126,15 @@ class ExtremaReport:
 
 
 def _cluster(hits: np.ndarray, radius: float) -> np.ndarray:
-    """Single-linkage labels of (n, 2) grid indices, linked within radius steps.
+    """Single-linkage labels of row-sorted (n, 2) grid indices, linked within radius steps.
 
     Each cluster grows from its first unlabelled hit by frontier steps that
     claim every unlabelled hit within the radius of the last claimed ones,
-    so chains of close hits share a label however long they are.
+    so chains of close hits share a label however long they are. A step
+    only looks at the hits in rows within the radius of the frontier.
     """
     labels = np.full(len(hits), -1)
+    rows = hits[:, 0]
     r2 = radius * radius
     for seed in range(len(hits)):
         if labels[seed] >= 0:
@@ -139,7 +142,9 @@ def _cluster(hits: np.ndarray, radius: float) -> np.ndarray:
         labels[seed] = seed
         frontier = hits[seed : seed + 1]
         while frontier.size:
-            free = np.flatnonzero(labels < 0)
+            lo = np.searchsorted(rows, frontier[:, 0].min() - radius, side="left")
+            hi = np.searchsorted(rows, frontier[:, 0].max() + radius, side="right")
+            free = lo + np.flatnonzero(labels[lo:hi] < 0)
             d2 = ((hits[free, None, :] - frontier[None, :, :]) ** 2).sum(axis=2)
             linked = free[(d2 <= r2).any(axis=1)]
             labels[linked] = seed
@@ -200,31 +205,30 @@ def write_csv(result: SweepResult, stream: IO[str]) -> None:
 
 
 def read_csv(stream: IO[str]) -> SweepResult:
-    """Rebuild a SweepResult from CSV; grid values round-trip exactly."""
+    """Rebuild a SweepResult from CSV; grid values round-trip exactly.
+
+    Every data row must hold three numbers; empty lines are skipped. Any
+    other text, a `#` included, is a ValueError.
+    """
     header = stream.readline().strip()
     if header != "theta,phi,delta_e":
         raise ValueError(f"unexpected CSV header {header!r}")
-    thetas: list[float] = []
-    phis: list[float] = []
-    values: list[float] = []
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        t, p, v = line.split(",")
-        thetas.append(float(t))
-        phis.append(float(p))
-        values.append(float(v))
-    if not values:
+    with warnings.catch_warnings():
+        # header-only input is rejected below instead of warned about
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(stream, delimiter=",", comments=None, ndmin=2)
+    if data.size == 0:
         raise ValueError("CSV contains no data rows")
-    n_phi = 1
-    while n_phi < len(thetas) and thetas[n_phi] == thetas[0]:
-        n_phi += 1
-    n_theta, rem = divmod(len(values), n_phi)
+    if data.shape[1] != 3:
+        raise ValueError(f"CSV rows have {data.shape[1]} columns, expected 3")
+    thetas, phis, values = data.T.copy()
+    # the first theta change ends the first row; argmax is 0 if theta never changes
+    n_phi = int(np.argmax(thetas != thetas[0])) or thetas.size
+    n_theta, rem = divmod(values.size, n_phi)
     if rem != 0:
         raise ValueError("CSV rows do not form a rectangular grid")
-    theta_cells = np.array(thetas).reshape(n_theta, n_phi)
-    phi_cells = np.array(phis).reshape(n_theta, n_phi)
+    theta_cells = thetas.reshape(n_theta, n_phi)
+    phi_cells = phis.reshape(n_theta, n_phi)
     grid_thetas, grid_phis = theta_cells[:, 0], phi_cells[0]
     if (
         n_theta < 2
@@ -238,7 +242,7 @@ def read_csv(stream: IO[str]) -> SweepResult:
     return SweepResult(
         thetas=grid_thetas,
         phis=grid_phis,
-        values=np.array(values).reshape(n_theta, n_phi),
+        values=values.reshape(n_theta, n_phi),
     )
 
 

@@ -381,6 +381,20 @@ def test_extrema_rejects_non_finite_cell(bad, tmp_path, capsys):
     assert "non-finite" in captured.err
 
 
+@pytest.mark.parametrize("bad", ["high", "#0.5", "0.5,0.5"])
+def test_extrema_rejects_malformed_csv_cell(bad, tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    _write_small_sweep(path, capsys)
+    lines = path.read_text().splitlines()
+    t, p, _ = lines[20].split(",")
+    lines[20] = f"{t},{p},{bad}"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["extrema", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("radius", ["-1", "nan", "-inf", "wide"])
 def test_extrema_rejects_bad_merge_radius(radius, tmp_path, capsys):
     path = tmp_path / "s.csv"

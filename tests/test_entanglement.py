@@ -9,6 +9,7 @@ from spinboost.entanglement import (
     PARTITIONS,
     Partition,
     delta_e,
+    family_entropies,
     linear_entropy,
     parse_partition,
 )
@@ -130,6 +131,36 @@ def test_linear_entropy_accepts_pure_state_and_ndarray():
         for part in partition.parts:
             purities = batch_purity(rows, part)
             assert purities.tolist() == [state_purity(row, part) for row in rows]
+
+
+@pytest.mark.parametrize("family", list(SpinFamily))
+def test_family_entropies_match_dense_route(family):
+    """The two-branch evaluator agrees with assembled 36-dim states and the dense boost."""
+    rng = np.random.default_rng(29)
+    thetas = rng.uniform(0.0, math.pi, 12)
+    phis = rng.uniform(0.0, 2 * math.pi, 12)
+    spins = [spin_state(SpinParams(family, t, p)) for t, p in zip(thetas, phis)]
+    for alpha in (0.0, 0.7, math.pi / 4):
+        psi = np.array([assemble(spin, momentum_state(alpha)).amplitudes for spin in spins])
+        for omega in (0.0, math.pi / 8, math.pi / 2, 2.0):
+            boosted = psi @ boost_operator(omega).T
+            for partition in PARTITIONS.values():
+                before, after = family_entropies(family, alpha, omega, partition, thetas, phis)
+                assert np.abs(before - linear_entropy(psi, partition)).max() < 1e-14
+                assert np.abs(after - linear_entropy(boosted, partition)).max() < 1e-14
+
+
+def test_family_entropies_reject_a_populated_empty_sector(monkeypatch):
+    """|p+ p+> or |p- p-> amplitude would be lost by the two-branch rows, so it is refused."""
+    for sector in (0, 3):
+        def four_sector_state(alpha, sector=sector):
+            vec = momentum_state(alpha)
+            vec[sector] = 1e-3
+            return vec
+
+        monkeypatch.setattr("spinboost.entanglement.momentum_state", four_sector_state)
+        with pytest.raises(ValueError):
+            family_entropies(SpinFamily.S1, 0.7, 0.3, PARTITIONS["AvsB"], [1.0], [2.0])
 
 
 def test_delta_e_zero_boost_is_identity():

@@ -13,6 +13,7 @@ from spinboost.sweep import (
     GridSpec,
     SweepConfig,
     SweepResult,
+    _cluster,
     delta_e_grid,
     find_extrema,
     read_csv,
@@ -199,6 +200,41 @@ def test_csv_rows_must_form_theta_outer_product():
             read_csv(io.StringIO("\n".join([header, *bad]) + "\n"))
 
 
+def _small_csv_lines():
+    buf = io.StringIO()
+    write_csv(run_sweep(small_config(nt=5, np_=9)), buf)
+    return buf.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("edit", ["non-numeric", "two-columns", "four-columns", "hash-in-cell",
+                                  "all-two-columns", "all-four-columns"])
+def test_csv_rejects_malformed_rows(edit):
+    header, *rows = _small_csv_lines()
+    if edit.startswith("all-"):
+        # every row equally narrow or wide: nothing is ragged, yet it is no sweep
+        width = 2 if edit == "all-two-columns" else 4
+        rows = [",".join((row.split(",") * 2)[:width]) for row in rows]
+    else:
+        t, p, v = rows[7].split(",")
+        rows[7] = {
+            "non-numeric": f"{t},{p},high",
+            "two-columns": f"{t},{p}",
+            "four-columns": f"{t},{p},{v},{v}",
+            "hash-in-cell": f"{t},{p},#{v}",
+        }[edit]
+    with pytest.raises(ValueError):
+        read_csv(io.StringIO("\n".join([header, *rows]) + "\n"))
+
+
+def test_csv_trailing_blank_lines_accepted():
+    lines = _small_csv_lines()
+    plain = read_csv(io.StringIO("\n".join(lines) + "\n"))
+    padded = read_csv(io.StringIO("\n".join(lines) + "\n\n\n"))
+    assert np.array_equal(padded.values, plain.values)
+    assert np.array_equal(padded.thetas, plain.thetas)
+    assert np.array_equal(padded.phis, plain.phis)
+
+
 def test_json_round_trip_exact():
     result = run_sweep(small_config(partition="SvsP", family=SpinFamily.S2))
     buf = io.StringIO()
@@ -322,3 +358,29 @@ def test_find_extrema_empty_grid_rejected():
     )
     with pytest.raises(ValueError):
         find_extrema(result)
+
+
+def _all_pairs_single_linkage(hits, radius):
+    """Oracle: components of the within-radius graph, labelled by their first hit."""
+    d2 = ((hits[:, None, :] - hits[None, :, :]) ** 2).sum(axis=2)
+    linked = d2 <= radius * radius
+    labels = np.full(len(hits), -1)
+    for seed in range(len(hits)):
+        if labels[seed] >= 0:
+            continue
+        stack = [seed]
+        labels[seed] = seed
+        while stack:
+            for other in np.flatnonzero(linked[stack.pop()] & (labels < 0)):
+                labels[other] = seed
+                stack.append(other)
+    return labels
+
+
+@pytest.mark.parametrize("radius", [0.0, 1.0, 3.0, 7.5, math.inf])
+def test_cluster_matches_all_pairs_single_linkage(radius):
+    rng = np.random.default_rng(23)
+    # sparse hits over a wide grid, row-sorted as np.argwhere gives them
+    hits = np.argwhere(rng.random((60, 90)) < 0.04)
+    assert len(hits) > 150
+    assert _cluster(hits, radius).tolist() == _all_pairs_single_linkage(hits, radius).tolist()
