@@ -207,10 +207,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _sniff_and_read(path: Path):
+    """Read a sweep file as JSON if its first non-blank character is `{`, else as CSV."""
     with open(path, "r", encoding="utf-8") as handle:
-        if path.suffix == ".json":
-            return read_json(handle)
         head = handle.read(1)
+        while head.isspace():
+            head = handle.read(1)
         handle.seek(0)
         return read_json(handle) if head == "{" else read_csv(handle)
 
@@ -259,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

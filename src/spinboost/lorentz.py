@@ -16,8 +16,6 @@ import numpy as np
 
 from .tensor import kron_all
 
-SUPPORTED_SPINS = (0.5, 1.0)
-
 
 def wigner_angle(xi: float, eta: float) -> float:
     """Rotation angle from the particle rapidity xi and the boost rapidity eta.
@@ -87,33 +85,25 @@ class BoostSpec:
         return wigner_angle(self.xi, self.eta)
 
 
-def jy_matrix(j: float) -> np.ndarray:
-    """Angular-momentum y generator for spin j, basis ordered by descending m."""
-    j = float(j)
-    if j not in SUPPORTED_SPINS:
-        raise ValueError("only j = 1/2 and j = 1 are supported")
-    n = int(round(2 * j)) + 1
-    ms = [j - k for k in range(n)]
-    jplus = np.zeros((n, n), dtype=complex)
-    for k in range(1, n):
-        m = ms[k]
-        jplus[k - 1, k] = math.sqrt(j * (j + 1) - m * (m + 1))
+def jy_matrix() -> np.ndarray:
+    """Spin-1 angular-momentum y generator, basis ordered by descending m.
+
+    Built from the ladder operator J+, independently of wigner_d, so the
+    checks can compare the closed form against exp(-i beta Jy).
+    """
+    jplus = np.zeros((3, 3), dtype=complex)
+    for k, m in ((1, 0.0), (2, -1.0)):
+        # <m+1| J+ |m> = sqrt(j(j+1) - m(m+1)) with j(j+1) = 2
+        jplus[k - 1, k] = math.sqrt(2.0 - m * (m + 1))
     return (jplus - jplus.conj().T) / 2j
 
 
-def wigner_d(j: float, beta: float) -> np.ndarray:
-    """Closed-form small-d rotation matrix, equal to exp(-i beta Jy) entrywise.
+def wigner_d(beta: float) -> np.ndarray:
+    """Closed-form spin-1 small-d rotation matrix, equal to exp(-i beta Jy) entrywise.
 
-    The j = 1 form, in the basis (|1>, |0>, |-1>), is the workhorse; j = 1/2
-    exists as a cross-check against two-level treatments.
+    The basis is (|1>, |0>, |-1>).
     """
-    j = float(j)
-    if j not in SUPPORTED_SPINS:
-        raise ValueError("only j = 1/2 and j = 1 are supported")
     c, s = math.cos(beta), math.sin(beta)
-    if j == 0.5:
-        ch, sh = math.cos(beta / 2), math.sin(beta / 2)
-        return np.array([[ch, -sh], [sh, ch]], dtype=complex)
     r = math.sqrt(2.0)
     return np.array(
         [
@@ -143,8 +133,8 @@ def boost_operator(omega: float) -> np.ndarray:
     u = np.zeros((36, 36), dtype=complex)
     for proj_a, sign_a in _SECTORS:
         for proj_b, sign_b in _SECTORS:
-            da = wigner_d(1, sign_a * omega)
-            db = wigner_d(1, sign_b * omega)
+            da = wigner_d(sign_a * omega)
+            db = wigner_d(sign_b * omega)
             u += kron_all(proj_a, proj_b, da, db)
     return u
 
@@ -155,4 +145,4 @@ def single_particle_boost(omega: float) -> np.ndarray:
     The composite boost factors as the product of one copy per particle
     after reordering factors to [pA, sA, pB, sB].
     """
-    return kron_all(_P_PLUS, wigner_d(1, omega)) + kron_all(_P_MINUS, wigner_d(1, -omega))
+    return kron_all(_P_PLUS, wigner_d(omega)) + kron_all(_P_MINUS, wigner_d(-omega))

@@ -16,8 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lorentz import wigner_d
-from .tensor import NORM_TOL, PureState, kron_all
+from .tensor import NORM_TOL, PureState
 
 
 class SpinFamily(Enum):
@@ -91,31 +90,11 @@ def invariant_spin_state() -> np.ndarray:
     This sign pattern satisfies d1(w) M d1(w) = M with M = diag(1, -1, 1),
     which makes the state invariant under the paired rotation
     d1(w) x d1(-w) for every angle w. The other sign choices on the middle
-    and last term do not share the property; see invariance_defect.
+    and last term do not share the property.
     """
-    return sign_pattern_state(-1, +1)
-
-
-def sign_pattern_state(sign_00: int, sign_mm: int) -> np.ndarray:
-    """(|1 1> + sign_00 |0 0> + sign_mm |-1 -1>) / sqrt(3)."""
-    if sign_00 not in (-1, 1) or sign_mm not in (-1, 1):
-        raise ValueError("signs must be +1 or -1")
     vec = np.zeros(9, dtype=complex)
-    vec[0] = 1.0
-    vec[4] = float(sign_00)
-    vec[8] = float(sign_mm)
+    vec[[0, 4, 8]] = 1.0, -1.0, 1.0
     return vec / math.sqrt(3.0)
-
-
-def invariance_defect(spin: np.ndarray, omega: float) -> float:
-    """Norm of (d1(omega) x d1(-omega)) |spin> - |spin>.
-
-    Zero exactly for the invariant state; order 0.5 for the other sign
-    patterns of the same three-term family.
-    """
-    rot = kron_all(wigner_d(1, omega), wigner_d(1, -omega))
-    spin = np.asarray(spin, dtype=complex)
-    return float(np.linalg.norm(rot @ spin - spin))
 
 
 @dataclass(frozen=True)
@@ -131,9 +110,6 @@ class NamedState:
     @property
     def params(self) -> SpinParams:
         return SpinParams(self.family, self.theta, self.phi)
-
-    def spin_vector(self) -> np.ndarray:
-        return spin_state(self.params)
 
 
 _THETA_INV = math.atan(math.sqrt(2.0))

@@ -276,16 +276,18 @@ def read_json(stream: IO[str]) -> SweepResult:
         config = envelope["config"]
         tg = GridSpec(**config["theta_grid"])
         pg = GridSpec(**config["phi_grid"])
-        thetas, phis = tg.points, pg.points
         shape = tuple(envelope["shape"])
         values = np.array(envelope["values"], dtype=float)
+        # the counts must match the stored values before any grid is built,
+        # so a count the file does not back allocates nothing
+        if shape != (tg.count, pg.count) or values.shape != (tg.count * pg.count,):
+            raise ValueError(
+                f"JSON sweep shape {list(shape)} with {values.size} values does not match "
+                f"the {tg.count} x {pg.count} grid"
+            )
+        thetas, phis = tg.points, pg.points
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed JSON sweep envelope ({type(exc).__name__}: {exc})") from None
-    if shape != (tg.count, pg.count) or values.shape != (tg.count * pg.count,):
-        raise ValueError(
-            f"JSON sweep shape {list(shape)} with {values.size} values does not match "
-            f"the {tg.count} x {pg.count} grid"
-        )
     values = values.reshape(shape)
     family = SpinFamily(config["family"]) if config.get("family") else None
     return SweepResult(

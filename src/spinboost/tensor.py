@@ -211,17 +211,6 @@ def batch_purity(rows: np.ndarray, keep: Iterable[SubsystemLabel],
     return np.einsum("mij,mij->m", gram, gram.conj(), optimize=False).real
 
 
-def state_purity(psi: PureState | np.ndarray, keep: Iterable[SubsystemLabel],
-                 order: FactorOrder = CANONICAL_ORDER) -> float:
-    """Purity of the reduced state of one pure state: a batch of one.
-
-    Accepts either a PureState or a raw amplitude vector over `order`.
-    """
-    if isinstance(psi, PureState):
-        psi, order = psi.amplitudes, psi.order
-    return float(batch_purity(np.asarray(psi)[None, :], keep, order)[0])
-
-
 def permute_factors(psi: PureState, new_order: FactorOrder) -> PureState:
     """Reindex a state vector into a different factor order."""
     if set(new_order.labels) != set(psi.order.labels):

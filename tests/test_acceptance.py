@@ -62,11 +62,11 @@ def test_criterion_01_boost_unitarity():
 
 def test_criterion_02_rotation_matrix_oracle():
     rng = np.random.default_rng(101)
-    jy = jy_matrix(1)
+    jy = jy_matrix()
     vals, vecs = np.linalg.eigh(jy)
     worst = 0.0
     for beta in rng.uniform(-2 * math.pi, 2 * math.pi, size=50):
-        direct = wigner_d(1, float(beta))
+        direct = wigner_d(float(beta))
         oracle = (vecs * np.exp(-1j * float(beta) * vals)) @ vecs.conj().T
         worst = max(worst, float(np.abs(direct - oracle).max()))
     print(f"criterion 02 (rotation closed form vs exponential): max deviation {worst:.3e}")

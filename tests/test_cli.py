@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinboost
 from spinboost.cli import main
 from spinboost.entanglement import PARTITIONS, delta_e
 from spinboost.lorentz import BoostSpec
@@ -13,6 +18,25 @@ from spinboost.states import SpinFamily
 from spinboost.sweep import GridSpec, SweepConfig, read_csv, run_sweep
 
 SMALL_GRID = ["--theta-grid", "0:3.141592653589793:7", "--phi-grid", "0:6.283185307179586:9"]
+
+
+def test_package_top_level_is_lean():
+    """`import spinboost` loads no submodule and no numpy, and carries the project version."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    version = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["version"]
+    code = (
+        "import json, spinboost, sys; "
+        "loaded = sorted(m for m in sys.modules "
+        "if m.startswith('spinboost.') or m.split('.')[0] == 'numpy'); "
+        "print(json.dumps({'loaded': loaded, 'version': spinboost.__version__}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(spinboost.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True)
+    report = json.loads(proc.stdout)
+    assert report["loaded"] == []
+    assert report["version"] == version
 
 
 def test_wigner_angle_command(capsys):
@@ -226,6 +250,34 @@ def test_sweep_json_format_inference(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_oversized_grid_count_exits_two(tmp_path, capsys):
+    # numpy refuses an array of 10^15 floats up front, without allocating any of it
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--family", "s1", "--alpha", "0.785", "--omega", "0.3",
+                 "--partition", "svp", "--theta-grid", "0:1:1000000000000000",
+                 "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_extrema_reads_csv_whatever_its_suffix(tmp_path, capsys):
+    args = ["sweep", "--family", "s1", "--alpha", "0.785", "--omega", "0.3926990816987241",
+            "--partition", "1v3", "--theta-grid", "0:3.141592653589793:25",
+            "--phi-grid", "0:6.283185307179586:49", "--format", "csv"]
+    reports = []
+    for name in ("s.json", "s.csv"):
+        assert main([*args, "--out", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        assert main(["extrema", "--in", str(tmp_path / name)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert (tmp_path / "s.json").read_bytes() == (tmp_path / "s.csv").read_bytes()
+    assert "maxima (2 clusters):" in reports[1]
+    assert reports[0] == reports[1]
+
+
 def test_sweep_rapidity_route_reports_omega(tmp_path, capsys):
     out = tmp_path / "s.csv"
     code = main(
@@ -343,7 +395,7 @@ def test_extrema_rejects_phi_outer_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit", ["drop-config", "drop-values", "drop-grid", "short-values",
-                                  "wrong-shape", "equal-endpoints"])
+                                  "wrong-shape", "equal-endpoints", "huge-count"])
 def test_extrema_rejects_malformed_json(edit, tmp_path, capsys):
     path = tmp_path / "s.json"
     _write_small_sweep(path, capsys)
@@ -358,6 +410,9 @@ def test_extrema_rejects_malformed_json(edit, tmp_path, capsys):
         envelope["values"].pop()
     elif edit == "equal-endpoints":
         envelope["config"]["theta_grid"]["stop"] = envelope["config"]["theta_grid"]["start"]
+    elif edit == "huge-count":
+        # a grid of 10^15 points would be rejected by numpy; the count check comes first
+        envelope["config"]["theta_grid"]["count"] = 10**15
     else:
         envelope["shape"] = [9, 7]
     path.write_text(json.dumps(envelope))
@@ -365,6 +420,8 @@ def test_extrema_rejects_malformed_json(edit, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    if edit == "huge-count":
+        assert "does not match" in captured.err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -28,7 +28,6 @@ from spinboost.tensor import (
     SubsystemLabel,
     batch_purity,
     permute_factors,
-    state_purity,
 )
 
 PA, PB, SA, SB = (
@@ -121,7 +120,8 @@ def test_linear_entropy_accepts_pure_state_and_ndarray():
         assert a == b
         assert abs(linear_entropy(moved, partition) - a) < 1e-14
         for part in partition.parts:
-            assert abs(state_purity(moved, part) - state_purity(psi, part)) < 1e-14
+            moved_purity = batch_purity(moved.amplitudes[None], part, moved.order)[0]
+            assert abs(moved_purity - batch_purity(psi.amplitudes[None], part)[0]) < 1e-14
     # a (cells, 36) batch gives exactly the per-row values
     rows = np.array([family_state(rng).amplitudes for _ in range(6)])
     for partition in PARTITIONS.values():
@@ -130,7 +130,7 @@ def test_linear_entropy_accepts_pure_state_and_ndarray():
         assert batch.tolist() == [linear_entropy(row, partition) for row in rows]
         for part in partition.parts:
             purities = batch_purity(rows, part)
-            assert purities.tolist() == [state_purity(row, part) for row in rows]
+            assert purities.tolist() == [batch_purity(row[None], part)[0] for row in rows]
 
 
 @pytest.mark.parametrize("family", list(SpinFamily))

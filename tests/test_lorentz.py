@@ -116,30 +116,25 @@ def test_boost_spec_paths():
 
 
 def test_jy_matrix_spectra():
-    jy1 = jy_matrix(1)
-    assert np.max(np.abs(jy1 - jy1.conj().T)) < 1e-15
-    assert np.allclose(np.sort(np.linalg.eigvalsh(jy1)), [-1.0, 0.0, 1.0], atol=1e-12)
-    jy_half = jy_matrix(0.5)
-    assert np.allclose(np.sort(np.linalg.eigvalsh(jy_half)), [-0.5, 0.5], atol=1e-12)
-    with pytest.raises(ValueError):
-        jy_matrix(1.5)
+    jy = jy_matrix()
+    assert np.max(np.abs(jy - jy.conj().T)) < 1e-15
+    assert np.allclose(np.sort(np.linalg.eigvalsh(jy)), [-1.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_wigner_d_matches_spectral_exponential():
-    """Closed forms against an independent matrix-exponential oracle."""
+    """Closed form against an independent matrix-exponential oracle."""
     rng = np.random.default_rng(5)
-    for j in (0.5, 1.0):
-        jy = jy_matrix(j)
-        for beta in rng.uniform(-2 * math.pi, 2 * math.pi, size=50):
-            direct = wigner_d(j, float(beta))
-            oracle = expm_spectral(jy, -1j * float(beta))
-            assert np.max(np.abs(direct - oracle)) < 1e-12
+    jy = jy_matrix()
+    for beta in rng.uniform(-2 * math.pi, 2 * math.pi, size=50):
+        direct = wigner_d(float(beta))
+        oracle = expm_spectral(jy, -1j * float(beta))
+        assert np.max(np.abs(direct - oracle)) < 1e-12
 
 
 def test_wigner_d_is_special_orthogonal():
     rng = np.random.default_rng(7)
     for beta in rng.uniform(-6.0, 6.0, size=10):
-        d = wigner_d(1, float(beta))
+        d = wigner_d(float(beta))
         assert np.max(np.abs(d @ d.conj().T - np.eye(3))) < 1e-14
         assert np.max(np.abs(d.imag)) == 0.0
         assert abs(np.linalg.det(d) - 1.0) < 1e-13
@@ -149,27 +144,26 @@ def test_wigner_d_composition():
     rng = np.random.default_rng(9)
     for _ in range(10):
         a, b = rng.uniform(-3.0, 3.0, size=2)
-        lhs = wigner_d(1, float(a)) @ wigner_d(1, float(b))
-        rhs = wigner_d(1, float(a + b))
+        lhs = wigner_d(float(a)) @ wigner_d(float(b))
+        rhs = wigner_d(float(a + b))
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
 def test_wigner_d_zero_is_identity():
-    assert np.array_equal(wigner_d(1, 0.0), np.eye(3, dtype=complex))
-    assert np.array_equal(wigner_d(0.5, 0.0), np.eye(2, dtype=complex))
+    assert np.array_equal(wigner_d(0.0), np.eye(3, dtype=complex))
 
 
 def test_wigner_d_sign_flip_conjugation():
     """d(-beta) = M d(beta) M with M = diag(1, -1, 1)."""
     m = np.diag([1.0, -1.0, 1.0])
     for beta in (0.3, math.pi / 8, 1.2, math.pi / 2):
-        lhs = wigner_d(1, -beta)
-        rhs = m @ wigner_d(1, beta) @ m
+        lhs = wigner_d(-beta)
+        rhs = m @ wigner_d(beta) @ m
         assert np.max(np.abs(lhs - rhs)) < 1e-15
 
 
 def test_wigner_d_half_pi_columns():
-    d = wigner_d(1, math.pi / 2).real
+    d = wigner_d(math.pi / 2).real
     r = math.sqrt(2.0)
     expected = np.array(
         [
@@ -209,8 +203,8 @@ def test_boost_sector_action_on_basis_states():
     """Each momentum sector applies its own signed rotation to both spins."""
     omega = 0.61
     u = boost_operator(omega)
-    d_plus = wigner_d(1, omega)
-    d_minus = wigner_d(1, -omega)
+    d_plus = wigner_d(omega)
+    d_minus = wigner_d(-omega)
     sector_signs = {(0, 0): (d_plus, d_plus), (0, 1): (d_plus, d_minus),
                     (1, 0): (d_minus, d_plus), (1, 1): (d_minus, d_minus)}
     rng = np.random.default_rng(13)

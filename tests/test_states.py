@@ -5,16 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from spinboost.lorentz import jy_matrix, wigner_d
 from spinboost.states import (
     NAMED_STATES,
     SpinFamily,
     SpinParams,
     assemble,
     get_named_state,
-    invariance_defect,
     invariant_spin_state,
     momentum_state,
-    sign_pattern_state,
     spin_state,
 )
 
@@ -96,7 +95,7 @@ def test_named_state_vectors_exact():
     }
     assert set(NAMED_STATES) == set(expected)
     for name, vec in expected.items():
-        got = get_named_state(name).spin_vector()
+        got = spin_state(get_named_state(name).params)
         assert np.max(np.abs(got - vec)) < 1e-15, name
 
 
@@ -107,37 +106,29 @@ def test_get_named_state_unknown_name():
 
 def test_invariant_state_has_zero_defect():
     spin = invariant_spin_state()
-    assert np.max(np.abs(spin - get_named_state("inv3").spin_vector())) < 1e-15
+    assert spin.dtype == complex
+    assert np.max(np.abs(spin - spin_state(get_named_state("inv3").params))) < 1e-15
     for omega in np.linspace(0.0, math.pi / 2, 15):
-        assert invariance_defect(spin, float(omega)) < 1e-12
+        rotated = np.kron(wigner_d(omega), wigner_d(-omega)) @ spin
+        assert np.linalg.norm(rotated - spin) < 1e-12
 
 
 def test_other_sign_patterns_have_large_defect():
     omega = math.pi / 4
-    for signs in ((1, 1), (1, -1), (-1, -1)):
-        spin = sign_pattern_state(*signs)
-        assert invariance_defect(spin, omega) > 0.4, signs
-
-
-def test_sign_pattern_state_validation():
-    with pytest.raises(ValueError):
-        sign_pattern_state(0, 1)
-    with pytest.raises(ValueError):
-        sign_pattern_state(1, 2)
-    vec = sign_pattern_state(-1, 1)
-    assert abs(np.linalg.norm(vec) - 1.0) < 1e-15
+    for sign_00, sign_mm in ((1, 1), (1, -1), (-1, -1)):
+        spin = basis9((0, 1 / SQ3), (4, sign_00 / SQ3), (8, sign_mm / SQ3))
+        rotated = np.kron(wigner_d(omega), wigner_d(-omega)) @ spin
+        assert np.linalg.norm(rotated - spin) > 0.4, (sign_00, sign_mm)
 
 
 def test_singlet_total_spin_zero():
     """The singlet is annihilated by every total-spin generator."""
-    from spinboost.lorentz import jy_matrix
-
-    jy = jy_matrix(1)
+    jy = jy_matrix()
     jz = np.diag([1.0, 0.0, -1.0]).astype(complex)
     jp = np.zeros((3, 3), dtype=complex)
     jp[0, 1] = jp[1, 2] = math.sqrt(2.0)
     jx = (jp + jp.conj().T) / 2.0
-    singlet = get_named_state("singlet").spin_vector()
+    singlet = spin_state(get_named_state("singlet").params)
     eye = np.eye(3)
     for gen in (jx, jy, jz):
         total = np.kron(gen, eye) + np.kron(eye, gen)

@@ -18,7 +18,6 @@ from spinboost.tensor import (
     permute_factors,
     permute_operator,
     purity,
-    state_purity,
 )
 
 PA, PB, SA, SB = (
@@ -138,20 +137,6 @@ def test_partial_trace_rejects_empty_keep():
         partial_trace(rho, [])
 
 
-def test_state_purity_matches_partial_trace_route():
-    rng = np.random.default_rng(19)
-    for _ in range(5):
-        vec = random_state(rng)
-        psi = PureState(vec)
-        rho = outer(psi)
-        for keep in ({PA}, {SA, SB}, {PA, SB}, {PA, PB, SA}):
-            via_trace = purity(partial_trace(rho, keep))
-            via_gram = state_purity(psi, keep)
-            assert abs(via_trace - via_gram) < 1e-12
-            # raw ndarray path agrees with the PureState path
-            assert abs(state_purity(vec, keep) - via_gram) < 1e-15
-
-
 def test_batch_purity_real_rows_match_complex_rows():
     rng = np.random.default_rng(29)
     rows = rng.standard_normal((8, 36))
@@ -179,19 +164,19 @@ def test_batch_purity_either_side_matches_partial_trace():
                 assert abs(via_trace - via_gram) < 1e-12
 
 
-def test_state_purity_bounds():
+def test_batch_purity_bounds():
     rng = np.random.default_rng(23)
     vec = random_state(rng)
     for keep, dim in (({PA}, 2), ({SA}, 3), ({SA, SB}, 9)):
-        p = state_purity(vec, keep)
+        p = batch_purity(vec[None], keep)[0]
         assert 1.0 / dim - 1e-12 <= p <= 1.0 + 1e-12
 
 
-def test_product_state_purity_is_one():
+def test_batch_purity_of_product_basis_state_is_one():
     vec = np.zeros(36, dtype=complex)
     vec[5] = 1.0
     for keep in ({PA}, {PB}, {SA}, {SB}, {PA, SB}, {SA, SB}):
-        assert abs(state_purity(vec, keep) - 1.0) < 1e-15
+        assert abs(batch_purity(vec[None], keep)[0] - 1.0) < 1e-15
 
 
 def test_permute_factors_basis_index_mapping():
