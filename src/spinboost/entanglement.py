@@ -19,6 +19,7 @@ import numpy as np
 
 from .lorentz import boost_operator
 from .states import (
+    FAMILY_INDICES,
     MOMENTUM_BRANCHES,
     SpinFamily,
     SpinParams,
@@ -26,9 +27,20 @@ from .states import (
     momentum_state,
     spin_states,
 )
-from .tensor import CANONICAL_ORDER, FactorOrder, PureState, SubsystemLabel, batch_purity
+from .tensor import (
+    CANONICAL_ORDER,
+    FactorOrder,
+    PureState,
+    SubsystemLabel,
+    batch_purity,
+    ordered_sum,
+)
 
 CONSERVATION_TOL = 1e-10
+
+# cells that family_entropies evaluates at once: its intermediates stay a
+# few MB whatever the number of cells
+CHUNK_CELLS = 8192
 
 _PA, _PB, _SA, _SB = (
     SubsystemLabel.PA,
@@ -99,10 +111,8 @@ def linear_entropy(psi: PureState | np.ndarray, partition: Partition) -> float |
         rows, order = psi.amplitudes, psi.order
     else:
         rows, order = np.asarray(psi), CANONICAL_ORDER
-    # one row-major copy serves every part; strided rows would make each part's
-    # transpose a cache-missing gather
-    batch = np.ascontiguousarray(np.atleast_2d(rows))
-    total = sum(1.0 - batch_purity(batch, part, order) for part in partition.parts)
+    cols = np.atleast_2d(rows).T
+    total = sum(1.0 - batch_purity(cols, part, order) for part in partition.parts)
     return total if rows.ndim == 2 else float(total[0])
 
 
@@ -112,26 +122,23 @@ _SPIN_ORDER = FactorOrder((_SA, _SB))
 _SPINS = frozenset({_SA, _SB})
 
 
-def _branch_entropy(rows: np.ndarray, partition: Partition) -> np.ndarray:
-    """Linear entropy of (cells, 2, 9) two-branch rows, one value per cell.
+def _branch_entropy(cols: np.ndarray, partition: Partition) -> np.ndarray:
+    """Linear entropy of (2, 9, cells) two-branch columns, one value per cell.
 
     A part that holds both momenta keeps the branch coherence, so it is
-    pA and its spins over the (cells, 18) rows. A part that holds neither
-    traces the branch out: its spins over the same rows. A part that holds
-    exactly one momentum sees the branches as a direct sum, so its purity
-    is the sum of per-branch purities of its spins; with no spins that is
-    each branch's squared norm, squared.
+    pA and its spins over the (18, cells) columns. A part that holds
+    neither traces the branch out: its spins over the same columns. A part
+    that holds exactly one momentum sees the branches as a direct sum, so
+    its purity is the sum of per-branch purities of its spins; with no
+    spins that is each branch's squared norm, squared.
     """
-    cells = rows.shape[0]
-    coherent = rows.reshape(cells, -1)
-    branches = rows.reshape(2 * cells, -1)
+    coherent = cols.reshape(18, -1)
     total = 0.0
     for part in partition.parts:
         spins = part & _SPINS
         momenta = len(part - _SPINS)
         if momenta == 1:
-            per_branch = batch_purity(branches, spins or _SPINS, _SPIN_ORDER)
-            purity = per_branch.reshape(cells, 2).sum(axis=1)
+            purity = sum(batch_purity(branch, spins or _SPINS, _SPIN_ORDER) for branch in cols)
         else:
             keep = spins | {_PA} if momenta == 2 else spins
             purity = batch_purity(coherent, keep, _BRANCH_ORDER)
@@ -151,21 +158,32 @@ def family_entropies(
 
     Cell k takes its angles from thetas[k] and phis[k]. The momentum state
     populates only |p+ p-> and |p- p+>, and the boost keeps each sector,
-    so each cell is a real (2, 9) row of those two branches by spin
-    amplitudes. Each branch is boosted by its own 9x9 diagonal block; a
-    per-row einsum keeps every cell's arithmetic independent of how the
-    cells are batched, so one cell alone gives the same bits as inside a
-    grid. Before and after go through the same branch reduction.
+    so each cell is a real (2, 9) column of those two branches by spin
+    amplitudes. Each branch is boosted by its own 9x9 diagonal block: an
+    `ordered_sum` over the block's columns that skips the six amplitudes
+    the family leaves at zero, so three multiply-adds. The cells are
+    evaluated CHUNK_CELLS at a time with elementwise operations only, so
+    one cell alone gives the same bits as inside a grid of any size or
+    chunking. Before and after go through the same branch reduction.
     """
     mom = momentum_state(alpha)
     if np.delete(mom, MOMENTUM_BRANCHES).any():
         raise ValueError("momentum state populates |p+ p+> or |p- p->, outside the two branches")
-    coeffs = mom[list(MOMENTUM_BRANCHES)].real
-    psi = coeffs[None, :, None] * spin_states(family, thetas, phis)[:, None, :]
+    coeffs = mom[list(MOMENTUM_BRANCHES)].real[:, None, None]
     u = boost_operator(omega).real.reshape(4, 9, 4, 9)
     blocks = np.stack([u[s, :, s] for s in MOMENTUM_BRANCHES])
-    boosted = np.einsum("mbj,bij->mbi", psi, blocks, optimize=False)
-    return _branch_entropy(psi, partition), _branch_entropy(boosted, partition)
+    populated = FAMILY_INDICES[family]
+    thetas, phis = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
+    before, after = np.empty(thetas.size), np.empty(thetas.size)
+    for start in range(0, thetas.size, CHUNK_CELLS):
+        chunk = slice(start, start + CHUNK_CELLS)
+        psi = coeffs * spin_states(family, thetas[chunk], phis[chunk])
+        boosted = ordered_sum(
+            9, lambda j: blocks[:, :, j, None] * psi[:, None, j] if j in populated else None
+        )
+        before[chunk] = _branch_entropy(psi, partition)
+        after[chunk] = _branch_entropy(boosted, partition)
+    return before, after
 
 
 @dataclass(frozen=True)

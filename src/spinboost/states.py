@@ -30,9 +30,13 @@ class SpinParams:
     theta: float
     phi: float
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+            raise ValueError(f"theta and phi must be finite, got {self.theta} and {self.phi}")
+
 
 # basis positions of the three amplitudes of each family within the 9-dim spin space
-_FAMILY_INDICES = {
+FAMILY_INDICES = {
     SpinFamily.S1: (0, 4, 8),  # |1 1>, |0 0>, |-1 -1>
     SpinFamily.S2: (2, 6, 4),  # |1 -1>, |-1 1>, |0 0>
 }
@@ -53,24 +57,24 @@ def momentum_state(alpha: float) -> np.ndarray:
 
 
 def spin_states(family: SpinFamily, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Three-term spin superpositions of one family, a real (cells, 9) array of rows.
+    """Three-term spin superpositions of one family, a real (9, cells) array of columns.
 
     Family S1 puts (sin t cos p, sin t sin p, cos t) on |1 1>, |0 0>, |-1 -1>;
-    family S2 uses |1 -1>, |-1 1>, |0 0> instead. Row k takes its angles
+    family S2 uses |1 -1>, |-1 1>, |0 0> instead. Column k takes its angles
     from thetas[k] and phis[k].
     """
-    i0, i1, i2 = _FAMILY_INDICES[family]
+    i0, i1, i2 = FAMILY_INDICES[family]
     st = np.sin(thetas)
-    rows = np.zeros((st.size, 9))
-    rows[:, i0] = st * np.cos(phis)
-    rows[:, i1] = st * np.sin(phis)
-    rows[:, i2] = np.cos(thetas)
-    return rows
+    cols = np.zeros((9, st.size))
+    cols[i0] = st * np.cos(phis)
+    cols[i1] = st * np.sin(phis)
+    cols[i2] = np.cos(thetas)
+    return cols
 
 
 def spin_state(params: SpinParams) -> np.ndarray:
     """Spin vector of one family member, 9-dim: spin_states as a batch of one."""
-    return spin_states(params.family, [params.theta], [params.phi])[0]
+    return spin_states(params.family, [params.theta], [params.phi])[:, 0]
 
 
 def assemble(spin: np.ndarray, momentum: np.ndarray) -> PureState:

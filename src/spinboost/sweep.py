@@ -87,7 +87,8 @@ def delta_e_grid(
     before, after = family_entropies(
         family, alpha, omega, partition, np.repeat(thetas, phis.size), np.tile(phis, thetas.size)
     )
-    return (after - before).reshape(thetas.size, phis.size)
+    after -= before
+    return after.reshape(thetas.size, phis.size)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:

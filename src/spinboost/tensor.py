@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -176,16 +176,50 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.trace(r @ r).real)
 
 
-def batch_purity(rows: np.ndarray, keep: Iterable[SubsystemLabel],
-                 order: FactorOrder = CANONICAL_ORDER) -> np.ndarray:
-    """Purity of the reduced state over `keep` for each row of a (cells, total_dim) array.
+def ordered_sum(count: int, term: Callable[[int], np.ndarray | None]) -> np.ndarray:
+    """Elementwise sum of term(0), ..., term(count - 1) in one fixed order.
 
-    Each row is a pure state over `order`, reduced through its Gram matrix
-    without forming the full projector. A pure state has the same purity
-    on both sides of a cut, so the Gram matrix is taken on the smaller
-    side. Real rows stay real and complex rows complex. Every reduction
-    runs within a single row, so batching cannot change any value. Rows
-    are taken as they are, without normalization checks.
+    Two accumulators take the even and the odd indices; full blocks of
+    eight indices are visited back to front, the rest front to back, and
+    the two accumulators are added last. This is the order in which
+    numpy's `einsum` contracts on builds with two-lane float64 vectors, so
+    the kernels built on it keep the values of the `einsum` kernels they
+    replaced bit for bit, while their own values depend on no build. The
+    order depends on `count` only, never on the array shapes, so batching
+    cannot change a value. A term that is None is an exact zero and is
+    skipped; any other term must be a new array, because each accumulator
+    is its first term.
+    """
+    full = count - count % 8
+    order = [block + q for block in range(0, full, 8) for q in (6, 7, 4, 5, 2, 3, 0, 1)]
+    lanes: list[np.ndarray | None] = [None, None]
+    for t in order + list(range(full, count)):
+        value = term(t)
+        if value is None:
+            continue
+        if lanes[t % 2] is None:
+            lanes[t % 2] = value
+        else:
+            lanes[t % 2] += value
+    even, odd = lanes
+    if odd is None:
+        return even
+    return odd if even is None else even + odd
+
+
+def batch_purity(cols: np.ndarray, keep: Iterable[SubsystemLabel],
+                 order: FactorOrder = CANONICAL_ORDER) -> np.ndarray:
+    """Purity of the reduced state over `keep` for each column of a (total_dim, cells) array.
+
+    Each column is a pure state over `order`, reduced through its Gram
+    matrix without forming the full projector. A pure state has the same
+    purity on both sides of a cut, so the Gram matrix is taken on the
+    smaller side. It is accumulated one rest index at a time, and its
+    squared entries are added one at a time, each step an elementwise
+    operation over the cells (`ordered_sum`). No sum runs along the cell
+    axis, so a column gives the same bits alone as inside any batch. Real
+    columns stay real and complex columns complex. Columns are taken as
+    they are, without normalization checks.
     """
     keep = set(keep)
     if not keep:
@@ -199,16 +233,17 @@ def batch_purity(rows: np.ndarray, keep: Iterable[SubsystemLabel],
     if dk * dk > order.total_dim:
         kept_axes, rest_axes = rest_axes, kept_axes
         dk = order.total_dim // dk
-    rows = np.asarray(rows)
-    if not np.iscomplexobj(rows):
-        rows = rows.astype(float, copy=False)
-    cells = rows.shape[0]
-    perm = [0] + [ax + 1 for ax in kept_axes] + [ax + 1 for ax in rest_axes]
-    tens = np.transpose(rows.reshape((cells,) + dims), perm)
-    a = np.ascontiguousarray(tens).reshape(cells, dk, -1)
-    # conj() of a real array is the array itself, so real rows stay real
-    gram = np.einsum("mik,mjk->mij", a, a.conj(), optimize=False)
-    return np.einsum("mij,mij->m", gram, gram.conj(), optimize=False).real
+    cols = np.asarray(cols)
+    if not np.iscomplexobj(cols):
+        cols = cols.astype(float, copy=False)
+    cells = cols.shape[1]
+    perm = kept_axes + rest_axes + [len(dims)]
+    tens = np.transpose(cols.reshape(dims + (cells,)), perm)
+    a = np.ascontiguousarray(tens).reshape(dk, -1, cells)
+    # conj() of a real array is the array itself, so real columns stay real
+    gram = ordered_sum(a.shape[1], lambda k: a[:, None, k] * a[None, :, k].conj())
+    entries = gram.reshape(dk * dk, cells)
+    return ordered_sum(dk * dk, lambda t: (entries[t] * entries[t].conj()).real)
 
 
 def permute_factors(psi: PureState, new_order: FactorOrder) -> PureState:

@@ -1,6 +1,7 @@
 """Check-suite tests, including the boost-operator hook negative controls."""
 
 import numpy as np
+import pytest
 
 from spinboost.checks import check_suite
 from spinboost.lorentz import boost_operator
@@ -53,15 +54,15 @@ def test_flipped_sign_hook_still_passes():
     assert report.passed
 
 
+def _scaled_populated_rows(omega: float) -> np.ndarray:
+    u = boost_operator(omega).copy()
+    u[_POPULATED_ROWS] *= 1.001
+    return u
+
+
 def test_non_unitary_hook_fails_conservation():
     """Breaking unitarity inside a populated sector must trip conservation."""
-
-    def corrupted(omega: float) -> np.ndarray:
-        u = boost_operator(omega).copy()
-        u[_POPULATED_ROWS] *= 1.001
-        return u
-
-    report = check_suite(boost_fn=corrupted)
+    report = check_suite(boost_fn=_scaled_populated_rows)
     names = by_name(report)
     assert not names["boost_unitarity"].passed
     assert not names["particle_partition_conservation"].passed
@@ -70,6 +71,53 @@ def test_non_unitary_hook_fails_conservation():
     assert names["wigner_d_matches_exponential"].passed
     assert names["wigner_angle_properties"].passed
     assert names["global_sign_flip_invariance"].passed
+
+
+def _coupled_sectors(omega: float) -> np.ndarray:
+    u = boost_operator(omega).copy()
+    u[_POPULATED_ROWS, 18:27] += 1e-3 * np.eye(9)
+    return u
+
+
+_STATE_CHECKS = {
+    "boost_unitarity",
+    "boost_factorizes_per_particle",
+    "particle_partition_conservation",
+    "separable_momentum_is_inert",
+    "invariant_state_is_fixed",
+    "alpha_scaling_constancy",
+}
+
+
+@pytest.mark.parametrize(
+    "corrupted, failing",
+    [
+        (_scaled_populated_rows, _STATE_CHECKS),
+        (_coupled_sectors, _STATE_CHECKS | {"boost_block_diagonal"}),
+    ],
+    ids=["scaled-rows", "coupled-sectors"],
+)
+def test_corrupted_hook_fails_the_same_checks(corrupted, failing):
+    """Each corruption fails exactly the checks that depend on what it breaks."""
+    report = check_suite(boost_fn=corrupted)
+    assert {r.name for r in report.results if not r.passed} == failing
+
+
+def test_nan_in_hook_fails_the_entropy_checks():
+    """A NaN in the boost reaches the batched entropy changes and fails, not passes, them."""
+
+    def with_nan(omega: float) -> np.ndarray:
+        u = boost_operator(omega).copy()
+        u[10, 10] = np.nan
+        return u
+
+    names = by_name(check_suite(boost_fn=with_nan))
+    for name in (
+        "particle_partition_conservation",
+        "separable_momentum_is_inert",
+        "alpha_scaling_constancy",
+    ):
+        assert not names[name].passed, names[name].detail
 
 
 def test_broken_hook_reports_instead_of_raising():

@@ -355,11 +355,16 @@ SWEEP_BASE = ["sweep", "--family", "s1", "--omega", "0.3", "--partition", "svp"]
         (["sweep", "--family", "s1", "--alpha", "0.5", "--xi", "nan", "--eta", "1",
           "--partition", "svp", *SMALL_GRID], 2),
         (["delta-e", "--state", "s00", "--alpha", "nan", "--omega", "0.3", "--partition", "svp"], 2),
+        (["delta-e", "--family", "s1", "--theta", "nan", "--phi", "0.5", "--alpha", "0.7",
+          "--omega", "0.3", "--partition", "svp"], 2),
+        (["delta-e", "--family", "s1", "--theta", "0.5", "--phi", "inf", "--alpha", "0.7",
+          "--omega", "0.3", "--partition", "svp"], 2),
         (["wigner-angle", "--xi", "nan", "--eta", "1"], 2),
         (["wigner-angle", "--xi", "1", "--eta", "inf"], 2),
     ],
     ids=["sweep-alpha-nan", "sweep-theta-grid-inf", "sweep-phi-grid-nan", "sweep-xi-nan",
-         "delta-e-alpha-nan", "wigner-xi-nan", "wigner-eta-inf"],
+         "delta-e-alpha-nan", "delta-e-theta-nan", "delta-e-phi-inf", "wigner-xi-nan",
+         "wigner-eta-inf"],
 )
 def test_non_finite_inputs_rejected(argv, code, tmp_path, capsys):
     out = tmp_path / "s.csv"

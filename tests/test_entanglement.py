@@ -120,8 +120,8 @@ def test_linear_entropy_accepts_pure_state_and_ndarray():
         assert a == b
         assert abs(linear_entropy(moved, partition) - a) < 1e-14
         for part in partition.parts:
-            moved_purity = batch_purity(moved.amplitudes[None], part, moved.order)[0]
-            assert abs(moved_purity - batch_purity(psi.amplitudes[None], part)[0]) < 1e-14
+            moved_purity = batch_purity(moved.amplitudes[:, None], part, moved.order)[0]
+            assert abs(moved_purity - batch_purity(psi.amplitudes[:, None], part)[0]) < 1e-14
     # a (cells, 36) batch gives exactly the per-row values
     rows = np.array([family_state(rng).amplitudes for _ in range(6)])
     for partition in PARTITIONS.values():
@@ -129,8 +129,8 @@ def test_linear_entropy_accepts_pure_state_and_ndarray():
         assert batch.shape == (6,)
         assert batch.tolist() == [linear_entropy(row, partition) for row in rows]
         for part in partition.parts:
-            purities = batch_purity(rows, part)
-            assert purities.tolist() == [batch_purity(row[None], part)[0] for row in rows]
+            purities = batch_purity(rows.T, part)
+            assert purities.tolist() == [batch_purity(row[:, None], part)[0] for row in rows]
 
 
 @pytest.mark.parametrize("family", list(SpinFamily))

@@ -2,10 +2,12 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spinboost import entanglement
 from spinboost.entanglement import PARTITIONS, delta_e
 from spinboost.lorentz import BoostSpec
 from spinboost.states import SpinFamily, SpinParams
@@ -102,6 +104,40 @@ def test_grid_cells_evaluated_alone_match_full_grid(family, partition):
         ]
     )
     assert np.array_equal(full, alone)
+
+
+@pytest.mark.parametrize("family", list(SpinFamily))
+@pytest.mark.parametrize("partition", list(PARTITIONS))
+def test_chunk_size_does_not_change_any_cell(family, partition, monkeypatch):
+    """Chunks of 7 cells, the last one short, give the default chunk's surface and CSV bytes."""
+    config = small_config(partition=partition, nt=9, np_=17, family=family)
+    assert (9 * 17) % 7 != 0
+
+    def surface_and_csv():
+        result = run_sweep(config)
+        buf = io.StringIO()
+        write_csv(result, buf)
+        return result.values, buf.getvalue()
+
+    values, text = surface_and_csv()
+    monkeypatch.setattr(entanglement, "CHUNK_CELLS", 7)
+    chunked_values, chunked_text = surface_and_csv()
+    assert np.array_equal(values, chunked_values)
+    assert text == chunked_text
+
+
+def test_delta_e_grid_memory_is_bounded():
+    """The evaluator holds one chunk of intermediates plus a few floats per cell."""
+    thetas = np.linspace(0.0, math.pi, 401)
+    phis = np.linspace(0.0, 2 * math.pi, 801)
+    cells = thetas.size * phis.size
+    tracemalloc.start()
+    try:
+        delta_e_grid(SpinFamily.S1, math.pi / 4, math.pi / 8, PARTITIONS["1vs3"], thetas, phis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * entanglement.CHUNK_CELLS + 64 * cells, peak / cells
 
 
 def test_delta_e_grid_is_real():

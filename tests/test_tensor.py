@@ -143,9 +143,9 @@ def test_batch_purity_real_rows_match_complex_rows():
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     for size in range(1, 5):
         for keep in itertools.combinations((PA, PB, SA, SB), size):
-            real = batch_purity(rows, keep)
+            real = batch_purity(rows.T, keep)
             assert real.dtype == np.float64
-            assert np.max(np.abs(real - batch_purity(rows.astype(complex), keep))) < 1e-14
+            assert np.max(np.abs(real - batch_purity(rows.T.astype(complex), keep))) < 1e-14
 
 
 def test_batch_purity_either_side_matches_partial_trace():
@@ -160,15 +160,30 @@ def test_batch_purity_either_side_matches_partial_trace():
         for size in range(1, 5):
             for keep in itertools.combinations((PA, PB, SA, SB), size):
                 via_trace = purity(partial_trace(rho, keep))
-                via_gram = batch_purity(psi.amplitudes[None, :], keep, psi.order)[0]
+                via_gram = batch_purity(psi.amplitudes[:, None], keep, psi.order)[0]
                 assert abs(via_trace - via_gram) < 1e-12
+
+
+def test_batch_purity_columns_match_one_column_calls_bit_for_bit():
+    """No sum runs along the cell axis, so batching cannot move a bit."""
+    rng = np.random.default_rng(37)
+    real = rng.standard_normal((36, 11))
+    moved_order = FactorOrder((SB, PA, SA, PB))
+    for cols in (real, real + 1j * rng.standard_normal((36, 11))):
+        for order in (CANONICAL_ORDER, moved_order):
+            for size in range(1, 5):
+                for keep in itertools.combinations((PA, PB, SA, SB), size):
+                    batch = batch_purity(cols, keep, order)
+                    alone = [batch_purity(cols[:, [k]], keep, order)[0] for k in range(11)]
+                    assert batch.dtype == np.float64
+                    assert batch.tolist() == alone
 
 
 def test_batch_purity_bounds():
     rng = np.random.default_rng(23)
     vec = random_state(rng)
     for keep, dim in (({PA}, 2), ({SA}, 3), ({SA, SB}, 9)):
-        p = batch_purity(vec[None], keep)[0]
+        p = batch_purity(vec[:, None], keep)[0]
         assert 1.0 / dim - 1e-12 <= p <= 1.0 + 1e-12
 
 
@@ -176,7 +191,7 @@ def test_batch_purity_of_product_basis_state_is_one():
     vec = np.zeros(36, dtype=complex)
     vec[5] = 1.0
     for keep in ({PA}, {PB}, {SA}, {SB}, {PA, SB}, {SA, SB}):
-        assert abs(batch_purity(vec[None], keep)[0] - 1.0) < 1e-15
+        assert abs(batch_purity(vec[:, None], keep)[0] - 1.0) < 1e-15
 
 
 def test_permute_factors_basis_index_mapping():
