@@ -13,6 +13,7 @@ measure is defined as the literal sum over listed parts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ CONSERVATION_TOL = 1e-10
 
 # cells that family_entropies evaluates at once: its intermediates stay a
 # few MB whatever the number of cells
-CHUNK_CELLS = 8192
+CHUNK_CELLS = 4096
 
 _PA, _PB, _SA, _SB = (
     SubsystemLabel.PA,
@@ -122,28 +123,56 @@ _SPIN_ORDER = FactorOrder((_SA, _SB))
 _SPINS = frozenset({_SA, _SB})
 
 
-def _branch_entropy(cols: np.ndarray, partition: Partition) -> np.ndarray:
-    """Linear entropy of (2, 9, cells) two-branch columns, one value per cell.
+def _branch_entropy(cols: np.ndarray, partition: Partition, total: np.ndarray,
+                    work: np.ndarray) -> None:
+    """Linear entropy of (2, 9, cells) two-branch columns into `total`, one value per cell.
 
     A part that holds both momenta keeps the branch coherence, so it is
     pA and its spins over the (18, cells) columns. A part that holds
     neither traces the branch out: its spins over the same columns. A part
     that holds exactly one momentum sees the branches as a direct sum, so
     its purity is the sum of per-branch purities of its spins; with no
-    spins that is each branch's squared norm, squared.
+    spins that is each branch's squared norm, squared. A part that reduces
+    like the part before it, as the single momenta of 1vs3 do, reuses its
+    value. `work` is flat scratch of at least _ENTROPY_WORK floats per cell.
     """
-    coherent = cols.reshape(18, -1)
-    total = 0.0
+    cells = cols.shape[2]
+    coherent = cols.reshape(18, cells)
+    term, other, purity_work = work[:cells], work[cells : 2 * cells], work[2 * cells :]
+    total.fill(0.0)
+    previous = None
     for part in partition.parts:
         spins = part & _SPINS
         momenta = len(part - _SPINS)
-        if momenta == 1:
-            purity = sum(batch_purity(branch, spins or _SPINS, _SPIN_ORDER) for branch in cols)
-        else:
-            keep = spins | {_PA} if momenta == 2 else spins
-            purity = batch_purity(coherent, keep, _BRANCH_ORDER)
-        total = total + (1.0 - purity)
-    return total
+        if (momenta, spins) != previous:
+            if momenta == 1:
+                keep = spins or _SPINS
+                batch_purity(cols[0], keep, _SPIN_ORDER, term, purity_work)
+                term += batch_purity(cols[1], keep, _SPIN_ORDER, other, purity_work)
+            else:
+                keep = spins | {_PA} if momenta == 2 else spins
+                batch_purity(coherent, keep, _BRANCH_ORDER, term, purity_work)
+            np.subtract(1.0, term, out=term)
+            previous = momenta, spins
+        total += term
+
+
+# floats per cell of the scratch that _branch_entropy needs: two purity
+# results, and batch_purity's work for a Gram matrix of at most 3x3
+_ENTROPY_WORK = 2 + 3 * 9
+# floats per cell of family_entropies' workspace: the (2, 9) columns before
+# the boost, the two boost lanes and their scratch, and the entropy scratch
+_WORK = 4 * 18 + _ENTROPY_WORK
+
+
+def _carve(buffer: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Consecutive contiguous views of a flat buffer, one per shape, and the rest of it."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buffer[start : start + size].reshape(shape))
+        start += size
+    return views + [buffer[start:]]
 
 
 def family_entropies(
@@ -165,24 +194,40 @@ def family_entropies(
     evaluated CHUNK_CELLS at a time with elementwise operations only, so
     one cell alone gives the same bits as inside a grid of any size or
     chunking. Before and after go through the same branch reduction.
+
+    Every chunk works in one workspace, allocated once per call for the
+    first chunk; a shorter last chunk uses views of its front part. The
+    loop writes only into the workspace and the two results.
     """
     mom = momentum_state(alpha)
     if np.delete(mom, MOMENTUM_BRANCHES).any():
         raise ValueError("momentum state populates |p+ p+> or |p- p->, outside the two branches")
-    coeffs = mom[list(MOMENTUM_BRANCHES)].real[:, None, None]
+    c0, c1 = mom[list(MOMENTUM_BRANCHES)].real
     u = boost_operator(omega).real.reshape(4, 9, 4, 9)
     blocks = np.stack([u[s, :, s] for s in MOMENTUM_BRANCHES])
-    populated = FAMILY_INDICES[family]
+    absent = set(range(9)) - set(FAMILY_INDICES[family])
     thetas, phis = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
     before, after = np.empty(thetas.size), np.empty(thetas.size)
+    work = np.empty(_WORK * min(CHUNK_CELLS, thetas.size))
     for start in range(0, thetas.size, CHUNK_CELLS):
         chunk = slice(start, start + CHUNK_CELLS)
-        psi = coeffs * spin_states(family, thetas[chunk], phis[chunk])
-        boosted = ordered_sum(
-            9, lambda j: blocks[:, :, j, None] * psi[:, None, j] if j in populated else None
+        cells = before[chunk].size
+        psi, lanes, scratch, entropy_work = _carve(
+            work, (2, 9, cells), (2, 2, 9, cells), (2, 9, cells)
         )
-        before[chunk] = _branch_entropy(psi, partition)
-        after[chunk] = _branch_entropy(boosted, partition)
+        # the spin columns land in branch 1, which is scaled after branch 0 reads them
+        spin_states(family, thetas[chunk], phis[chunk], out=psi[1])
+        np.multiply(c0, psi[1], out=psi[0])
+        psi[1] *= c1
+        boosted = ordered_sum(
+            9,
+            lambda j, dest: np.multiply(blocks[:, :, j, None], psi[:, None, j], out=dest),
+            lanes,
+            scratch,
+            skip=absent,
+        )
+        _branch_entropy(psi, partition, before[chunk], entropy_work)
+        _branch_entropy(boosted, partition, after[chunk], entropy_work)
     return before, after
 
 

@@ -56,19 +56,27 @@ def momentum_state(alpha: float) -> np.ndarray:
     return vec
 
 
-def spin_states(family: SpinFamily, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+def spin_states(
+    family: SpinFamily, thetas: np.ndarray, phis: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Three-term spin superpositions of one family, a real (9, cells) array of columns.
 
     Family S1 puts (sin t cos p, sin t sin p, cos t) on |1 1>, |0 0>, |-1 -1>;
     family S2 uses |1 -1>, |-1 1>, |0 0> instead. Column k takes its angles
-    from thetas[k] and phis[k].
+    from thetas[k] and phis[k]. The columns are written into `out`, a
+    (9, cells) float array, when it is given, and into a new array if not.
     """
     i0, i1, i2 = FAMILY_INDICES[family]
-    st = np.sin(thetas)
-    cols = np.zeros((9, st.size))
-    cols[i0] = st * np.cos(phis)
-    cols[i1] = st * np.sin(phis)
-    cols[i2] = np.cos(thetas)
+    thetas = np.asarray(thetas, dtype=float)
+    cols = np.empty((9, thetas.size)) if out is None else out
+    cols.fill(0.0)
+    np.cos(phis, out=cols[i0])
+    np.sin(phis, out=cols[i1])
+    # sin(theta) waits in the cos(theta) row until both products are taken
+    np.sin(thetas, out=cols[i2])
+    cols[i0] *= cols[i2]
+    cols[i1] *= cols[i2]
+    np.cos(thetas, out=cols[i2])
     return cols
 
 

@@ -198,11 +198,11 @@ def find_extrema(result: SweepResult, merge_radius: float = DEFAULT_MERGE_RADIUS
 def write_csv(result: SweepResult, stream: IO[str]) -> None:
     """Emit the grid as CSV with header theta,phi,delta_e, theta outer."""
     stream.write("theta,phi,delta_e\n")
-    # each coordinate is formatted once; each theta row is one write
-    phi_cols = [f",{phi:.17g}," for phi in result.phis.tolist()]
+    # each coordinate is formatted once; each theta row is one %-template,
+    # the theta string joining the pre-formatted phi cells, and one write
+    phi_cells = ["", *(f",{phi:.17g},%.17g\n" for phi in result.phis.tolist())]
     for theta, row in zip(result.thetas.tolist(), result.values):
-        head = f"{theta:.17g}"
-        stream.write("".join([f"{head}{phi}{v:.17g}\n" for phi, v in zip(phi_cols, row.tolist())]))
+        stream.write(f"{theta:.17g}".join(phi_cells) % tuple(row.tolist()))
 
 
 def read_csv(stream: IO[str]) -> SweepResult:
@@ -222,7 +222,8 @@ def read_csv(stream: IO[str]) -> SweepResult:
         raise ValueError("CSV contains no data rows")
     if data.shape[1] != 3:
         raise ValueError(f"CSV rows have {data.shape[1]} columns, expected 3")
-    thetas, phis, values = data.T.copy()
+    # views of the parsed table; only the values and the two grids are copied out
+    thetas, phis, values = data.T
     # the first theta change ends the first row; argmax is 0 if theta never changes
     n_phi = int(np.argmax(thetas != thetas[0])) or thetas.size
     n_theta, rem = divmod(values.size, n_phi)
@@ -241,9 +242,9 @@ def read_csv(stream: IO[str]) -> SweepResult:
     ):
         raise ValueError("CSV rows do not form a theta x phi grid with theta outer")
     return SweepResult(
-        thetas=grid_thetas,
-        phis=grid_phis,
-        values=values.reshape(n_theta, n_phi),
+        thetas=grid_thetas.copy(),
+        phis=grid_phis.copy(),
+        values=values.reshape(n_theta, n_phi).copy(),
     )
 
 
@@ -264,10 +265,20 @@ def write_json(result: SweepResult, stream: IO[str]) -> None:
             "phi_grid": grid_dict(result.phi_grid, result.phis),
         },
         "shape": [int(result.values.shape[0]), int(result.values.shape[1])],
-        "values": [float(v) for v in result.values.ravel()],
+        "values": [],
     }
-    json.dump(envelope, stream, indent=2)
-    stream.write("\n")
+    # the bytes of json.dump(envelope, indent=2) with the values filled in:
+    # the head is the envelope up to its empty list, and each theta row of
+    # values is one call of the C encoder with the separator indent=2 puts
+    # between the items of a list at that depth
+    head = json.dumps(envelope, indent=2)
+    stream.write(head[: -len("]\n}")] + "\n    ")
+    separator = ",\n    "
+    for k, row in enumerate(result.values):
+        if k:
+            stream.write(separator)
+        stream.write(json.dumps(row.tolist(), separators=(separator, ": "))[1:-1])
+    stream.write("\n  ]\n}\n")
 
 
 def read_json(stream: IO[str]) -> SweepResult:

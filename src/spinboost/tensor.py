@@ -12,9 +12,10 @@ concurrently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Container, Iterable, Sequence
 
 import numpy as np
 
@@ -176,52 +177,58 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.trace(r @ r).real)
 
 
-def ordered_sum(count: int, term: Callable[[int], np.ndarray | None]) -> np.ndarray:
-    """Elementwise sum of term(0), ..., term(count - 1) in one fixed order.
+def ordered_sum(
+    count: int,
+    term: Callable[[int, np.ndarray], object],
+    lanes: Sequence[np.ndarray],
+    scratch: np.ndarray,
+    skip: Container[int] = (),
+) -> np.ndarray:
+    """Elementwise sum of terms 0, ..., count - 1 in one fixed order, into lanes[0].
 
-    Two accumulators take the even and the odd indices; full blocks of
-    eight indices are visited back to front, the rest front to back, and
-    the two accumulators are added last. This is the order in which
-    numpy's `einsum` contracts on builds with two-lane float64 vectors, so
-    the kernels built on it keep the values of the `einsum` kernels they
-    replaced bit for bit, while their own values depend on no build. The
-    order depends on `count` only, never on the array shapes, so batching
-    cannot change a value. A term that is None is an exact zero and is
-    skipped; any other term must be a new array, because each accumulator
-    is its first term.
+    term(t, dest) writes term t into dest. The caller supplies the two
+    accumulators, lanes[0] and lanes[1], which take the even and the odd
+    indices, and a scratch array of the same shape: a lane's first term is
+    written into it, every later one into scratch and then added. Full
+    blocks of eight indices are visited back to front, the rest front to
+    back, and lanes[1] is added to lanes[0] last. This is the order in
+    which numpy's `einsum` contracts on builds with two-lane float64
+    vectors, so the kernels built on it keep the values of the `einsum`
+    kernels they replaced bit for bit, while their own values depend on no
+    build. The order depends on `count` only, never on the array shapes,
+    so batching cannot change a value. Indices in `skip` are exact zeros
+    and are not visited. Returns lanes[0].
     """
     full = count - count % 8
     order = [block + q for block in range(0, full, 8) for q in (6, 7, 4, 5, 2, 3, 0, 1)]
-    lanes: list[np.ndarray | None] = [None, None]
+    used = [False, False]
     for t in order + list(range(full, count)):
-        value = term(t)
-        if value is None:
+        if t in skip:
             continue
-        if lanes[t % 2] is None:
-            lanes[t % 2] = value
+        lane = lanes[t % 2]
+        if used[t % 2]:
+            term(t, scratch)
+            lane += scratch
         else:
-            lanes[t % 2] += value
-    even, odd = lanes
-    if odd is None:
-        return even
-    return odd if even is None else even + odd
+            term(t, lane)
+            used[t % 2] = True
+    even, odd = lanes[0], lanes[1]
+    if not used[0]:
+        even[...] = odd if used[1] else 0.0
+    elif used[1]:
+        even += odd
+    return even
 
 
-def batch_purity(cols: np.ndarray, keep: Iterable[SubsystemLabel],
-                 order: FactorOrder = CANONICAL_ORDER) -> np.ndarray:
-    """Purity of the reduced state over `keep` for each column of a (total_dim, cells) array.
+@functools.cache
+def _cut(order: FactorOrder, keep: frozenset[SubsystemLabel]) -> tuple[tuple[int, ...], int, tuple]:
+    """The smaller side of the cut between `keep` and the rest, as batch_purity reduces it.
 
-    Each column is a pure state over `order`, reduced through its Gram
-    matrix without forming the full projector. A pure state has the same
-    purity on both sides of a cut, so the Gram matrix is taken on the
-    smaller side. It is accumulated one rest index at a time, and its
-    squared entries are added one at a time, each step an elementwise
-    operation over the cells (`ordered_sum`). No sum runs along the cell
-    axis, so a column gives the same bits alone as inside any batch. Real
-    columns stay real and complex columns complex. Columns are taken as
-    they are, without normalization checks.
+    Returns the axis permutation of the (dims..., cells) tensor that puts
+    the smaller side's axes first, then the other axes, then the cells;
+    the smaller side's dimension; and, for each index of the other side in
+    row-major order, the tensor index that selects it.
     """
-    keep = set(keep)
     if not keep:
         raise ValueError("keep must be a nonempty set of labels")
     kept_axes = sorted(order.axis(label) for label in keep)
@@ -233,17 +240,67 @@ def batch_purity(cols: np.ndarray, keep: Iterable[SubsystemLabel],
     if dk * dk > order.total_dim:
         kept_axes, rest_axes = rest_axes, kept_axes
         dk = order.total_dim // dk
+    kept = (slice(None),) * len(kept_axes)
+    rest = tuple(kept + index for index in np.ndindex(*(dims[ax] for ax in rest_axes)))
+    return tuple(kept_axes + rest_axes + [len(dims)]), dk, rest
+
+
+def batch_purity(
+    cols: np.ndarray,
+    keep: Iterable[SubsystemLabel],
+    order: FactorOrder = CANONICAL_ORDER,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Purity of the reduced state over `keep` for each column of a (total_dim, cells) array.
+
+    Each column is a pure state over `order`, reduced through its Gram
+    matrix without forming the full projector. A pure state has the same
+    purity on both sides of a cut, so the Gram matrix is taken on the
+    smaller side. It is accumulated one rest index at a time, and its
+    squared entries are added one at a time, each step an elementwise
+    operation over the cells (`ordered_sum`). No sum runs along the cell
+    axis, so a column gives the same bits alone as inside any batch. Real
+    columns stay real and complex columns complex. Columns are taken as
+    they are, without normalization checks.
+
+    The result goes to `out`, a float array of `cells` entries. `work` is
+    the call's scratch memory: a flat array of the columns' dtype with at
+    least 3 * d * d * cells entries, d the dimension of the smaller side.
+    Each is allocated when not given. With both given, real columns are
+    reduced without allocating any array of `cells` size, as long as the
+    factors on the smaller side are adjacent in `order`.
+    """
+    perm, dk, rest = _cut(order, frozenset(keep))
     cols = np.asarray(cols)
     if not np.iscomplexobj(cols):
         cols = cols.astype(float, copy=False)
     cells = cols.shape[1]
-    perm = kept_axes + rest_axes + [len(dims)]
-    tens = np.transpose(cols.reshape(dims + (cells,)), perm)
-    a = np.ascontiguousarray(tens).reshape(dk, -1, cells)
-    # conj() of a real array is the array itself, so real columns stay real
-    gram = ordered_sum(a.shape[1], lambda k: a[:, None, k] * a[None, :, k].conj())
+    size = dk * dk * cells
+    if work is None:
+        work = np.empty(3 * size, cols.dtype)
+    gram_lanes = work[: 2 * size].reshape(2, dk, dk, cells)
+    gram_scratch = work[2 * size : 3 * size].reshape(dk, dk, cells)
+    tens = np.transpose(cols.reshape(order.dims + (cells,)), perm)
+
+    def product(k: int, dest: np.ndarray) -> None:
+        # a view whenever the smaller side's axes merge, as a single axis does
+        a = tens[rest[k]].reshape(dk, cells)
+        # conj() of a real array is the array itself, so real columns stay real
+        np.multiply(a[:, None], a[None, :].conj(), out=dest)
+
+    gram = ordered_sum(len(rest), product, gram_lanes, gram_scratch)
     entries = gram.reshape(dk * dk, cells)
-    return ordered_sum(dk * dk, lambda t: (entries[t] * entries[t].conj()).real)
+    if np.iscomplexobj(entries):
+        def square(t: int, dest: np.ndarray) -> None:
+            dest[...] = (entries[t] * entries[t].conj()).real
+    else:
+        def square(t: int, dest: np.ndarray) -> None:
+            np.multiply(entries[t], entries[t], out=dest)
+    # with the Gram matrix summed into gram_lanes[0], the rest of the work is free again
+    lane, scratch = (buf.reshape(-1)[:cells].real for buf in (gram_lanes[1], gram_scratch))
+    out = np.empty(cells) if out is None else out
+    return ordered_sum(dk * dk, square, (out, lane), scratch)
 
 
 def permute_factors(psi: PureState, new_order: FactorOrder) -> PureState:

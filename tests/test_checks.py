@@ -120,6 +120,27 @@ def test_nan_in_hook_fails_the_entropy_checks():
         assert not names[name].passed, names[name].detail
 
 
+def _nan_at(row: int, col: int):
+    def with_nan(omega: float) -> np.ndarray:
+        u = boost_operator(omega).copy()
+        u[row, col] = np.nan
+        return u
+
+    return with_nan
+
+
+def test_nan_in_hook_fails_the_matrix_checks():
+    """The maxima over matrix entries and state defects keep a NaN, so it fails them."""
+    names = by_name(check_suite(boost_fn=_nan_at(10, 10)))
+    for name in ("boost_unitarity", "invariant_state_is_fixed"):
+        assert not names[name].passed, names[name].detail
+        assert "nan" in names[name].detail
+    # the NaN sits in a diagonal block; one between the populated sectors fails the block check
+    assert names["boost_block_diagonal"].passed
+    coupled = by_name(check_suite(boost_fn=_nan_at(10, 20)))["boost_block_diagonal"]
+    assert not coupled.passed, coupled.detail
+
+
 def test_broken_hook_reports_instead_of_raising():
     def broken(omega: float) -> np.ndarray:
         raise RuntimeError("boost unavailable")

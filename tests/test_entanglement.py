@@ -150,6 +150,31 @@ def test_family_entropies_match_dense_route(family):
                 assert np.abs(after - linear_entropy(boosted, partition)).max() < 1e-14
 
 
+@pytest.mark.parametrize("partition", list(PARTITIONS))
+def test_family_entropies_keep_no_state_between_calls(partition, monkeypatch):
+    """A repeat call, and a call after one of another size, give the first call's arrays.
+
+    Small chunks make every call reuse its workspace, with a short last chunk.
+    """
+    monkeypatch.setattr("spinboost.entanglement.CHUNK_CELLS", 16)
+    rng = np.random.default_rng(31)
+    thetas = rng.uniform(0.0, math.pi, 50)
+    phis = rng.uniform(0.0, 2 * math.pi, 50)
+    part = PARTITIONS[partition]
+
+    def evaluate():
+        return family_entropies(SpinFamily.S1, 0.7, math.pi / 8, part, thetas, phis)
+
+    first = evaluate()
+    kept = [array.copy() for array in first]
+    repeat = evaluate()
+    family_entropies(SpinFamily.S2, 0.3, 1.2, part, thetas[:7], phis[:7])
+    family_entropies(SpinFamily.S2, 1.1, 0.4, part, np.tile(thetas, 3), np.tile(phis, 3))
+    # first is checked last: no call returns memory that a later call writes into
+    for result in (repeat, evaluate(), first):
+        assert all(np.array_equal(a, b) for a, b in zip(result, kept))
+
+
 def test_family_entropies_reject_a_populated_empty_sector(monkeypatch):
     """|p+ p+> or |p- p-> amplitude would be lost by the two-branch rows, so it is refused."""
     for sector in (0, 3):

@@ -15,6 +15,7 @@ from spinboost.states import (
     invariant_spin_state,
     momentum_state,
     spin_state,
+    spin_states,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -48,6 +49,21 @@ def test_spin_state_family_slots():
         s2 = spin_state(SpinParams(SpinFamily.S2, theta, phi))
         assert abs(np.linalg.norm(s2) - 1.0) < 1e-15
         assert all(s2[i] == 0.0 for i in (0, 1, 3, 5, 7, 8))
+
+
+def test_spin_states_out_matches_a_new_array():
+    """Columns written into a used array equal fresh ones, and later calls leave them alone."""
+    thetas = np.linspace(0.0, math.pi, 5)
+    phis = np.linspace(0.0, 2 * math.pi, 5)
+    for family in SpinFamily:
+        fresh = spin_states(family, thetas, phis)
+        out = np.full((9, 5), np.nan)
+        assert spin_states(family, thetas, phis, out=out) is out
+        assert np.array_equal(out, fresh)
+    single = spin_state(SpinParams(SpinFamily.S1, 0.3, 0.4))
+    kept = single.copy()
+    spin_state(SpinParams(SpinFamily.S2, 1.3, 2.4))
+    assert np.array_equal(single, kept)
 
 
 def test_spin_state_angle_conventions():

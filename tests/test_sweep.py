@@ -1,6 +1,7 @@
 """Sweep-engine tests: grid kernel, extrema clustering, CSV/JSON round-trips."""
 
 import io
+import json
 import math
 import tracemalloc
 
@@ -195,8 +196,9 @@ def test_csv_round_trip_exact():
     assert np.array_equal(back.phis, result.phis)
 
 
-def test_write_csv_matches_per_cell_reference():
-    thetas = np.array([-0.0, 5e-324, 1.0, 1e300])
+def _edge_result():
+    """A surface of edge values, without sweep metadata."""
+    thetas = np.array([-0.0, 5e-324, 1.0, 1e300, 2.5])
     phis = np.array([0.0, -2.5, 1e-300, 3.141592653589793, 7.0])
     values = np.array(
         [
@@ -204,16 +206,53 @@ def test_write_csv_matches_per_cell_reference():
             [0.1, -0.2, 1.0 / 3.0, 0.0, 2.220446049250313e-16],
             [123456789.125, -1e-17, 1e16, -7.0, 0.5],
             [math.pi, -math.e, 1e-320, 4.5e15, -0.0],
+            [math.nan, math.inf, -math.inf, 1.0, -1.0],
         ]
     )
+    return SweepResult(thetas=thetas, phis=phis, values=values)
+
+
+def test_write_csv_matches_per_cell_reference():
+    result = _edge_result()
+    thetas, phis, values = result.thetas, result.phis, result.values
     buf = io.StringIO()
-    write_csv(SweepResult(thetas=thetas, phis=phis, values=values), buf)
+    write_csv(result, buf)
     reference = "theta,phi,delta_e\n" + "".join(
         f"{theta:.17g},{phi:.17g},{values[i, j]:.17g}\n"
         for i, theta in enumerate(thetas)
         for j, phi in enumerate(phis)
     )
     assert buf.getvalue() == reference
+
+
+@pytest.mark.parametrize("case", ["edge-values", "2x2-sweep"])
+def test_write_json_matches_json_dump_reference(case):
+    """The row-by-row writer gives the bytes of one json.dump(envelope, indent=2)."""
+    result = _edge_result() if case == "edge-values" else run_sweep(small_config(nt=2, np_=2))
+
+    def grid_dict(grid, points):
+        if grid is not None:
+            return {"start": grid.start, "stop": grid.stop, "count": grid.count}
+        return {"start": float(points[0]), "stop": float(points[-1]), "count": int(points.size)}
+
+    envelope = {
+        "config": {
+            "family": result.family.value if result.family else None,
+            "alpha": result.alpha,
+            "omega": result.omega,
+            "partition": result.partition_name,
+            "theta_grid": grid_dict(result.theta_grid, result.thetas),
+            "phi_grid": grid_dict(result.phi_grid, result.phis),
+        },
+        "shape": list(result.values.shape),
+        "values": [float(v) for v in result.values.ravel()],
+    }
+    reference = io.StringIO()
+    json.dump(envelope, reference, indent=2)
+    reference.write("\n")
+    buf = io.StringIO()
+    write_json(result, buf)
+    assert buf.getvalue() == reference.getvalue()
 
 
 def test_csv_header_validation():

@@ -165,7 +165,10 @@ def test_batch_purity_either_side_matches_partial_trace():
 
 
 def test_batch_purity_columns_match_one_column_calls_bit_for_bit():
-    """No sum runs along the cell axis, so batching cannot move a bit."""
+    """No sum runs along the cell axis, so batching cannot move a bit.
+
+    A given `out` and a used `work` array give the same bits as a call that allocates both.
+    """
     rng = np.random.default_rng(37)
     real = rng.standard_normal((36, 11))
     moved_order = FactorOrder((SB, PA, SA, PB))
@@ -177,6 +180,9 @@ def test_batch_purity_columns_match_one_column_calls_bit_for_bit():
                     alone = [batch_purity(cols[:, [k]], keep, order)[0] for k in range(11)]
                     assert batch.dtype == np.float64
                     assert batch.tolist() == alone
+                    out, work = np.full(11, np.nan), np.full(3 * cols.size, np.nan, cols.dtype)
+                    assert batch_purity(cols, keep, order, out, work) is out
+                    assert out.tolist() == alone
 
 
 def test_batch_purity_bounds():
