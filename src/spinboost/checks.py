@@ -166,19 +166,22 @@ def _check_boost_factorization(boost_fn: BoostFn) -> CheckResult:
     )
 
 
+def _random_spin_state(rng: np.random.Generator) -> np.ndarray:
+    """Spin vector of a family member with family, theta and phi drawn in that order."""
+    family = SpinFamily.S1 if rng.integers(2) else SpinFamily.S2
+    theta = float(rng.uniform(0.0, math.pi))
+    phi = float(rng.uniform(0.0, 2 * math.pi))
+    return spin_state(SpinParams(family, theta, phi))
+
+
 def _check_conservation(boost_fn: BoostFn) -> CheckResult:
     rng = np.random.default_rng(_SEED + 3)
     conserved = (PARTITIONS["AvsB"], PARTITIONS["mixed"])
     vecs, boosted = [], []
     for _ in range(50):
-        family = SpinFamily.S1 if rng.integers(2) else SpinFamily.S2
-        params = SpinParams(
-            family,
-            float(rng.uniform(0.0, math.pi)),
-            float(rng.uniform(0.0, 2 * math.pi)),
-        )
+        spin = _random_spin_state(rng)
         alpha = float(rng.uniform(0.0, math.pi))
-        vec = np.kron(momentum_state(alpha), spin_state(params))
+        vec = np.kron(momentum_state(alpha), spin)
         omega = float(rng.uniform(0.0, math.pi / 2))
         vecs.append(vec)
         boosted.append(boost_fn(omega) @ vec)
@@ -203,13 +206,7 @@ def _check_separable_momentum(boost_fn: BoostFn) -> CheckResult:
     for alpha in (0.0, math.pi / 2):
         mom = momentum_state(alpha)
         for _ in range(10):
-            family = SpinFamily.S1 if rng.integers(2) else SpinFamily.S2
-            params = SpinParams(
-                family,
-                float(rng.uniform(0.0, math.pi)),
-                float(rng.uniform(0.0, 2 * math.pi)),
-            )
-            vec = np.kron(mom, spin_state(params))
+            vec = np.kron(mom, _random_spin_state(rng))
             omega = float(rng.uniform(0.0, math.pi / 2))
             vecs.append(vec)
             boosted.append(boost_fn(omega) @ vec)

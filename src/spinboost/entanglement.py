@@ -13,7 +13,6 @@ measure is defined as the literal sum over listed parts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,6 @@ from .tensor import (
     PureState,
     SubsystemLabel,
     batch_purity,
-    ordered_sum,
 )
 
 CONSERVATION_TOL = 1e-10
@@ -123,9 +121,8 @@ _SPIN_ORDER = FactorOrder((_SA, _SB))
 _SPINS = frozenset({_SA, _SB})
 
 
-def _branch_entropy(cols: np.ndarray, partition: Partition, total: np.ndarray,
-                    work: np.ndarray) -> None:
-    """Linear entropy of (2, 9, cells) two-branch columns into `total`, one value per cell.
+def _branch_entropy(cols: np.ndarray, partition: Partition) -> np.ndarray:
+    """Linear entropy of (2, 9, cells) two-branch columns, one value per cell.
 
     A part that holds both momenta keeps the branch coherence, so it is
     pA and its spins over the (18, cells) columns. A part that holds
@@ -134,12 +131,10 @@ def _branch_entropy(cols: np.ndarray, partition: Partition, total: np.ndarray,
     its purity is the sum of per-branch purities of its spins; with no
     spins that is each branch's squared norm, squared. A part that reduces
     like the part before it, as the single momenta of 1vs3 do, reuses its
-    value. `work` is flat scratch of at least _ENTROPY_WORK floats per cell.
+    value.
     """
-    cells = cols.shape[2]
-    coherent = cols.reshape(18, cells)
-    term, other, purity_work = work[:cells], work[cells : 2 * cells], work[2 * cells :]
-    total.fill(0.0)
+    coherent = cols.reshape(18, cols.shape[2])
+    total = np.zeros(cols.shape[2])
     previous = None
     for part in partition.parts:
         spins = part & _SPINS
@@ -147,32 +142,14 @@ def _branch_entropy(cols: np.ndarray, partition: Partition, total: np.ndarray,
         if (momenta, spins) != previous:
             if momenta == 1:
                 keep = spins or _SPINS
-                batch_purity(cols[0], keep, _SPIN_ORDER, term, purity_work)
-                term += batch_purity(cols[1], keep, _SPIN_ORDER, other, purity_work)
+                purity = sum(batch_purity(branch, keep, _SPIN_ORDER) for branch in cols)
             else:
                 keep = spins | {_PA} if momenta == 2 else spins
-                batch_purity(coherent, keep, _BRANCH_ORDER, term, purity_work)
-            np.subtract(1.0, term, out=term)
+                purity = batch_purity(coherent, keep, _BRANCH_ORDER)
+            term = 1.0 - purity
             previous = momenta, spins
         total += term
-
-
-# floats per cell of the scratch that _branch_entropy needs: two purity
-# results, and batch_purity's work for a Gram matrix of at most 3x3
-_ENTROPY_WORK = 2 + 3 * 9
-# floats per cell of family_entropies' workspace: the (2, 9) columns before
-# the boost, the two boost lanes and their scratch, and the entropy scratch
-_WORK = 4 * 18 + _ENTROPY_WORK
-
-
-def _carve(buffer: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
-    """Consecutive contiguous views of a flat buffer, one per shape, and the rest of it."""
-    views, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(buffer[start : start + size].reshape(shape))
-        start += size
-    return views + [buffer[start:]]
+    return total
 
 
 def family_entropies(
@@ -188,16 +165,12 @@ def family_entropies(
     Cell k takes its angles from thetas[k] and phis[k]. The momentum state
     populates only |p+ p-> and |p- p+>, and the boost keeps each sector,
     so each cell is a real (2, 9) column of those two branches by spin
-    amplitudes. Each branch is boosted by its own 9x9 diagonal block: an
-    `ordered_sum` over the block's columns that skips the six amplitudes
-    the family leaves at zero, so three multiply-adds. The cells are
-    evaluated CHUNK_CELLS at a time with elementwise operations only, so
-    one cell alone gives the same bits as inside a grid of any size or
-    chunking. Before and after go through the same branch reduction.
-
-    Every chunk works in one workspace, allocated once per call for the
-    first chunk; a shorter last chunk uses views of its front part. The
-    loop writes only into the workspace and the two results.
+    amplitudes. Each branch is boosted by its own 9x9 diagonal block: a
+    front-to-back sum over the three block columns of the amplitudes the
+    family populates. The cells are evaluated CHUNK_CELLS at a time with
+    elementwise operations only, so one cell alone gives the same bits as
+    inside a grid of any size or chunking. Before and after go through the
+    same branch reduction.
     """
     mom = momentum_state(alpha)
     if np.delete(mom, MOMENTUM_BRANCHES).any():
@@ -205,29 +178,17 @@ def family_entropies(
     c0, c1 = mom[list(MOMENTUM_BRANCHES)].real
     u = boost_operator(omega).real.reshape(4, 9, 4, 9)
     blocks = np.stack([u[s, :, s] for s in MOMENTUM_BRANCHES])
-    absent = set(range(9)) - set(FAMILY_INDICES[family])
     thetas, phis = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
     before, after = np.empty(thetas.size), np.empty(thetas.size)
-    work = np.empty(_WORK * min(CHUNK_CELLS, thetas.size))
     for start in range(0, thetas.size, CHUNK_CELLS):
         chunk = slice(start, start + CHUNK_CELLS)
-        cells = before[chunk].size
-        psi, lanes, scratch, entropy_work = _carve(
-            work, (2, 9, cells), (2, 2, 9, cells), (2, 9, cells)
-        )
-        # the spin columns land in branch 1, which is scaled after branch 0 reads them
-        spin_states(family, thetas[chunk], phis[chunk], out=psi[1])
-        np.multiply(c0, psi[1], out=psi[0])
-        psi[1] *= c1
-        boosted = ordered_sum(
-            9,
-            lambda j, dest: np.multiply(blocks[:, :, j, None], psi[:, None, j], out=dest),
-            lanes,
-            scratch,
-            skip=absent,
-        )
-        _branch_entropy(psi, partition, before[chunk], entropy_work)
-        _branch_entropy(boosted, partition, after[chunk], entropy_work)
+        spins = spin_states(family, thetas[chunk], phis[chunk])
+        psi = np.stack([c0 * spins, c1 * spins])
+        boosted = np.zeros_like(psi)
+        for j in FAMILY_INDICES[family]:
+            boosted += blocks[:, :, j, None] * psi[:, None, j]
+        before[chunk] = _branch_entropy(psi, partition)
+        after[chunk] = _branch_entropy(boosted, partition)
     return before, after
 
 

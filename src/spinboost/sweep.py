@@ -36,6 +36,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("grid endpoints must be finite")
+        if not math.isfinite(self.stop - self.start):
+            raise ValueError("grid span stop - start must be finite")
         if self.start == self.stop:
             raise ValueError("grid endpoints must differ")
         if self.count < 2:

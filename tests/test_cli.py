@@ -352,6 +352,7 @@ SWEEP_BASE = ["sweep", "--family", "s1", "--omega", "0.3", "--partition", "svp"]
           *SMALL_GRID], 2),
         ([*SWEEP_BASE, "--alpha", "0.5", "--theta-grid", "0:inf:3"], 1),
         ([*SWEEP_BASE, "--alpha", "0.5", "--phi-grid", "nan:1:3"], 1),
+        ([*SWEEP_BASE, "--alpha", "0.5", "--theta-grid=-1e308:1e308:3"], 1),
         (["sweep", "--family", "s1", "--alpha", "0.5", "--xi", "nan", "--eta", "1",
           "--partition", "svp", *SMALL_GRID], 2),
         (["delta-e", "--state", "s00", "--alpha", "nan", "--omega", "0.3", "--partition", "svp"], 2),
@@ -362,7 +363,8 @@ SWEEP_BASE = ["sweep", "--family", "s1", "--omega", "0.3", "--partition", "svp"]
         (["wigner-angle", "--xi", "nan", "--eta", "1"], 2),
         (["wigner-angle", "--xi", "1", "--eta", "inf"], 2),
     ],
-    ids=["sweep-alpha-nan", "sweep-theta-grid-inf", "sweep-phi-grid-nan", "sweep-xi-nan",
+    ids=["sweep-alpha-nan", "sweep-theta-grid-inf", "sweep-phi-grid-nan",
+         "sweep-theta-span-overflow", "sweep-xi-nan",
          "delta-e-alpha-nan", "delta-e-theta-nan", "delta-e-phi-inf", "wigner-xi-nan",
          "wigner-eta-inf"],
 )
@@ -400,7 +402,8 @@ def test_extrema_rejects_phi_outer_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit", ["drop-config", "drop-values", "drop-grid", "short-values",
-                                  "wrong-shape", "equal-endpoints", "huge-count"])
+                                  "wrong-shape", "equal-endpoints", "huge-count",
+                                  "span-overflow"])
 def test_extrema_rejects_malformed_json(edit, tmp_path, capsys):
     path = tmp_path / "s.json"
     _write_small_sweep(path, capsys)
@@ -418,6 +421,8 @@ def test_extrema_rejects_malformed_json(edit, tmp_path, capsys):
     elif edit == "huge-count":
         # a grid of 10^15 points would be rejected by numpy; the count check comes first
         envelope["config"]["theta_grid"]["count"] = 10**15
+    elif edit == "span-overflow":
+        envelope["config"]["theta_grid"].update(start=-1e308, stop=1e308)
     else:
         envelope["shape"] = [9, 7]
     path.write_text(json.dumps(envelope))

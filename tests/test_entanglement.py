@@ -154,7 +154,7 @@ def test_family_entropies_match_dense_route(family):
 def test_family_entropies_keep_no_state_between_calls(partition, monkeypatch):
     """A repeat call, and a call after one of another size, give the first call's arrays.
 
-    Small chunks make every call reuse its workspace, with a short last chunk.
+    Small chunks give every call several chunks, with a short last chunk.
     """
     monkeypatch.setattr("spinboost.entanglement.CHUNK_CELLS", 16)
     rng = np.random.default_rng(31)

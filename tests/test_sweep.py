@@ -43,7 +43,8 @@ def test_grid_spec_validation_and_points():
     assert np.array_equal(spec.points, np.linspace(0.0, 1.0, 5))
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 1)
-    for start, stop in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0), (1.0, 1.0)):
+    bad = ((math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0), (1.0, 1.0), (-1e308, 1e308))
+    for start, stop in bad:
         with pytest.raises(ValueError):
             GridSpec(start, stop, 5)
 

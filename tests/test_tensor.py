@@ -1,6 +1,7 @@
 """Tensor-core tests: factor bookkeeping, partial trace, purity."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -165,10 +166,7 @@ def test_batch_purity_either_side_matches_partial_trace():
 
 
 def test_batch_purity_columns_match_one_column_calls_bit_for_bit():
-    """No sum runs along the cell axis, so batching cannot move a bit.
-
-    A given `out` and a used `work` array give the same bits as a call that allocates both.
-    """
+    """No sum runs along the cell axis, so batching cannot move a bit."""
     rng = np.random.default_rng(37)
     real = rng.standard_normal((36, 11))
     moved_order = FactorOrder((SB, PA, SA, PB))
@@ -180,9 +178,51 @@ def test_batch_purity_columns_match_one_column_calls_bit_for_bit():
                     alone = [batch_purity(cols[:, [k]], keep, order)[0] for k in range(11)]
                     assert batch.dtype == np.float64
                     assert batch.tolist() == alone
-                    out, work = np.full(11, np.nan), np.full(3 * cols.size, np.nan, cols.dtype)
-                    assert batch_purity(cols, keep, order, out, work) is out
-                    assert out.tolist() == alone
+
+
+def front_to_back_purity(col, keep, order):
+    """Purity of one real column in plain Python, summed in batch_purity's order.
+
+    The Gram matrix is taken on the smaller side of the cut (the kept side
+    on a tie). Its terms are added over the other side's indices front to
+    back in row-major order, then its squared entries front to back in
+    row-major order.
+    """
+    dims = order.dims
+    side = [ax for ax, label in enumerate(order.labels) if label in keep]
+    other = [ax for ax in range(len(dims)) if ax not in side]
+    if math.prod(dims[ax] for ax in side) > math.prod(dims[ax] for ax in other):
+        side, other = other, side
+    tens = col.reshape(dims)
+
+    def amplitude(side_index, other_index):
+        index = [0] * len(dims)
+        for ax, i in zip(side + other, side_index + other_index):
+            index[ax] = i
+        return float(tens[tuple(index)])
+
+    side_indices = list(itertools.product(*(range(dims[ax]) for ax in side)))
+    gram = [[0.0] * len(side_indices) for _ in side_indices]
+    for o in itertools.product(*(range(dims[ax]) for ax in other)):
+        for i, si in enumerate(side_indices):
+            for j, sj in enumerate(side_indices):
+                gram[i][j] += amplitude(si, o) * amplitude(sj, o)
+    total = 0.0
+    for row in gram:
+        for entry in row:
+            total += entry * entry
+    return total
+
+
+def test_batch_purity_sums_front_to_back_bit_for_bit():
+    """Both sums run front to back in row-major order, on either side of every cut."""
+    rng = np.random.default_rng(41)
+    cols = rng.standard_normal((36, 3))
+    for order in (CANONICAL_ORDER, FactorOrder((SB, PA, SA, PB))):
+        for size in range(1, 5):
+            for keep in itertools.combinations((PA, PB, SA, SB), size):
+                expected = [front_to_back_purity(cols[:, k], keep, order) for k in range(3)]
+                assert batch_purity(cols, keep, order).tolist() == expected
 
 
 def test_batch_purity_bounds():
