@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .entanglement import CONSERVATION_TOL, PARTITIONS, linear_entropy
+from .entanglement import PARTITIONS, linear_entropy
 from .lorentz import (
     boost_operator,
     jy_matrix,
@@ -40,6 +40,7 @@ from .tensor import (
 )
 
 MATRIX_TOL = 1e-12
+CONSERVATION_TOL = 1e-10
 _SEED = 20240817
 
 BoostFn = Callable[[float], np.ndarray]
@@ -76,7 +77,7 @@ def _expm_spectral(hermitian: np.ndarray, scale: complex) -> np.ndarray:
     return (vecs * np.exp(scale * vals)) @ vecs.conj().T
 
 
-def _check_wigner_d_exponential() -> CheckResult:
+def _check_wigner_d_exponential() -> tuple[bool, str]:
     rng = np.random.default_rng(_SEED)
     jy = jy_matrix()
     worst = 0.0
@@ -84,15 +85,10 @@ def _check_wigner_d_exponential() -> CheckResult:
         direct = wigner_d(float(beta))
         spectral = _expm_spectral(jy, -1j * float(beta))
         worst = max(worst, float(np.abs(direct - spectral).max()))
-    passed = worst < MATRIX_TOL
-    return CheckResult(
-        "wigner_d_matches_exponential",
-        passed,
-        f"max |closed form - expm(-i beta Jy)| = {worst:.3e}",
-    )
+    return worst < MATRIX_TOL, f"max |closed form - expm(-i beta Jy)| = {worst:.3e}"
 
 
-def _check_wigner_angle_properties() -> CheckResult:
+def _check_wigner_angle_properties() -> tuple[bool, str]:
     rng = np.random.default_rng(_SEED + 1)
     issues = []
     for _ in range(50):
@@ -111,15 +107,12 @@ def _check_wigner_angle_properties() -> CheckResult:
     grid = [wigner_angle(x, 1.5) for x in np.linspace(0.1, 8.0, 40)]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         issues.append("not increasing in the first rapidity")
-    passed = not issues
-    return CheckResult(
-        "wigner_angle_properties",
-        passed,
-        "; ".join(issues) if issues else "range, symmetry, zeros, monotonicity, reference value",
-    )
+    if issues:
+        return False, "; ".join(issues)
+    return True, "range, symmetry, zeros, monotonicity, reference value"
 
 
-def _check_boost_unitarity(boost_fn: BoostFn) -> CheckResult:
+def _check_boost_unitarity(boost_fn: BoostFn) -> tuple[bool, str]:
     rng = np.random.default_rng(_SEED + 2)
     eye = np.eye(36)
     # np.max, unlike the builtin max, keeps a NaN, and a NaN fails the comparison below
@@ -127,26 +120,18 @@ def _check_boost_unitarity(boost_fn: BoostFn) -> CheckResult:
         np.abs(u.conj().T @ u - eye).max()
         for u in map(boost_fn, rng.uniform(0.0, math.pi / 2, size=20).tolist())
     ]))
-    passed = worst < MATRIX_TOL
-    return CheckResult(
-        "boost_unitarity", passed, f"max |U^dag U - I| = {worst:.3e} over 20 angles"
-    )
+    return worst < MATRIX_TOL, f"max |U^dag U - I| = {worst:.3e} over 20 angles"
 
 
-def _check_boost_block_structure(boost_fn: BoostFn) -> CheckResult:
+def _check_boost_block_structure(boost_fn: BoostFn) -> tuple[bool, str]:
     u = boost_fn(0.7)
     blocks = u.reshape(4, 9, 4, 9)
     off = float(np.max([np.abs(blocks[a, :, b, :]).max()
                         for a in range(4) for b in range(4) if a != b]))
-    passed = off < MATRIX_TOL
-    return CheckResult(
-        "boost_block_diagonal",
-        passed,
-        f"max coupling between distinct momentum sectors = {off:.3e}",
-    )
+    return off < MATRIX_TOL, f"max coupling between distinct momentum sectors = {off:.3e}"
 
 
-def _check_boost_factorization(boost_fn: BoostFn) -> CheckResult:
+def _check_boost_factorization(boost_fn: BoostFn) -> tuple[bool, str]:
     particle_order = FactorOrder(
         (SubsystemLabel.PA, SubsystemLabel.SA, SubsystemLabel.PB, SubsystemLabel.SB)
     )
@@ -158,11 +143,8 @@ def _check_boost_factorization(boost_fn: BoostFn) -> CheckResult:
             sp = single_particle_boost(sign * omega)
             best = min(best, float(np.abs(u - kron_all(sp, sp)).max()))
         worst = max(worst, best)
-    passed = worst < MATRIX_TOL
-    return CheckResult(
-        "boost_factorizes_per_particle",
-        passed,
-        f"max |U - U_single x U_single| = {worst:.3e} after particle reordering",
+    return worst < MATRIX_TOL, (
+        f"max |U - U_single x U_single| = {worst:.3e} after particle reordering"
     )
 
 
@@ -174,7 +156,7 @@ def _random_spin_state(rng: np.random.Generator) -> np.ndarray:
     return spin_state(SpinParams(family, theta, phi))
 
 
-def _check_conservation(boost_fn: BoostFn) -> CheckResult:
+def _check_conservation(boost_fn: BoostFn) -> tuple[bool, str]:
     rng = np.random.default_rng(_SEED + 3)
     conserved = (PARTITIONS["AvsB"], PARTITIONS["mixed"])
     vecs, boosted = [], []
@@ -186,11 +168,8 @@ def _check_conservation(boost_fn: BoostFn) -> CheckResult:
         vecs.append(vec)
         boosted.append(boost_fn(omega) @ vec)
     worst = _max_abs_change(np.array(vecs), np.array(boosted), conserved)
-    passed = worst < CONSERVATION_TOL
-    return CheckResult(
-        "particle_partition_conservation",
-        passed,
-        f"max |dE| over AvsB and mixed on 50 family draws = {worst:.3e}",
+    return worst < CONSERVATION_TOL, (
+        f"max |dE| over AvsB and mixed on 50 family draws = {worst:.3e}"
     )
 
 
@@ -200,7 +179,7 @@ def _max_abs_change(vecs: np.ndarray, boosted: np.ndarray, partitions) -> float:
     return float(np.abs(changes).max())
 
 
-def _check_separable_momentum(boost_fn: BoostFn) -> CheckResult:
+def _check_separable_momentum(boost_fn: BoostFn) -> tuple[bool, str]:
     rng = np.random.default_rng(_SEED + 4)
     vecs, boosted = [], []
     for alpha in (0.0, math.pi / 2):
@@ -211,15 +190,12 @@ def _check_separable_momentum(boost_fn: BoostFn) -> CheckResult:
             vecs.append(vec)
             boosted.append(boost_fn(omega) @ vec)
     worst = _max_abs_change(np.array(vecs), np.array(boosted), PARTITIONS.values())
-    passed = worst < CONSERVATION_TOL
-    return CheckResult(
-        "separable_momentum_is_inert",
-        passed,
-        f"max |dE| for product momentum across all partitions = {worst:.3e}",
+    return worst < CONSERVATION_TOL, (
+        f"max |dE| for product momentum across all partitions = {worst:.3e}"
     )
 
 
-def _check_invariant_state(boost_fn: BoostFn) -> CheckResult:
+def _check_invariant_state(boost_fn: BoostFn) -> tuple[bool, str]:
     spin = invariant_spin_state()
     vecs = [np.kron(momentum_state(alpha), spin) for alpha in (math.pi / 4, 0.9)]
     worst = float(np.max([
@@ -227,15 +203,10 @@ def _check_invariant_state(boost_fn: BoostFn) -> CheckResult:
         for vec in vecs
         for omega in (0.2, math.pi / 4, math.pi / 2)
     ]))
-    passed = worst < 1e-10
-    return CheckResult(
-        "invariant_state_is_fixed",
-        passed,
-        f"max |U psi - psi| for the invariant spin pattern = {worst:.3e}",
-    )
+    return worst < 1e-10, f"max |U psi - psi| for the invariant spin pattern = {worst:.3e}"
 
 
-def _check_alpha_scaling(boost_fn: BoostFn) -> CheckResult:
+def _check_alpha_scaling(boost_fn: BoostFn) -> tuple[bool, str]:
     omega = math.pi / 5
     u = boost_fn(omega)
     spins = (
@@ -255,15 +226,10 @@ def _check_alpha_scaling(boost_fn: BoostFn) -> CheckResult:
             if not scale <= 1e-12:
                 spreads.append((ratios.max() - ratios.min()) / scale)
     worst = float(np.max(spreads))
-    passed = worst < 1e-6
-    return CheckResult(
-        "alpha_scaling_constancy",
-        passed,
-        f"max relative spread of dE / sin^2(2 alpha) = {worst:.3e}",
-    )
+    return worst < 1e-6, f"max relative spread of dE / sin^2(2 alpha) = {worst:.3e}"
 
 
-def _check_sign_flip_invariance() -> CheckResult:
+def _check_sign_flip_invariance() -> tuple[bool, str]:
     thetas = np.linspace(0.0, math.pi, 7)
     phis = np.linspace(0.0, 2 * math.pi, 9)
     worst = 0.0
@@ -274,12 +240,7 @@ def _check_sign_flip_invariance() -> CheckResult:
             )
             flip = _flipped_delta_e_grid(omega, partition, thetas, phis)
             worst = max(worst, float(np.abs(plus - flip).max()))
-    passed = worst < MATRIX_TOL
-    return CheckResult(
-        "global_sign_flip_invariance",
-        passed,
-        f"max |dE(+) - dE(-)| over sampled grids = {worst:.3e}",
-    )
+    return worst < MATRIX_TOL, f"max |dE(+) - dE(-)| over sampled grids = {worst:.3e}"
 
 
 def _flipped_delta_e_grid(omega, partition, thetas, phis) -> np.ndarray:
@@ -294,7 +255,7 @@ def _flipped_delta_e_grid(omega, partition, thetas, phis) -> np.ndarray:
     return change.reshape(thetas.size, phis.size)
 
 
-def _check_entropy_bounds() -> CheckResult:
+def _check_entropy_bounds() -> tuple[bool, str]:
     rng = np.random.default_rng(_SEED + 5)
     vecs = []
     for _ in range(30):
@@ -311,35 +272,37 @@ def _check_entropy_bounds() -> CheckResult:
                 issues.append(
                     f"{partition.name}: {value:.6f} outside [0, {limit:.6f}]"
                 )
-    passed = not issues
-    return CheckResult(
-        "entropy_bounds",
-        passed,
-        "; ".join(issues[:3]) if issues else "all sampled entropies within partition bounds",
-    )
-
-
-def _wrap(fn: Callable[[], CheckResult], name: str) -> CheckResult:
-    try:
-        return fn()
-    except Exception as exc:  # surface as a failed check, not a crash
-        return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
+    if issues:
+        return False, "; ".join(issues[:3])
+    return True, "all sampled entropies within partition bounds"
 
 
 def check_suite(boost_fn: BoostFn | None = None) -> CheckReport:
-    """Run every self-check against the supplied boost operator factory."""
+    """Run every self-check against the supplied boost operator factory.
+
+    The table below is the one place that names the checks and fixes their
+    order. A check that raises is reported as failed, with the exception as
+    its detail.
+    """
     active = boost_operator if boost_fn is None else boost_fn
-    specs: tuple[tuple[Callable[[], CheckResult], str], ...] = (
-        (_check_wigner_d_exponential, "wigner_d_matches_exponential"),
-        (_check_wigner_angle_properties, "wigner_angle_properties"),
-        (lambda: _check_boost_unitarity(active), "boost_unitarity"),
-        (lambda: _check_boost_block_structure(active), "boost_block_diagonal"),
-        (lambda: _check_boost_factorization(active), "boost_factorizes_per_particle"),
-        (lambda: _check_conservation(active), "particle_partition_conservation"),
-        (lambda: _check_separable_momentum(active), "separable_momentum_is_inert"),
-        (lambda: _check_invariant_state(active), "invariant_state_is_fixed"),
-        (lambda: _check_alpha_scaling(active), "alpha_scaling_constancy"),
-        (_check_sign_flip_invariance, "global_sign_flip_invariance"),
-        (_check_entropy_bounds, "entropy_bounds"),
+    checks: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
+        ("wigner_d_matches_exponential", _check_wigner_d_exponential),
+        ("wigner_angle_properties", _check_wigner_angle_properties),
+        ("boost_unitarity", lambda: _check_boost_unitarity(active)),
+        ("boost_block_diagonal", lambda: _check_boost_block_structure(active)),
+        ("boost_factorizes_per_particle", lambda: _check_boost_factorization(active)),
+        ("particle_partition_conservation", lambda: _check_conservation(active)),
+        ("separable_momentum_is_inert", lambda: _check_separable_momentum(active)),
+        ("invariant_state_is_fixed", lambda: _check_invariant_state(active)),
+        ("alpha_scaling_constancy", lambda: _check_alpha_scaling(active)),
+        ("global_sign_flip_invariance", _check_sign_flip_invariance),
+        ("entropy_bounds", _check_entropy_bounds),
     )
-    return CheckReport(tuple(_wrap(fn, name) for fn, name in specs))
+    results = []
+    for name, check in checks:
+        try:
+            passed, detail = check()
+        except Exception as exc:  # surface as a failed check, not a crash
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, passed, detail))
+    return CheckReport(tuple(results))

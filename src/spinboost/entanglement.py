@@ -28,14 +28,10 @@ from .states import (
     spin_states,
 )
 from .tensor import (
-    CANONICAL_ORDER,
     FactorOrder,
-    PureState,
     SubsystemLabel,
     batch_purity,
 )
-
-CONSERVATION_TOL = 1e-10
 
 # cells that family_entropies evaluates at once: its intermediates stay a
 # few MB whatever the number of cells
@@ -99,20 +95,14 @@ def parse_partition(text: str) -> Partition:
         raise ValueError(f"unknown partition {text!r}; known: {known}") from None
 
 
-def linear_entropy(psi: PureState | np.ndarray, partition: Partition) -> float | np.ndarray:
-    """Sum over partition parts of (1 - purity of the reduced state).
+def linear_entropy(rows: np.ndarray, partition: Partition) -> np.ndarray:
+    """Sum over partition parts of (1 - purity of the reduced state), one value per row.
 
-    Accepts a PureState, a raw canonical-order amplitude vector, or a
-    (cells, 36) array of canonical-order rows; a batch gives one entropy
-    per row, a single state a float.
+    `rows` is a (cells, 36) array of amplitude vectors in the canonical
+    factor order.
     """
-    if isinstance(psi, PureState):
-        rows, order = psi.amplitudes, psi.order
-    else:
-        rows, order = np.asarray(psi), CANONICAL_ORDER
-    cols = np.atleast_2d(rows).T
-    total = sum(1.0 - batch_purity(cols, part, order) for part in partition.parts)
-    return total if rows.ndim == 2 else float(total[0])
+    cols = np.asarray(rows).T
+    return sum(1.0 - batch_purity(cols, part) for part in partition.parts)
 
 
 # on the two populated branches pA labels the branch and fixes pB
@@ -208,7 +198,7 @@ def delta_e(spin: SpinParams | str, alpha: float, omega: float, partition: Parti
     `spin` is family parameters or a named-state identifier; `alpha` is the
     momentum parameter. The point is a one-cell batch of family_entropies.
     """
-    params = get_named_state(spin).params if isinstance(spin, str) else spin
+    params = get_named_state(spin) if isinstance(spin, str) else spin
     before, after = family_entropies(
         params.family, alpha, omega, partition, [params.theta], [params.phi]
     )

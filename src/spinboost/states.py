@@ -2,7 +2,8 @@
 
 Momentum states live on the two-particle momentum pair (dim 4, order
 [pA, pB]), spin states on the two-particle spin pair (dim 9, order
-[sA, sB]). Assembly produces the canonical [pA, pB, sA, sB] product state.
+[sA, sB]). Their Kronecker product, momentum first, is a state in the
+canonical [pA, pB, sA, sB] order.
 
 Basis conventions: momentum |p+> is index 0 and |p-> index 1 within each
 particle; spin indices run |1> = 0, |0> = 1, |-1> = 2.
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .tensor import NORM_TOL, PureState
 
 
 class SpinFamily(Enum):
@@ -78,17 +77,6 @@ def spin_state(params: SpinParams) -> np.ndarray:
     return spin_states(params.family, [params.theta], [params.phi])[:, 0]
 
 
-def assemble(spin: np.ndarray, momentum: np.ndarray) -> PureState:
-    """Product state |momentum> x |spin> in the canonical factor order."""
-    spin = np.asarray(spin, dtype=complex)
-    momentum = np.asarray(momentum, dtype=complex)
-    if abs(np.linalg.norm(spin) - 1.0) > NORM_TOL:
-        raise ValueError("spin vector is not normalized")
-    if abs(np.linalg.norm(momentum) - 1.0) > NORM_TOL:
-        raise ValueError("momentum vector is not normalized")
-    return PureState(np.kron(momentum, spin))
-
-
 def invariant_spin_state() -> np.ndarray:
     """(|1 1> - |0 0> + |-1 -1>) / sqrt(3).
 
@@ -102,40 +90,27 @@ def invariant_spin_state() -> np.ndarray:
     return vec / math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class NamedState:
-    """A catalog entry: a spin state with its family parameters."""
-
-    name: str
-    family: SpinFamily
-    theta: float
-    phi: float
-    description: str
-
-    @property
-    def params(self) -> SpinParams:
-        return SpinParams(self.family, self.theta, self.phi)
-
-
 _THETA_INV = math.atan(math.sqrt(2.0))
 
-NAMED_STATES: dict[str, NamedState] = {
-    state.name: state
-    for state in (
-        NamedState("s00", SpinFamily.S1, math.pi / 2, math.pi / 2, "|0 0>"),
-        NamedState("phi-plus", SpinFamily.S1, math.pi / 4, 0.0, "(|1 1> + |-1 -1>)/sqrt2"),
-        NamedState("phi-minus", SpinFamily.S1, 3 * math.pi / 4, 0.0, "(|1 1> - |-1 -1>)/sqrt2"),
-        NamedState("bell-plus", SpinFamily.S2, math.pi / 2, math.pi / 4, "(|1 -1> + |-1 1>)/sqrt2"),
-        NamedState("bell-minus", SpinFamily.S2, math.pi / 2, 7 * math.pi / 4, "(|1 -1> - |-1 1>)/sqrt2"),
-        NamedState("singlet", SpinFamily.S2, math.pi - _THETA_INV, math.pi / 4,
-                   "(|1 -1> + |-1 1> - |0 0>)/sqrt3"),
-        NamedState("inv3", SpinFamily.S1, _THETA_INV, 7 * math.pi / 4,
-                   "(|1 1> - |0 0> + |-1 -1>)/sqrt3, boost invariant"),
-    )
+NAMED_STATES: dict[str, SpinParams] = {
+    # |0 0>
+    "s00": SpinParams(SpinFamily.S1, math.pi / 2, math.pi / 2),
+    # (|1 1> + |-1 -1>)/sqrt2
+    "phi-plus": SpinParams(SpinFamily.S1, math.pi / 4, 0.0),
+    # (|1 1> - |-1 -1>)/sqrt2
+    "phi-minus": SpinParams(SpinFamily.S1, 3 * math.pi / 4, 0.0),
+    # (|1 -1> + |-1 1>)/sqrt2
+    "bell-plus": SpinParams(SpinFamily.S2, math.pi / 2, math.pi / 4),
+    # (|1 -1> - |-1 1>)/sqrt2
+    "bell-minus": SpinParams(SpinFamily.S2, math.pi / 2, 7 * math.pi / 4),
+    # (|1 -1> + |-1 1> - |0 0>)/sqrt3
+    "singlet": SpinParams(SpinFamily.S2, math.pi - _THETA_INV, math.pi / 4),
+    # (|1 1> - |0 0> + |-1 -1>)/sqrt3, boost invariant
+    "inv3": SpinParams(SpinFamily.S1, _THETA_INV, 7 * math.pi / 4),
 }
 
 
-def get_named_state(name: str) -> NamedState:
+def get_named_state(name: str) -> SpinParams:
     try:
         return NAMED_STATES[name]
     except KeyError:

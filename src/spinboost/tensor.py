@@ -237,15 +237,6 @@ def batch_purity(
     return purity
 
 
-def permute_factors(psi: PureState, new_order: FactorOrder) -> PureState:
-    """Reindex a state vector into a different factor order."""
-    if set(new_order.labels) != set(psi.order.labels):
-        raise ValueError("new order must be a permutation of the state's factor order")
-    perm = [psi.order.axis(label) for label in new_order.labels]
-    amps = np.transpose(psi.amplitudes.reshape(psi.order.dims), perm).ravel()
-    return PureState(amps, new_order)
-
-
 def permute_operator(matrix: np.ndarray, order: FactorOrder, new_order: FactorOrder) -> np.ndarray:
     """Reindex an operator's rows and columns into a different factor order."""
     if set(new_order.labels) != set(order.labels):

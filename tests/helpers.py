@@ -1,0 +1,31 @@
+"""Builders that only the tests use: product states, factor reordering, one-state entropy."""
+
+import numpy as np
+
+from spinboost.entanglement import Partition, linear_entropy
+from spinboost.tensor import NORM_TOL, FactorOrder, PureState
+
+
+def assemble(spin: np.ndarray, momentum: np.ndarray) -> PureState:
+    """Product state |momentum> x |spin> in the canonical factor order."""
+    spin = np.asarray(spin, dtype=complex)
+    momentum = np.asarray(momentum, dtype=complex)
+    if abs(np.linalg.norm(spin) - 1.0) > NORM_TOL:
+        raise ValueError("spin vector is not normalized")
+    if abs(np.linalg.norm(momentum) - 1.0) > NORM_TOL:
+        raise ValueError("momentum vector is not normalized")
+    return PureState(np.kron(momentum, spin))
+
+
+def permute_factors(psi: PureState, new_order: FactorOrder) -> PureState:
+    """Reindex a state vector into a different factor order."""
+    if set(new_order.labels) != set(psi.order.labels):
+        raise ValueError("new order must be a permutation of the state's factor order")
+    perm = [psi.order.axis(label) for label in new_order.labels]
+    amps = np.transpose(psi.amplitudes.reshape(psi.order.dims), perm).ravel()
+    return PureState(amps, new_order)
+
+
+def entropy(vec: np.ndarray, partition: Partition) -> float:
+    """linear_entropy of one canonical-order amplitude vector, as a batch of one row."""
+    return float(linear_entropy(np.asarray(vec)[None], partition)[0])

@@ -10,13 +10,13 @@ failure message. See the repository README for the full discussion.
 import math
 
 import numpy as np
+from helpers import assemble, entropy
 
-from spinboost.entanglement import PARTITIONS, delta_e, linear_entropy
+from spinboost.entanglement import PARTITIONS, delta_e
 from spinboost.lorentz import BoostSpec, boost_operator, jy_matrix, wigner_angle, wigner_d
 from spinboost.states import (
     SpinFamily,
     SpinParams,
-    assemble,
     get_named_state,
     invariant_spin_state,
     momentum_state,
@@ -190,7 +190,7 @@ def test_criterion_07_invariant_state():
             fidelity = abs(np.vdot(psi.amplitudes, boosted))
             worst_fid = max(worst_fid, abs(1.0 - fidelity))
             for partition in PARTITIONS.values():
-                change = linear_entropy(boosted, partition) - linear_entropy(psi, partition)
+                change = entropy(boosted, partition) - entropy(psi.amplitudes, partition)
                 worst_delta = max(worst_delta, abs(change))
     print(
         "criterion 07 (invariant state): max fidelity defect "
@@ -299,7 +299,7 @@ def test_criterion_11_momentum_phase_regression():
                     else:
                         worst_rdm = max(worst_rdm, float(np.abs(ra - rb).max()))
                 entropy_gap = abs(
-                    linear_entropy(vec_a, partition) - linear_entropy(vec_b, partition)
+                    entropy(vec_a, partition) - entropy(vec_b, partition)
                 )
                 worst_entropy = max(worst_entropy, entropy_gap)
     print(

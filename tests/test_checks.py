@@ -23,7 +23,8 @@ def test_default_suite_all_pass():
 def test_report_to_dict_shape():
     payload = check_suite().to_dict()
     assert payload["passed"] is True
-    assert {entry["name"] for entry in payload["checks"]} == {
+    # the order that `spinboost check` prints
+    assert [entry["name"] for entry in payload["checks"]] == [
         "wigner_d_matches_exponential",
         "wigner_angle_properties",
         "boost_unitarity",
@@ -35,7 +36,7 @@ def test_report_to_dict_shape():
         "alpha_scaling_constancy",
         "global_sign_flip_invariance",
         "entropy_bounds",
-    }
+    ]
     assert all(entry["detail"] for entry in payload["checks"])
 
 
@@ -150,3 +151,13 @@ def test_broken_hook_reports_instead_of_raising():
     assert not names["boost_unitarity"].passed
     assert "RuntimeError" in names["boost_unitarity"].detail
     assert names["wigner_angle_properties"].passed
+    failed = [r for r in report.results if not r.passed]
+    assert {r.name for r in failed} == _STATE_CHECKS | {"boost_block_diagonal"}
+    assert all(r.detail.startswith("raised RuntimeError") for r in failed)
+    for name in (
+        "wigner_d_matches_exponential",
+        "wigner_angle_properties",
+        "global_sign_flip_invariance",
+        "entropy_bounds",
+    ):
+        assert names[name].passed, names[name].detail

@@ -1,0 +1,47 @@
+"""Layout rule: every public top-level name in src/ has a user outside the tests."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "spinboost"
+
+
+def _public_definitions(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        names.add(leaf.id)
+    return {name for name in names if not name.startswith("_")}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names loaded, attributes read and names imported; string literals do not count."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_public_src_name_is_used_outside_tests():
+    used = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        used |= _references(ast.parse(path.read_text(), filename=str(path)))
+    unused = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in sorted(_public_definitions(ast.parse(path.read_text())))
+        if name not in used
+    ]
+    assert not unused, f"public names that only tests use: {unused}"

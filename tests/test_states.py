@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from helpers import assemble
 
 from spinboost.lorentz import jy_matrix, wigner_d
 from spinboost.states import (
     NAMED_STATES,
     SpinFamily,
     SpinParams,
-    assemble,
     get_named_state,
     invariant_spin_state,
     momentum_state,
@@ -95,7 +95,7 @@ def test_named_state_vectors_exact():
     }
     assert set(NAMED_STATES) == set(expected)
     for name, vec in expected.items():
-        got = spin_state(get_named_state(name).params)
+        got = spin_state(get_named_state(name))
         assert np.max(np.abs(got - vec)) < 1e-15, name
 
 
@@ -107,7 +107,7 @@ def test_get_named_state_unknown_name():
 def test_invariant_state_has_zero_defect():
     spin = invariant_spin_state()
     assert spin.dtype == complex
-    assert np.max(np.abs(spin - spin_state(get_named_state("inv3").params))) < 1e-15
+    assert np.max(np.abs(spin - spin_state(get_named_state("inv3")))) < 1e-15
     for omega in np.linspace(0.0, math.pi / 2, 15):
         rotated = np.kron(wigner_d(omega), wigner_d(-omega)) @ spin
         assert np.linalg.norm(rotated - spin) < 1e-12
@@ -128,7 +128,7 @@ def test_singlet_total_spin_zero():
     jp = np.zeros((3, 3), dtype=complex)
     jp[0, 1] = jp[1, 2] = math.sqrt(2.0)
     jx = (jp + jp.conj().T) / 2.0
-    singlet = spin_state(get_named_state("singlet").params)
+    singlet = spin_state(get_named_state("singlet"))
     eye = np.eye(3)
     for gen in (jx, jy, jz):
         total = np.kron(gen, eye) + np.kron(eye, gen)

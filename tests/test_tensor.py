@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import permute_factors
 
 from spinboost.tensor import (
     CANONICAL_ORDER,
@@ -16,7 +17,6 @@ from spinboost.tensor import (
     kron_all,
     outer,
     partial_trace,
-    permute_factors,
     permute_operator,
     purity,
 )
