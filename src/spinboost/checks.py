@@ -24,9 +24,9 @@ from .lorentz import (
     wigner_d,
 )
 from .states import (
+    NAMED_STATES,
     SpinFamily,
     SpinParams,
-    invariant_spin_state,
     momentum_state,
     spin_state,
 )
@@ -196,7 +196,7 @@ def _check_separable_momentum(boost_fn: BoostFn) -> tuple[bool, str]:
 
 
 def _check_invariant_state(boost_fn: BoostFn) -> tuple[bool, str]:
-    spin = invariant_spin_state()
+    spin = spin_state(NAMED_STATES["inv3"])
     vecs = [np.kron(momentum_state(alpha), spin) for alpha in (math.pi / 4, 0.9)]
     worst = float(np.max([
         np.linalg.norm(boost_fn(omega) @ vec - vec)

@@ -9,19 +9,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from .entanglement import delta_e, parse_partition
-from .lorentz import BoostSpec, wigner_angle
-from .states import SpinFamily, SpinParams
+from .lorentz import wigner_angle
+from .states import SpinFamily, SpinParams, get_named_state
 from .sweep import (
     DEFAULT_MERGE_RADIUS,
     DEFAULT_PHI_GRID,
     DEFAULT_THETA_GRID,
     GridSpec,
-    SweepConfig,
     find_extrema,
     read_csv,
     read_json,
@@ -81,14 +81,19 @@ def _add_boost_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eta", type=float, help="observer boost rapidity")
 
 
-def _resolve_boost(args: argparse.Namespace) -> BoostSpec:
+def _omega(args: argparse.Namespace) -> float:
+    # the direct-omega path exists so that the limiting angle pi/2, which the
+    # rapidity formula only approaches, can be requested exactly
     if args.omega is not None:
         if args.xi is not None or args.eta is not None:
             raise _UsageError("give either --omega or --xi/--eta, not both")
-        return BoostSpec(omega=args.omega)
+        # the range test also rejects nan, which fails every comparison
+        if not 0.0 <= args.omega <= math.pi / 2:
+            raise ValueError("direct omega must lie in [0, pi/2]")
+        return args.omega
     if args.xi is None or args.eta is None:
         raise _UsageError("boost requires --omega or both --xi and --eta")
-    return BoostSpec(xi=args.xi, eta=args.eta)
+    return wigner_angle(args.xi, args.eta)
 
 
 def build_parser() -> _Parser:
@@ -145,14 +150,16 @@ def _cmd_delta_e(args: argparse.Namespace) -> int:
     if args.state is not None:
         if any(v is not None for v in angles):
             raise _UsageError("--state replaces --family/--theta/--phi")
-        spin = args.state
+        omega = _omega(args)
+        # the name is looked up after the boost, so a bad omega is reported first
+        spin = get_named_state(args.state)
     else:
         if any(v is None for v in angles):
             raise _UsageError("give --state or all of --family, --theta, --phi")
         spin = SpinParams(args.family, args.theta, args.phi)
-    omega = _resolve_boost(args).resolve()
+        omega = _omega(args)
     result = delta_e(spin, args.alpha, omega, args.partition)
-    print(f"omega = {result.omega:.17g}")
+    print(f"omega = {omega:.17g}")
     print(f"e_before = {result.e_before:.17g}")
     print(f"e_after = {result.e_after:.17g}")
     print(f"delta_e = {result.delta:.17g}")
@@ -172,21 +179,15 @@ def _print_extrema(report, stream) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _resolve_boost(args)
+    omega = _omega(args)
     fmt = args.format
     if fmt is None:
         fmt = "json" if args.out is not None and args.out.suffix == ".json" else "csv"
-    config = SweepConfig(
-        family=args.family,
-        alpha=args.alpha,
-        omega_spec=spec,
-        partition=args.partition,
-        theta_grid=args.theta_grid,
-        phi_grid=args.phi_grid,
+    result = run_sweep(
+        args.family, args.alpha, omega, args.partition, args.theta_grid, args.phi_grid
     )
-    result = run_sweep(config)
-    if spec.omega is None:
-        print(f"omega = {result.omega:.17g}", file=sys.stderr)
+    if args.omega is None:
+        print(f"omega = {omega:.17g}", file=sys.stderr)
     writer = write_csv if fmt == "csv" else write_json
     if args.out is None:
         writer(result, sys.stdout)

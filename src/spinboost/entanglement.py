@@ -23,7 +23,6 @@ from .states import (
     MOMENTUM_BRANCHES,
     SpinFamily,
     SpinParams,
-    get_named_state,
     momentum_state,
     spin_states,
 )
@@ -189,18 +188,16 @@ class DeltaEResult:
     e_before: float
     e_after: float
     delta: float
-    omega: float
 
 
-def delta_e(spin: SpinParams | str, alpha: float, omega: float, partition: Partition) -> DeltaEResult:
+def delta_e(spin: SpinParams, alpha: float, omega: float, partition: Partition) -> DeltaEResult:
     """Linear-entropy change produced by the boost of angle omega.
 
-    `spin` is family parameters or a named-state identifier; `alpha` is the
-    momentum parameter. The point is a one-cell batch of family_entropies.
+    `spin` holds the family parameters; `alpha` is the momentum parameter.
+    The point is a one-cell batch of family_entropies.
     """
-    params = get_named_state(spin) if isinstance(spin, str) else spin
     before, after = family_entropies(
-        params.family, alpha, omega, partition, [params.theta], [params.phi]
+        spin.family, alpha, omega, partition, [spin.theta], [spin.phi]
     )
     e_before, e_after = float(before[0]), float(after[0])
-    return DeltaEResult(e_before=e_before, e_after=e_after, delta=e_after - e_before, omega=omega)
+    return DeltaEResult(e_before=e_before, e_after=e_after, delta=e_after - e_before)

@@ -10,7 +10,6 @@ composite space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,10 @@ def wigner_angle(xi: float, eta: float) -> float:
     the ratio is beyond double precision. Symmetric in its arguments and
     monotone nondecreasing in each.
     """
-    _check_rapidities(xi, eta)
+    if not (math.isfinite(xi) and math.isfinite(eta)):
+        raise ValueError("rapidities must be finite")
+    if xi < 0 or eta < 0:
+        raise ValueError("rapidities must be nonnegative")
     if xi == 0.0 or eta == 0.0:
         return 0.0
     try:
@@ -44,45 +46,6 @@ def _sech(x: float) -> float:
     """1/cosh(x) for x >= 0, underflowing to 0 instead of overflowing."""
     e = math.exp(-x)
     return 2.0 * e / (1.0 + e * e)
-
-
-def _check_rapidities(xi: float, eta: float) -> None:
-    if not (math.isfinite(xi) and math.isfinite(eta)):
-        raise ValueError("rapidities must be finite")
-    if xi < 0 or eta < 0:
-        raise ValueError("rapidities must be nonnegative")
-
-
-@dataclass(frozen=True)
-class BoostSpec:
-    """Boost given either as rapidities (xi, eta) or as a direct angle omega.
-
-    The direct-omega path exists so that the limiting angle pi/2, which the
-    rapidity formula only approaches, can be requested exactly.
-    """
-
-    xi: float | None = None
-    eta: float | None = None
-    omega: float | None = None
-
-    def __post_init__(self) -> None:
-        direct = self.omega is not None
-        rapidities = self.xi is not None or self.eta is not None
-        if direct and rapidities:
-            raise ValueError("give either omega or the rapidity pair, not both")
-        if direct:
-            # the range test also rejects nan, which fails every comparison
-            if not 0.0 <= self.omega <= math.pi / 2:
-                raise ValueError("direct omega must lie in [0, pi/2]")
-        else:
-            if self.xi is None or self.eta is None:
-                raise ValueError("both xi and eta are required")
-            _check_rapidities(self.xi, self.eta)
-
-    def resolve(self) -> float:
-        if self.omega is not None:
-            return float(self.omega)
-        return wigner_angle(self.xi, self.eta)
 
 
 def jy_matrix() -> np.ndarray:

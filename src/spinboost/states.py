@@ -77,19 +77,6 @@ def spin_state(params: SpinParams) -> np.ndarray:
     return spin_states(params.family, [params.theta], [params.phi])[:, 0]
 
 
-def invariant_spin_state() -> np.ndarray:
-    """(|1 1> - |0 0> + |-1 -1>) / sqrt(3).
-
-    This sign pattern satisfies d1(w) M d1(w) = M with M = diag(1, -1, 1),
-    which makes the state invariant under the paired rotation
-    d1(w) x d1(-w) for every angle w. The other sign choices on the middle
-    and last term do not share the property.
-    """
-    vec = np.zeros(9, dtype=complex)
-    vec[[0, 4, 8]] = 1.0, -1.0, 1.0
-    return vec / math.sqrt(3.0)
-
-
 _THETA_INV = math.atan(math.sqrt(2.0))
 
 NAMED_STATES: dict[str, SpinParams] = {
@@ -105,7 +92,10 @@ NAMED_STATES: dict[str, SpinParams] = {
     "bell-minus": SpinParams(SpinFamily.S2, math.pi / 2, 7 * math.pi / 4),
     # (|1 -1> + |-1 1> - |0 0>)/sqrt3
     "singlet": SpinParams(SpinFamily.S2, math.pi - _THETA_INV, math.pi / 4),
-    # (|1 1> - |0 0> + |-1 -1>)/sqrt3, boost invariant
+    # (|1 1> - |0 0> + |-1 -1>)/sqrt3, boost invariant: with M = diag(1, -1, 1),
+    # d1(w) M d1(w) = M, so the state is fixed by the paired rotation
+    # d1(w) x d1(-w) for every angle w; the other sign choices on the middle
+    # and last term do not share the property
     "inv3": SpinParams(SpinFamily.S1, _THETA_INV, 7 * math.pi / 4),
 }
 

@@ -18,7 +18,6 @@ from typing import IO
 import numpy as np
 
 from .entanglement import Partition, family_entropies
-from .lorentz import BoostSpec
 from .states import SpinFamily
 
 COLLECT_TOL = 1e-9
@@ -53,16 +52,6 @@ DEFAULT_PHI_GRID = GridSpec(0.0, 2 * math.pi, 241)
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    family: SpinFamily
-    alpha: float
-    omega_spec: BoostSpec
-    partition: Partition
-    theta_grid: GridSpec = DEFAULT_THETA_GRID
-    phi_grid: GridSpec = DEFAULT_PHI_GRID
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """Dense grid of entanglement changes, row-major with theta outer."""
 
@@ -93,21 +82,27 @@ def delta_e_grid(
     return after.reshape(thetas.size, phis.size)
 
 
-def run_sweep(config: SweepConfig) -> SweepResult:
-    thetas = config.theta_grid.points
-    phis = config.phi_grid.points
-    omega = config.omega_spec.resolve()
-    values = delta_e_grid(config.family, config.alpha, omega, config.partition, thetas, phis)
+def run_sweep(
+    family: SpinFamily,
+    alpha: float,
+    omega: float,
+    partition: Partition,
+    theta_grid: GridSpec,
+    phi_grid: GridSpec,
+) -> SweepResult:
+    thetas = theta_grid.points
+    phis = phi_grid.points
+    values = delta_e_grid(family, alpha, omega, partition, thetas, phis)
     return SweepResult(
         thetas=thetas,
         phis=phis,
         values=values,
-        family=config.family,
-        alpha=config.alpha,
+        family=family,
+        alpha=alpha,
         omega=omega,
-        partition_name=config.partition.name,
-        theta_grid=config.theta_grid,
-        phi_grid=config.phi_grid,
+        partition_name=partition.name,
+        theta_grid=theta_grid,
+        phi_grid=phi_grid,
     )
 
 

@@ -13,16 +13,16 @@ import numpy as np
 from helpers import assemble, entropy
 
 from spinboost.entanglement import PARTITIONS, delta_e
-from spinboost.lorentz import BoostSpec, boost_operator, jy_matrix, wigner_angle, wigner_d
+from spinboost.lorentz import boost_operator, jy_matrix, wigner_angle, wigner_d
 from spinboost.states import (
+    NAMED_STATES,
     SpinFamily,
     SpinParams,
     get_named_state,
-    invariant_spin_state,
     momentum_state,
     spin_state,
 )
-from spinboost.sweep import GridSpec, SweepConfig, delta_e_grid, find_extrema, run_sweep
+from spinboost.sweep import GridSpec, delta_e_grid, find_extrema, run_sweep
 from spinboost.tensor import PureState, SubsystemLabel, outer, partial_trace
 
 PA, PB = SubsystemLabel.PA, SubsystemLabel.PB
@@ -33,15 +33,14 @@ STEP = math.pi / 120  # grid step of both axes at default resolution
 
 
 def default_sweep(family, omega, partition, alpha=math.pi / 4):
-    config = SweepConfig(
+    return run_sweep(
         family=family,
         alpha=alpha,
-        omega_spec=BoostSpec(omega=omega),
+        omega=omega,
         partition=PARTITIONS[partition],
         theta_grid=THETA_GRID,
         phi_grid=PHI_GRID,
     )
-    return run_sweep(config)
 
 
 def grid_value(result, theta, phi):
@@ -180,7 +179,7 @@ def test_criterion_06_first_family_extrema_migration():
 
 
 def test_criterion_07_invariant_state():
-    spin = invariant_spin_state()
+    spin = spin_state(NAMED_STATES["inv3"])
     worst_fid = 0.0
     worst_delta = 0.0
     for alpha in (0.0, math.pi / 4):
@@ -249,7 +248,7 @@ def test_criterion_09_two_polarization_bell_state():
     vmin = float(res.values.min())
     bell = get_named_state("bell-minus")
     bell_value = grid_value(res, bell.theta, bell.phi)
-    at_small = delta_e("bell-minus", math.pi / 4, math.pi / 8, PARTITIONS["SvsP"]).delta
+    at_small = delta_e(bell, math.pi / 4, math.pi / 8, PARTITIONS["SvsP"]).delta
     print(
         "criterion 09 (Bell-type state): dE(pi/2) = "
         f"{bell_value:.3e}, global min {vmin:.3e}, dE(pi/8) = {at_small:.6f}"

@@ -13,9 +13,8 @@ import pytest
 import spinboost
 from spinboost.cli import main
 from spinboost.entanglement import PARTITIONS, delta_e
-from spinboost.lorentz import BoostSpec
 from spinboost.states import SpinFamily
-from spinboost.sweep import GridSpec, SweepConfig, read_csv, run_sweep
+from spinboost.sweep import GridSpec, read_csv, run_sweep
 
 SMALL_GRID = ["--theta-grid", "0:3.141592653589793:7", "--phi-grid", "0:6.283185307179586:9"]
 
@@ -124,6 +123,8 @@ def test_usage_errors_exit_one(capsys):
     assert main(["no-such-command"]) == 1
     assert main(["wigner-angle", "--xi", "1"]) == 1  # missing --eta
     assert main(["delta-e", "--state", "s00", "--alpha", "0.7", "--partition", "avb"]) == 1
+    assert main(["delta-e", "--state", "s00", "--alpha", "0.7", "--xi", "1",
+                 "--partition", "avb"]) == 1  # --xi without --eta
     assert (
         main(
             [
@@ -195,6 +196,10 @@ def test_runtime_errors_exit_two(capsys, tmp_path):
     assert main(["extrema", "--in", str(tmp_path / "absent.csv")]) == 2
     err = capsys.readouterr().err
     assert "error" in err
+    # the boost is resolved before the state name, so a bad omega is reported first
+    assert main(["delta-e", "--state", "zz", "--alpha", "0.7", "--omega", "9",
+                 "--partition", "avb"]) == 2
+    assert "direct omega must lie in [0, pi/2]" in capsys.readouterr().err
 
 
 def test_sweep_stdout_csv(capsys):
@@ -207,15 +212,14 @@ def test_sweep_stdout_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "theta,phi,delta_e"
     assert len(lines) == 1 + 7 * 9
-    config = SweepConfig(
+    expected = run_sweep(
         family=SpinFamily.S1,
         alpha=math.pi / 4,
-        omega_spec=BoostSpec(omega=math.pi / 8),
+        omega=math.pi / 8,
         partition=PARTITIONS["1vs3"],
         theta_grid=GridSpec(0.0, math.pi, 7),
         phi_grid=GridSpec(0.0, 2 * math.pi, 9),
     )
-    expected = run_sweep(config)
     import io
 
     parsed = read_csv(io.StringIO(out))
@@ -355,18 +359,24 @@ SWEEP_BASE = ["sweep", "--family", "s1", "--omega", "0.3", "--partition", "svp"]
         ([*SWEEP_BASE, "--alpha", "0.5", "--theta-grid=-1e308:1e308:3"], 1),
         (["sweep", "--family", "s1", "--alpha", "0.5", "--xi", "nan", "--eta", "1",
           "--partition", "svp", *SMALL_GRID], 2),
+        (["sweep", "--family", "s1", "--alpha", "0.5", "--omega", "inf", "--partition", "svp",
+          *SMALL_GRID], 2),
         (["delta-e", "--state", "s00", "--alpha", "nan", "--omega", "0.3", "--partition", "svp"], 2),
         (["delta-e", "--family", "s1", "--theta", "nan", "--phi", "0.5", "--alpha", "0.7",
           "--omega", "0.3", "--partition", "svp"], 2),
         (["delta-e", "--family", "s1", "--theta", "0.5", "--phi", "inf", "--alpha", "0.7",
           "--omega", "0.3", "--partition", "svp"], 2),
+        (["delta-e", "--state", "s00", "--alpha", "0.7", "--omega", "nan",
+          "--partition", "svp"], 2),
+        (["delta-e", "--state", "s00", "--alpha", "0.7", "--xi", "1", "--eta", "inf",
+          "--partition", "svp"], 2),
         (["wigner-angle", "--xi", "nan", "--eta", "1"], 2),
         (["wigner-angle", "--xi", "1", "--eta", "inf"], 2),
     ],
     ids=["sweep-alpha-nan", "sweep-theta-grid-inf", "sweep-phi-grid-nan",
-         "sweep-theta-span-overflow", "sweep-xi-nan",
-         "delta-e-alpha-nan", "delta-e-theta-nan", "delta-e-phi-inf", "wigner-xi-nan",
-         "wigner-eta-inf"],
+         "sweep-theta-span-overflow", "sweep-xi-nan", "sweep-omega-inf",
+         "delta-e-alpha-nan", "delta-e-theta-nan", "delta-e-phi-inf", "delta-e-omega-nan",
+         "delta-e-eta-inf", "wigner-xi-nan", "wigner-eta-inf"],
 )
 def test_non_finite_inputs_rejected(argv, code, tmp_path, capsys):
     out = tmp_path / "s.csv"

@@ -16,9 +16,10 @@ from spinboost.entanglement import (
 )
 from spinboost.lorentz import boost_operator
 from spinboost.states import (
+    NAMED_STATES,
     SpinFamily,
     SpinParams,
-    invariant_spin_state,
+    get_named_state,
     momentum_state,
     spin_state,
 )
@@ -103,7 +104,7 @@ def test_linear_entropy_invariant_spin_with_plus_minus_momentum():
     The three-term spin state reduces each spin to I3/3 while the momentum
     factors stay pure, so each particle contributes 1 - 1/3.
     """
-    psi = assemble(invariant_spin_state(), momentum_state(0.0))
+    psi = assemble(spin_state(NAMED_STATES["inv3"]), momentum_state(0.0))
     value = entropy(psi.amplitudes, PARTITIONS["AvsB"])
     assert abs(value - 4.0 / 3.0) < 1e-12
 
@@ -215,10 +216,9 @@ FROZEN_DELTA_E = (
 
 @pytest.mark.parametrize("spin,alpha,omega,partition,expected,tol", FROZEN_DELTA_E)
 def test_delta_e_frozen_values(spin, alpha, omega, partition, expected, tol):
-    res = delta_e(spin, alpha, omega, PARTITIONS[partition])
+    res = delta_e(get_named_state(spin), alpha, omega, PARTITIONS[partition])
     assert abs(res.delta - expected) < tol
     assert res.delta == res.e_after - res.e_before
-    assert res.omega == omega
 
 
 def test_delta_e_eleven_state_closed_form():
@@ -230,21 +230,13 @@ def test_delta_e_eleven_state_closed_form():
         assert abs(res.delta - (1.0 - math.cos(omega) ** 4)) < 1e-12
 
 
-def test_delta_e_named_and_parametrized_routes_agree():
-    by_name = delta_e("s00", 0.6, 0.9, PARTITIONS["SvsP"])
-    by_params = delta_e(
-        SpinParams(SpinFamily.S1, math.pi / 2, math.pi / 2), 0.6, 0.9, PARTITIONS["SvsP"]
-    )
-    assert abs(by_name.delta - by_params.delta) < 1e-15
-
-
 def test_delta_e_alpha_scaling_follows_sin_squared():
     """Regression: the measured alpha scale factor is sin(2 alpha)^2."""
     omega = math.pi / 8
     for name, partition in (("s00", "1vs3"), ("phi-plus", "1vs3"), ("bell-plus", "SvsP")):
-        base = delta_e(name, math.pi / 4, omega, PARTITIONS[partition]).delta
+        base = delta_e(get_named_state(name), math.pi / 4, omega, PARTITIONS[partition]).delta
         for alpha in (0.2, math.pi / 8, 1.0, 1.4):
-            scaled = delta_e(name, alpha, omega, PARTITIONS[partition]).delta
+            scaled = delta_e(get_named_state(name), alpha, omega, PARTITIONS[partition]).delta
             assert abs(scaled - base * math.sin(2 * alpha) ** 2) < 1e-12
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from spinboost.lorentz import (
-    BoostSpec,
     boost_operator,
     jy_matrix,
     single_particle_boost,
@@ -92,27 +91,6 @@ def test_wigner_angle_past_cosh_overflow():
     # the original formula also shows
     grid = [wigner_angle(float(x), 0.5) for x in np.linspace(1.0, 800.0, 50)]
     assert all(b >= a - math.ulp(a) for a, b in zip(grid, grid[1:]))
-
-
-def test_boost_spec_paths():
-    assert BoostSpec(omega=0.7).resolve() == 0.7
-    spec = BoostSpec(xi=1.0, eta=1.0)
-    assert abs(spec.resolve() - 0.42078396163807286) < 1e-15
-    with pytest.raises(ValueError):
-        BoostSpec(omega=0.5, xi=1.0, eta=1.0)
-    with pytest.raises(ValueError):
-        BoostSpec(xi=1.0)
-    with pytest.raises(ValueError):
-        BoostSpec(omega=math.pi)
-    with pytest.raises(ValueError):
-        BoostSpec()
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            BoostSpec(xi=bad, eta=1.0)
-        with pytest.raises(ValueError):
-            BoostSpec(xi=1.0, eta=bad)
-        with pytest.raises(ValueError):
-            BoostSpec(omega=bad)
 
 
 def test_jy_matrix_spectra():

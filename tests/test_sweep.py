@@ -10,11 +10,9 @@ import pytest
 
 from spinboost import entanglement
 from spinboost.entanglement import PARTITIONS, delta_e
-from spinboost.lorentz import BoostSpec
 from spinboost.states import SpinFamily, SpinParams
 from spinboost.sweep import (
     GridSpec,
-    SweepConfig,
     SweepResult,
     _cluster,
     delta_e_grid,
@@ -28,10 +26,10 @@ from spinboost.sweep import (
 
 
 def small_config(omega=math.pi / 8, partition="1vs3", nt=13, np_=25, family=SpinFamily.S1):
-    return SweepConfig(
+    return dict(
         family=family,
         alpha=math.pi / 4,
-        omega_spec=BoostSpec(omega=omega),
+        omega=omega,
         partition=PARTITIONS[partition],
         theta_grid=GridSpec(0.0, math.pi, nt),
         phi_grid=GridSpec(0.0, 2 * math.pi, np_),
@@ -116,7 +114,7 @@ def test_chunk_size_does_not_change_any_cell(family, partition, monkeypatch):
     assert (9 * 17) % 7 != 0
 
     def surface_and_csv():
-        result = run_sweep(config)
+        result = run_sweep(**config)
         buf = io.StringIO()
         write_csv(result, buf)
         return result.values, buf.getvalue()
@@ -153,7 +151,7 @@ def test_delta_e_grid_is_real():
 
 def test_run_sweep_metadata_and_shape():
     config = small_config()
-    result = run_sweep(config)
+    result = run_sweep(**config)
     assert result.values.shape == (13, 25)
     assert result.family is SpinFamily.S1
     assert result.partition_name == "1vs3"
@@ -161,31 +159,18 @@ def test_run_sweep_metadata_and_shape():
     assert result.alpha == math.pi / 4
 
 
-def test_run_sweep_resolves_rapidities():
-    config = SweepConfig(
-        family=SpinFamily.S1,
-        alpha=math.pi / 4,
-        omega_spec=BoostSpec(xi=1.0, eta=1.0),
-        partition=PARTITIONS["1vs3"],
-        theta_grid=GridSpec(0.0, math.pi, 5),
-        phi_grid=GridSpec(0.0, 2 * math.pi, 5),
-    )
-    result = run_sweep(config)
-    assert abs(result.omega - 0.42078396163807286) < 1e-15
-
-
 def test_run_sweep_deterministic_bytes():
     config = small_config(partition="SvsP")
     streams = []
     for _ in range(2):
         buf = io.StringIO()
-        write_csv(run_sweep(config), buf)
+        write_csv(run_sweep(**config), buf)
         streams.append(buf.getvalue())
     assert streams[0] == streams[1]
 
 
 def test_csv_round_trip_exact():
-    result = run_sweep(small_config())
+    result = run_sweep(**small_config())
     buf = io.StringIO()
     write_csv(result, buf)
     text = buf.getvalue()
@@ -229,7 +214,7 @@ def test_write_csv_matches_per_cell_reference():
 @pytest.mark.parametrize("case", ["edge-values", "2x2-sweep"])
 def test_write_json_matches_json_dump_reference(case):
     """The row-by-row writer gives the bytes of one json.dump(envelope, indent=2)."""
-    result = _edge_result() if case == "edge-values" else run_sweep(small_config(nt=2, np_=2))
+    result = _edge_result() if case == "edge-values" else run_sweep(**small_config(nt=2, np_=2))
 
     def grid_dict(grid, points):
         if grid is not None:
@@ -264,7 +249,7 @@ def test_csv_header_validation():
 
 
 def test_csv_rows_must_form_theta_outer_product():
-    result = run_sweep(small_config(nt=5, np_=9))
+    result = run_sweep(**small_config(nt=5, np_=9))
     buf = io.StringIO()
     write_csv(result, buf)
     header, *rows = buf.getvalue().splitlines()
@@ -278,7 +263,7 @@ def test_csv_rows_must_form_theta_outer_product():
 
 def _small_csv_lines():
     buf = io.StringIO()
-    write_csv(run_sweep(small_config(nt=5, np_=9)), buf)
+    write_csv(run_sweep(**small_config(nt=5, np_=9)), buf)
     return buf.getvalue().splitlines()
 
 
@@ -312,7 +297,7 @@ def test_csv_trailing_blank_lines_accepted():
 
 
 def test_json_round_trip_exact():
-    result = run_sweep(small_config(partition="SvsP", family=SpinFamily.S2))
+    result = run_sweep(**small_config(partition="SvsP", family=SpinFamily.S2))
     buf = io.StringIO()
     write_json(result, buf)
     back = read_json(io.StringIO(buf.getvalue()))
@@ -327,7 +312,7 @@ def test_json_round_trip_exact():
 
 
 def test_file_round_trip(tmp_path):
-    result = run_sweep(small_config(nt=5, np_=7))
+    result = run_sweep(**small_config(nt=5, np_=7))
     csv_path = tmp_path / "surface.csv"
     json_path = tmp_path / "surface.json"
     with open(csv_path, "w", encoding="utf-8") as handle:
@@ -341,7 +326,7 @@ def test_file_round_trip(tmp_path):
 
 
 def test_find_extrema_flat_surface():
-    result = run_sweep(small_config(omega=0.0))
+    result = run_sweep(**small_config(omega=0.0))
     report = find_extrema(result)
     assert report.flat
     assert report.maxima == ()
@@ -400,7 +385,7 @@ def test_find_extrema_collects_within_tolerance():
 
 def test_find_extrema_known_sweep_maxima():
     """The pi/8 single-subsystem surface peaks at the two |0 0> cells."""
-    result = run_sweep(small_config(nt=25, np_=49))
+    result = run_sweep(**small_config(nt=25, np_=49))
     report = find_extrema(result)
     assert not report.flat
     tol = 1e-9
