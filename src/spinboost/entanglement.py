@@ -23,18 +23,15 @@ from .states import (
     MOMENTUM_BRANCHES,
     SpinFamily,
     SpinParams,
+    amplitude_factors,
     momentum_state,
-    spin_states,
 )
 from .tensor import (
     FactorOrder,
     SubsystemLabel,
+    batch_gram,
     batch_purity,
 )
-
-# cells that family_entropies evaluates at once: its intermediates stay a
-# few MB whatever the number of cells
-CHUNK_CELLS = 4096
 
 _PA, _PB, _SA, _SB = (
     SubsystemLabel.PA,
@@ -100,7 +97,10 @@ def linear_entropy(rows: np.ndarray, partition: Partition) -> np.ndarray:
     `rows` is a (cells, 36) array of amplitude vectors in the canonical
     factor order.
     """
-    cols = np.asarray(rows).T
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != 36:
+        raise ValueError(f"linear_entropy takes (cells, 36) amplitude rows, got shape {rows.shape}")
+    cols = rows.T
     return sum(1.0 - batch_purity(cols, part) for part in partition.parts)
 
 
@@ -109,36 +109,80 @@ _BRANCH_ORDER = FactorOrder((_PA, _SA, _SB))
 _SPIN_ORDER = FactorOrder((_SA, _SB))
 _SPINS = frozenset({_SA, _SB})
 
+# exponents (a, b, c) of the quartic monomials x0^a x1^b x2^c in the amplitudes
+_QUARTICS = tuple((a, b, 4 - a - b) for a in range(5) for b in range(5 - a))
+# the quadratic monomials x_i x_j with i <= j, squares first; a quadratic form
+# takes its x_i^2 coefficient at e_i and adds its x_i x_j one at e_i + e_j
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_LEFT, _RIGHT = [i for i, _ in _PAIRS[3:]], [j for _, j in _PAIRS[3:]]
+# the quartic monomial that the product of quadratic monomials m and n gives
+_PRODUCT = np.array([
+    [_QUARTICS.index(tuple(np.bincount(m + n, minlength=3))) for n in _PAIRS]
+    for m in _PAIRS
+])
 
-def _branch_entropy(cols: np.ndarray, partition: Partition) -> np.ndarray:
-    """Linear entropy of (2, 9, cells) two-branch columns, one value per cell.
 
-    A part that holds both momenta keeps the branch coherence, so it is
-    pA and its spins over the (18, cells) columns. A part that holds
+def _gram_entries(cols: np.ndarray, partition: Partition) -> np.ndarray:
+    """Gram entries whose squares sum to the partition's total purity, as (entries, 6) columns.
+
+    `cols` holds the (2, 9, 6) two-branch columns at the six points of
+    _PAIRS. A part that holds both momenta keeps the branch coherence, so
+    it is pA and its spins over the (18, 6) columns. A part that holds
     neither traces the branch out: its spins over the same columns. A part
     that holds exactly one momentum sees the branches as a direct sum, so
     its purity is the sum of per-branch purities of its spins; with no
-    spins that is each branch's squared norm, squared. A part that reduces
-    like the part before it, as the single momenta of 1vs3 do, reuses its
-    value.
+    spins that is each branch's squared norm, squared.
     """
     coherent = cols.reshape(18, cols.shape[2])
-    total = np.zeros(cols.shape[2])
-    previous = None
+    entries = []
     for part in partition.parts:
         spins = part & _SPINS
         momenta = len(part - _SPINS)
-        if (momenta, spins) != previous:
-            if momenta == 1:
-                keep = spins or _SPINS
-                purity = sum(batch_purity(branch, keep, _SPIN_ORDER) for branch in cols)
-            else:
-                keep = spins | {_PA} if momenta == 2 else spins
-                purity = batch_purity(coherent, keep, _BRANCH_ORDER)
-            term = 1.0 - purity
-            previous = momenta, spins
-        total += term
-    return total
+        if momenta == 1:
+            entries += [batch_gram(branch, spins or _SPINS, _SPIN_ORDER) for branch in cols]
+        else:
+            keep = spins | {_PA} if momenta == 2 else spins
+            entries.append(batch_gram(coherent, keep, _BRANCH_ORDER))
+    return np.concatenate(entries)
+
+
+def _purity_quartic(
+    family: SpinFamily, alpha: float, omega: float, partition: Partition
+) -> np.ndarray:
+    """Coefficients over _QUARTICS of the partition's total purity after the boost by omega.
+
+    The momentum state populates only |p+ p-> and |p- p+>, and the boost
+    keeps each sector, so a family member is the two branches
+    c_b sum_i x_i D_b[:, f_i], with D_b the branch's 9x9 diagonal block and
+    f_i the amplitudes' positions. Each Gram entry of a part is therefore a
+    quadratic form in x: batch_gram evaluates it at e_i and e_i + e_j, and
+    differences of those values give its six coefficients, with no fit.
+    The squares of the forms expand into the 15 quartic coefficients.
+    """
+    mom = momentum_state(alpha)
+    if np.delete(mom, MOMENTUM_BRANCHES).any():
+        raise ValueError("momentum state populates |p+ p+> or |p- p->, outside the two branches")
+    u = boost_operator(omega).real.reshape(4, 9, 4, 9)
+    cols = np.stack([
+        c * u[s, :, s][:, FAMILY_INDICES[family]]
+        for c, s in zip(mom[list(MOMENTUM_BRANCHES)].real, MOMENTUM_BRANCHES)
+    ])
+    points = np.concatenate([cols, cols[..., _LEFT] + cols[..., _RIGHT]], axis=2)
+    at = _gram_entries(points, partition)
+    forms = np.concatenate([at[:, :3], at[:, 3:] - at[:, _LEFT] - at[:, _RIGHT]], axis=1)
+    quartic = np.zeros(len(_QUARTICS))
+    np.add.at(quartic, _PRODUCT, (forms[:, :, None] * forms[:, None, :]).sum(axis=0))
+    return quartic
+
+
+def _monomial_factors(factors: np.ndarray) -> np.ndarray:
+    """One axis's factor of each quartic monomial, (15, points), from its amplitude factors."""
+    out = np.ones((len(_QUARTICS), factors.shape[1]))
+    for row, powers in zip(out, _QUARTICS):
+        for factor, power in zip(factors, powers):
+            for _ in range(power):
+                row *= factor
+    return out
 
 
 def family_entropies(
@@ -149,36 +193,28 @@ def family_entropies(
     thetas: np.ndarray,
     phis: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Entropy before and after the boost of one family member per cell.
+    """Entropy before and after the boost over a (theta, phi) grid, theta outer.
 
-    Cell k takes its angles from thetas[k] and phis[k]. The momentum state
-    populates only |p+ p-> and |p- p+>, and the boost keeps each sector,
-    so each cell is a real (2, 9) column of those two branches by spin
-    amplitudes. Each branch is boosted by its own 9x9 diagonal block: a
-    front-to-back sum over the three block columns of the amplitudes the
-    family populates. The cells are evaluated CHUNK_CELLS at a time with
-    elementwise operations only, so one cell alone gives the same bits as
-    inside a grid of any size or chunking. Before and after go through the
-    same branch reduction.
+    The partition's total purity is a quartic form in the amplitudes x, and
+    each monomial splits into a theta factor times a phi factor, so a
+    surface is the number of parts minus a sum of 15 outer products. Each
+    is an elementwise multiply-add over the grid, so a 1x1 grid gives the
+    same bits as that cell inside a grid of any size. Before is the boost
+    by zero, so at omega = 0 both surfaces are the same bits.
     """
-    mom = momentum_state(alpha)
-    if np.delete(mom, MOMENTUM_BRANCHES).any():
-        raise ValueError("momentum state populates |p+ p+> or |p- p->, outside the two branches")
-    c0, c1 = mom[list(MOMENTUM_BRANCHES)].real
-    u = boost_operator(omega).real.reshape(4, 9, 4, 9)
-    blocks = np.stack([u[s, :, s] for s in MOMENTUM_BRANCHES])
-    thetas, phis = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
-    before, after = np.empty(thetas.size), np.empty(thetas.size)
-    for start in range(0, thetas.size, CHUNK_CELLS):
-        chunk = slice(start, start + CHUNK_CELLS)
-        spins = spin_states(family, thetas[chunk], phis[chunk])
-        psi = np.stack([c0 * spins, c1 * spins])
-        boosted = np.zeros_like(psi)
-        for j in FAMILY_INDICES[family]:
-            boosted += blocks[:, :, j, None] * psi[:, None, j]
-        before[chunk] = _branch_entropy(psi, partition)
-        after[chunk] = _branch_entropy(boosted, partition)
-    return before, after
+    theta_factors, phi_factors = amplitude_factors(thetas, phis)
+    theta_monomials = _monomial_factors(theta_factors)
+    phi_monomials = _monomial_factors(phi_factors)
+
+    def entropy(angle: float) -> np.ndarray:
+        purity = np.zeros((theta_monomials.shape[1], phi_monomials.shape[1]))
+        for coefficient, theta_part, phi_part in zip(
+            _purity_quartic(family, alpha, angle, partition), theta_monomials, phi_monomials
+        ):
+            purity += (coefficient * theta_part)[:, None] * phi_part
+        return len(partition.parts) - purity
+
+    return entropy(0.0), entropy(omega)
 
 
 @dataclass(frozen=True)
@@ -194,10 +230,10 @@ def delta_e(spin: SpinParams, alpha: float, omega: float, partition: Partition) 
     """Linear-entropy change produced by the boost of angle omega.
 
     `spin` holds the family parameters; `alpha` is the momentum parameter.
-    The point is a one-cell batch of family_entropies.
+    The point is a 1x1 grid of family_entropies.
     """
     before, after = family_entropies(
         spin.family, alpha, omega, partition, [spin.theta], [spin.phi]
     )
-    e_before, e_after = float(before[0]), float(after[0])
+    e_before, e_after = float(before[0, 0]), float(after[0, 0])
     return DeltaEResult(e_before=e_before, e_after=e_after, delta=e_after - e_before)

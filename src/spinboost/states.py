@@ -55,26 +55,29 @@ def momentum_state(alpha: float) -> np.ndarray:
     return vec
 
 
-def spin_states(family: SpinFamily, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Three-term spin superpositions of one family, a real (9, cells) array of columns.
+def amplitude_factors(thetas: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Theta and phi factors of the three family amplitudes, (3, thetas) and (3, phis).
 
-    Family S1 puts (sin t cos p, sin t sin p, cos t) on |1 1>, |0 0>, |-1 -1>;
-    family S2 uses |1 -1>, |-1 1>, |0 0> instead. Column k takes its angles
-    from thetas[k] and phis[k].
+    Amplitude i of the member at (theta, phi) is theta_factors[i] * phi_factors[i],
+    which gives (sin t cos p, sin t sin p, cos t).
     """
-    i0, i1, i2 = FAMILY_INDICES[family]
     thetas, phis = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
-    cols = np.zeros((9, thetas.size))
     sin_thetas = np.sin(thetas)
-    cols[i0] = sin_thetas * np.cos(phis)
-    cols[i1] = sin_thetas * np.sin(phis)
-    cols[i2] = np.cos(thetas)
-    return cols
+    theta_factors = np.stack([sin_thetas, sin_thetas, np.cos(thetas)])
+    phi_factors = np.stack([np.cos(phis), np.sin(phis), np.ones_like(phis)])
+    return theta_factors, phi_factors
 
 
 def spin_state(params: SpinParams) -> np.ndarray:
-    """Spin vector of one family member, 9-dim: spin_states as a batch of one."""
-    return spin_states(params.family, [params.theta], [params.phi])[:, 0]
+    """Spin vector of one family member, a real 9-dim array.
+
+    Family S1 puts its three amplitudes on |1 1>, |0 0>, |-1 -1>; family S2
+    uses |1 -1>, |-1 1>, |0 0> instead.
+    """
+    theta_factors, phi_factors = amplitude_factors([params.theta], [params.phi])
+    vec = np.zeros(9)
+    vec[list(FAMILY_INDICES[params.family])] = (theta_factors * phi_factors)[:, 0]
+    return vec
 
 
 _THETA_INV = math.atan(math.sqrt(2.0))

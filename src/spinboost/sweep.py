@@ -9,6 +9,7 @@ batched.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -75,11 +76,9 @@ def delta_e_grid(
     phis: np.ndarray,
 ) -> np.ndarray:
     """Entanglement-change surface over a (theta, phi) grid, theta outer."""
-    before, after = family_entropies(
-        family, alpha, omega, partition, np.repeat(thetas, phis.size), np.tile(phis, thetas.size)
-    )
+    before, after = family_entropies(family, alpha, omega, partition, thetas, phis)
     after -= before
-    return after.reshape(thetas.size, phis.size)
+    return after
 
 
 def run_sweep(
@@ -202,46 +201,139 @@ def write_csv(result: SweepResult, stream: IO[str]) -> None:
         stream.write(f"{theta:.17g}".join(phi_cells) % tuple(row.tolist()))
 
 
+# lines per np.loadtxt call in read_csv; a block's lines and records are the
+# reader's only per-line memory, so the block stays a small constant
+_CSV_BLOCK_ROWS = 8192
+# bytes kept of each coordinate text; a text that fills them may have been cut
+_TEXT_WIDTH = 32
+_CSV_ROW = np.dtype([("theta", f"S{_TEXT_WIDTH}"), ("phi", f"S{_TEXT_WIDTH}"), ("value", "f8")])
+
+
+def _loadtxt(lines: list, dtype: np.dtype | type = float) -> np.ndarray:
+    """CSV lines as np.loadtxt reads them: a float table, or one record per row of _CSV_ROW."""
+    with warnings.catch_warnings():
+        # lines that are all blank read as empty; read_csv rejects a file without rows
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(
+            lines, dtype=dtype, delimiter=",", comments=None, ndmin=2 if dtype is float else 1
+        )
+
+
+class _CsvBlock:
+    """One block of CSV rows: the values, the coordinate texts, and their numbers on demand.
+
+    A block holding a text that fills _TEXT_WIDTH compares no text: its
+    numbers come from the float table of its full lines.
+    """
+
+    def __init__(self, lines: list[str]) -> None:
+        try:
+            self.rows = _loadtxt(lines, _CSV_ROW)
+        except ValueError:
+            # the float table raises what the text cannot be read as; rows
+            # that it does read have the wrong number of columns
+            width = _loadtxt(lines).shape[1]
+            raise ValueError(f"CSV rows have {width} columns, expected 3") from None
+        self.table = None
+        if any((np.char.str_len(self.rows[name]) == _TEXT_WIDTH).any() for name in ("theta", "phi")):
+            self.table = _loadtxt(lines)
+
+    def numbers(self, name: str, cells: np.ndarray) -> np.ndarray:
+        """The coordinate `name` of the given cells, each distinct text parsed once."""
+        if self.table is not None:
+            return self.table[cells, ("theta", "phi").index(name)]
+        if cells.size == 0:
+            return np.empty(0)
+        texts, inverse = np.unique(self.rows[name][cells], return_inverse=True)
+        numbers = _loadtxt(texts.tolist())
+        if numbers.shape != (texts.size, 1):
+            raise ValueError("CSV coordinates must be numbers")
+        return numbers[inverse.ravel(), 0]
+
+    def off(self, name: str, cells: np.ndarray, texts: np.ndarray, numbers: np.ndarray) -> bool:
+        """Whether any of the cells differs from its reference text's number."""
+        if self.table is None:
+            differ = self.rows[name][cells] != texts
+            cells, numbers = cells[differ], numbers[differ]
+        return bool((self.numbers(name, cells) != numbers).any())
+
+
 def read_csv(stream: IO[str]) -> SweepResult:
     """Rebuild a SweepResult from CSV; grid values round-trip exactly.
 
     Every data row must hold three numbers; empty lines are skipped. Any
-    other text, a `#` included, is a ValueError.
+    other text, a `#` included, is a ValueError. The rows are parsed in
+    blocks of _CSV_BLOCK_ROWS, and each cell keeps only its value. Its
+    theta text is checked against the cell before it and its phi text
+    against the first row's; only a text that differs, and the first
+    row's phis, are parsed as numbers.
     """
     header = stream.readline().strip()
     if header != "theta,phi,delta_e":
         raise ValueError(f"unexpected CSV header {header!r}")
-    with warnings.catch_warnings():
-        # header-only input is rejected below instead of warned about
-        warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(stream, delimiter=",", comments=None, ndmin=2)
-    if data.size == 0:
+    values, thetas, phi_texts, phis = [], [], [], []
+    cells, n_phi, on_grid = 0, None, True
+    while lines := list(itertools.islice(stream, _CSV_BLOCK_ROWS)):
+        block = _CsvBlock(lines)
+        size = block.rows.size
+        if size == 0:
+            continue
+        values.append(block.rows["value"].copy())
+        local = np.arange(size)
+        theta_texts = block.rows["theta"]
+        if cells == 0:
+            last_text, last_number = theta_texts[:1], block.numbers("theta", local[:1])
+            thetas.append(last_number[0])
+        # a row starts where theta changes from the cell before; a cell whose
+        # text repeats the one before has its number, the last changed cell's
+        changed = theta_texts != np.concatenate([last_text, theta_texts[:-1]])
+        if block.table is not None:
+            # compare by number alone; the file's first cell begins the first row
+            changed[int(cells == 0) :] = True
+        moved = local[changed]
+        now = block.numbers("theta", moved)
+        starts = np.concatenate([last_number, now[:-1]]) != now
+        thetas += now[starts].tolist()
+        starts = cells + moved[starts]
+        if starts.size:
+            # the first theta change ends the first row
+            n_phi = n_phi or int(starts[0])
+            on_grid &= not (starts % n_phi).any()
+        last_text, last_number = theta_texts[-1:], now[-1:] if now.size else last_number
+        # the first row's phis are the references of every later row
+        first = local[: size if n_phi is None else max(n_phi - cells, 0)]
+        phi_texts.append(block.rows["phi"][first])
+        phis.append(block.numbers("phi", first))
+        rest = local[first.size :]
+        if rest.size:
+            column = (cells + rest) % n_phi
+            refs = np.concatenate(phi_texts)[column], np.concatenate(phis)[column]
+            on_grid &= not block.off("phi", rest, *refs)
+        cells += size
+    if cells == 0:
         raise ValueError("CSV contains no data rows")
-    if data.shape[1] != 3:
-        raise ValueError(f"CSV rows have {data.shape[1]} columns, expected 3")
-    # views of the parsed table; only the values and the two grids are copied out
-    thetas, phis, values = data.T
-    # the first theta change ends the first row; argmax is 0 if theta never changes
-    n_phi = int(np.argmax(thetas != thetas[0])) or thetas.size
-    n_theta, rem = divmod(values.size, n_phi)
+    # theta never changes: one row
+    n_phi = n_phi or cells
+    n_theta, rem = divmod(cells, n_phi)
     if rem != 0:
         raise ValueError("CSV rows do not form a rectangular grid")
-    theta_cells = thetas.reshape(n_theta, n_phi)
-    phi_cells = phis.reshape(n_theta, n_phi)
-    grid_thetas, grid_phis = theta_cells[:, 0], phi_cells[0]
+    grid_thetas, grid_phis = np.array(thetas), np.concatenate(phis)
+    if not (np.isfinite(grid_thetas).all() and np.isfinite(grid_phis).all()):
+        raise ValueError("CSV grid coordinates must be finite")
     if (
         n_theta < 2
         or n_phi < 2
-        or not (theta_cells == grid_thetas[:, None]).all()
-        or not (phi_cells == grid_phis).all()
+        or not on_grid
+        # a row whose theta repeats the row before starts with no change
+        or grid_thetas.size != n_theta
         or np.unique(grid_thetas).size != n_theta
         or np.unique(grid_phis).size != n_phi
     ):
         raise ValueError("CSV rows do not form a theta x phi grid with theta outer")
     return SweepResult(
-        thetas=grid_thetas.copy(),
-        phis=grid_phis.copy(),
-        values=values.reshape(n_theta, n_phi).copy(),
+        thetas=grid_thetas,
+        phis=grid_phis,
+        values=np.concatenate(values).reshape(n_theta, n_phi),
     )
 
 

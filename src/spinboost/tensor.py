@@ -202,22 +202,20 @@ def _cut(order: FactorOrder, keep: frozenset[SubsystemLabel]) -> tuple[tuple[int
     return tuple(kept_axes + rest_axes + [len(dims)]), dk, rest
 
 
-def batch_purity(
+def batch_gram(
     cols: np.ndarray,
     keep: Iterable[SubsystemLabel],
     order: FactorOrder = CANONICAL_ORDER,
 ) -> np.ndarray:
-    """Purity of the reduced state over `keep` for each column of a (total_dim, cells) array.
+    """Gram entries of the reduced state over `keep` for each column of a (total_dim, cells) array.
 
-    Each column is a pure state over `order`, reduced through its Gram
-    matrix without forming the full projector. A pure state has the same
-    purity on both sides of a cut, so the Gram matrix is taken on the
-    smaller side. Its terms are summed over the other side's indices, and
-    then its squared entries are summed, both front to back in row-major
-    order, each step an elementwise operation over the cells. No sum runs
-    along the cell axis, so a column gives the same bits alone as inside
-    any batch. Real columns stay real and complex columns complex. Columns
-    are taken as they are, without normalization checks.
+    Each column is a pure state over `order`. A pure state has the same
+    nonzero spectrum on both sides of a cut, so the Gram matrix is taken on
+    the smaller side, dk x dk, and returned row-major as (dk * dk, cells).
+    Its terms are summed over the other side's indices front to back in
+    row-major order, each step an elementwise operation over the cells. No
+    sum runs along the cell axis, so a column gives the same bits alone as
+    inside any batch. Real columns stay real and complex columns complex.
     """
     perm, dk, rest = _cut(order, frozenset(keep))
     cols = np.asarray(cols)
@@ -231,8 +229,23 @@ def batch_purity(
         a = tens[index].reshape(dk, cells)
         # conj() of a real array is the array itself, so real columns stay real
         gram += a[:, None] * a[None, :].conj()
-    purity = np.zeros(cells)
-    for entry in gram.reshape(dk * dk, cells):
+    return gram.reshape(dk * dk, cells)
+
+
+def batch_purity(
+    cols: np.ndarray,
+    keep: Iterable[SubsystemLabel],
+    order: FactorOrder = CANONICAL_ORDER,
+) -> np.ndarray:
+    """Purity of the reduced state over `keep` for each column of a (total_dim, cells) array.
+
+    The squared entries of batch_gram's Gram matrix, summed front to back
+    in row-major order, without forming the full projector. Columns are
+    taken as they are, without normalization checks.
+    """
+    gram = batch_gram(cols, keep, order)
+    purity = np.zeros(gram.shape[1])
+    for entry in gram:
         purity += (entry * entry.conj()).real
     return purity
 

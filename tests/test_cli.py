@@ -458,6 +458,20 @@ def test_extrema_rejects_non_finite_cell(bad, tmp_path, capsys):
     assert "non-finite" in captured.err
 
 
+def test_extrema_rejects_non_finite_csv_coordinates(tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    _write_small_sweep(path, capsys)
+    header, *rows = path.read_text().splitlines()
+    # every row of the first theta: the file is still a consistent outer product
+    first = rows[0].split(",")[0]
+    rows = [f"inf,{row.split(',', 1)[1]}" if row.split(",")[0] == first else row for row in rows]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    assert main(["extrema", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "coordinates must be finite" in captured.err
+
+
 @pytest.mark.parametrize("bad", ["high", "#0.5", "0.5,0.5"])
 def test_extrema_rejects_malformed_csv_cell(bad, tmp_path, capsys):
     path = tmp_path / "s.csv"

@@ -135,6 +135,12 @@ def test_linear_entropy_matches_reordered_factors_and_per_row_values():
             assert purities.tolist() == [batch_purity(row[:, None], part)[0] for row in rows]
 
 
+@pytest.mark.parametrize("shape", [(36,), (2, 35)])
+def test_linear_entropy_names_the_expected_shape(shape):
+    with pytest.raises(ValueError, match=r"\(cells, 36\)"):
+        linear_entropy(np.zeros(shape), PARTITIONS["AvsB"])
+
+
 @pytest.mark.parametrize("family", list(SpinFamily))
 def test_family_entropies_match_dense_route(family):
     """The two-branch evaluator agrees with assembled 36-dim states and the dense boost."""
@@ -147,18 +153,18 @@ def test_family_entropies_match_dense_route(family):
         for omega in (0.0, math.pi / 8, math.pi / 2, 2.0):
             boosted = psi @ boost_operator(omega).T
             for partition in PARTITIONS.values():
-                before, after = family_entropies(family, alpha, omega, partition, thetas, phis)
+                # each cell is a 1x1 grid
+                before, after = np.array([
+                    [grid[0, 0] for grid in family_entropies(family, alpha, omega, partition, [t], [p])]
+                    for t, p in zip(thetas, phis)
+                ]).T
                 assert np.abs(before - linear_entropy(psi, partition)).max() < 1e-14
                 assert np.abs(after - linear_entropy(boosted, partition)).max() < 1e-14
 
 
 @pytest.mark.parametrize("partition", list(PARTITIONS))
-def test_family_entropies_keep_no_state_between_calls(partition, monkeypatch):
-    """A repeat call, and a call after one of another size, give the first call's arrays.
-
-    Small chunks give every call several chunks, with a short last chunk.
-    """
-    monkeypatch.setattr("spinboost.entanglement.CHUNK_CELLS", 16)
+def test_family_entropies_keep_no_state_between_calls(partition):
+    """A repeat call, and a call after one of another size, give the first call's arrays."""
     rng = np.random.default_rng(31)
     thetas = rng.uniform(0.0, math.pi, 50)
     phis = rng.uniform(0.0, 2 * math.pi, 50)
@@ -192,13 +198,14 @@ def test_family_entropies_reject_a_populated_empty_sector(monkeypatch):
 
 def test_delta_e_zero_boost_is_identity():
     rng = np.random.default_rng(7)
-    for _ in range(5):
-        psi_params = SpinParams(
-            SpinFamily.S1, float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi))
-        )
-        for partition in PARTITIONS.values():
-            res = delta_e(psi_params, 0.77, 0.0, partition)
-            assert res.delta == 0.0
+    for family in (SpinFamily.S1, SpinFamily.S2):
+        for _ in range(5):
+            psi_params = SpinParams(
+                family, float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi))
+            )
+            for partition in PARTITIONS.values():
+                res = delta_e(psi_params, 0.77, 0.0, partition)
+                assert res.delta == 0.0
 
 
 FROZEN_DELTA_E = (

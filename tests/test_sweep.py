@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinboost import entanglement
+from spinboost import sweep
 from spinboost.entanglement import PARTITIONS, delta_e
 from spinboost.states import SpinFamily, SpinParams
 from spinboost.sweep import (
@@ -108,26 +108,28 @@ def test_grid_cells_evaluated_alone_match_full_grid(family, partition):
 
 @pytest.mark.parametrize("family", list(SpinFamily))
 @pytest.mark.parametrize("partition", list(PARTITIONS))
-def test_chunk_size_does_not_change_any_cell(family, partition, monkeypatch):
-    """Chunks of 7 cells, the last one short, give the default chunk's surface and CSV bytes."""
+def test_chunk_size_does_not_change_any_cell(family, partition):
+    """Each cell evaluated alone, as a 1x1 grid, gives the sweep's surface and CSV bytes."""
     config = small_config(partition=partition, nt=9, np_=17, family=family)
-    assert (9 * 17) % 7 != 0
 
-    def surface_and_csv():
-        result = run_sweep(**config)
+    def csv_text(result):
         buf = io.StringIO()
         write_csv(result, buf)
-        return result.values, buf.getvalue()
+        return buf.getvalue()
 
-    values, text = surface_and_csv()
-    monkeypatch.setattr(entanglement, "CHUNK_CELLS", 7)
-    chunked_values, chunked_text = surface_and_csv()
-    assert np.array_equal(values, chunked_values)
-    assert text == chunked_text
+    result = run_sweep(**config)
+    args = (family, config["alpha"], config["omega"], config["partition"])
+    alone = np.array([
+        [delta_e_grid(*args, result.thetas[i : i + 1], result.phis[j : j + 1])[0, 0]
+         for j in range(result.phis.size)]
+        for i in range(result.thetas.size)
+    ])
+    assert np.array_equal(result.values, alone)
+    assert csv_text(result) == csv_text(SweepResult(result.thetas, result.phis, alone))
 
 
 def test_delta_e_grid_memory_is_bounded():
-    """The evaluator holds one chunk of intermediates plus a few floats per cell."""
+    """The evaluator holds a few floats per cell plus at most 4 MiB of per-axis work."""
     thetas = np.linspace(0.0, math.pi, 401)
     phis = np.linspace(0.0, 2 * math.pi, 801)
     cells = thetas.size * phis.size
@@ -137,7 +139,7 @@ def test_delta_e_grid_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1024 * entanglement.CHUNK_CELLS + 64 * cells, peak / cells
+    assert peak < 4 * 2**20 + 64 * cells, peak / cells
 
 
 def test_delta_e_grid_is_real():
@@ -268,13 +270,24 @@ def _small_csv_lines():
 
 
 @pytest.mark.parametrize("edit", ["non-numeric", "two-columns", "four-columns", "hash-in-cell",
-                                  "all-two-columns", "all-four-columns"])
+                                  "all-two-columns", "all-four-columns", "theta-row-inf",
+                                  "theta-row-1e400", "theta-row-nan", "phi-column-inf",
+                                  "first-theta-row-long-nan"])
 def test_csv_rejects_malformed_rows(edit):
     header, *rows = _small_csv_lines()
     if edit.startswith("all-"):
         # every row equally narrow or wide: nothing is ragged, yet it is no sweep
         width = 2 if edit == "all-two-columns" else 4
         rows = [",".join((row.split(",") * 2)[:width]) for row in rows]
+    elif edit.startswith("theta-row-"):
+        # the whole last theta row, so the grid stays a consistent outer product
+        rows[-9:] = [f"{edit[len('theta-row-'):]},{row.split(',', 1)[1]}" for row in rows[-9:]]
+    elif edit == "first-theta-row-long-nan":
+        # longer than the reader's text width, so the numbers come from a float table
+        rows[:9] = [f"nan{' ' * 40},{row.split(',', 1)[1]}" for row in rows[:9]]
+    elif edit == "phi-column-inf":
+        rows = [f"{t},inf,{v}" if k % 9 == 4 else f"{t},{p},{v}"
+                for k, (t, p, v) in enumerate(row.split(",") for row in rows)]
     else:
         t, p, v = rows[7].split(",")
         rows[7] = {
@@ -285,6 +298,83 @@ def test_csv_rejects_malformed_rows(edit):
         }[edit]
     with pytest.raises(ValueError):
         read_csv(io.StringIO("\n".join([header, *rows]) + "\n"))
+
+
+def test_csv_reader_block_size_does_not_change_the_arrays(monkeypatch):
+    """Blocks of 7 rows, shorter than a grid row and the last one short, give the default arrays."""
+    text = "\n".join(_small_csv_lines()) + "\n"
+    plain = read_csv(io.StringIO(text))
+    monkeypatch.setattr(sweep, "_CSV_BLOCK_ROWS", 7)
+    blocked = read_csv(io.StringIO(text))
+    for name in ("thetas", "phis", "values"):
+        assert getattr(blocked, name).tobytes() == getattr(plain, name).tobytes()
+
+
+def _spelled_csv(spell):
+    """A 3x4 grid CSV whose coordinate texts spell(theta or phi, cell index, column) gives."""
+    thetas, phis = np.array([0.0, 1.5, math.pi]), np.array([0.0, 1.0, 2.0, math.pi])
+    values = np.arange(12.0).reshape(3, 4) / 7
+    rows = [
+        f"{spell(t, k, 0)},{spell(p, k, 1)},{values[i, j]:.17g}"
+        for k, (i, j) in enumerate(np.ndindex(3, 4))
+        for t, p in [(float(thetas[i]), float(phis[j]))]
+    ]
+    return "theta,phi,delta_e\n" + "\n".join(rows) + "\n", SweepResult(thetas, phis, values)
+
+
+@pytest.mark.parametrize("case", ["zero-spellings", "pi-spellings", "long-texts"])
+def test_csv_coordinates_compare_by_value_whatever_their_text(case):
+    """Texts that differ from their row's or column's reference are parsed, not compared as text."""
+    long_zeros = "0" * 40
+
+    def spell(x, k, column):
+        if case == "zero-spellings" and x == 0.0:
+            return ("0", "0.0", "-0", "0e0")[k % 4]
+        if case == "pi-spellings" and x == math.pi:
+            return ("3.1415926535897931", "3.141592653589793")[k % 2]
+        if case == "long-texts":
+            # longer than the reader's text width, and differing past it
+            return f"{long_zeros}{x!r}{'0' * (k % 3)}" if x > 0 else f"{x!r}{long_zeros[:k]}"
+        return repr(x)
+
+    text, expected = _spelled_csv(spell)
+    back = read_csv(io.StringIO(text))
+    for name in ("thetas", "phis", "values"):
+        assert getattr(back, name).tobytes() == getattr(expected, name).tobytes()
+
+
+def test_csv_long_texts_that_share_a_prefix_are_told_apart():
+    """Two texts that agree past the reader's text width but differ after it are two numbers."""
+    prefix = "0" * 40
+    # phi 1 and 2 written with the same 40-character prefix: a distinct, accepted grid
+    text, expected = _spelled_csv(lambda x, k, column: f"{prefix}{x!r}" if column else repr(x))
+    back = read_csv(io.StringIO(text))
+    assert back.phis.tobytes() == expected.phis.tobytes()
+    # a later row's phi that shares the first row's prefix but not its number is off the grid
+    lines = text.splitlines()
+    t, _, v = lines[6].split(",")
+    lines[6] = f"{t},{prefix}3.0,{v}"
+    with pytest.raises(ValueError, match="theta x phi grid"):
+        read_csv(io.StringIO("\n".join(lines) + "\n"))
+
+
+def test_read_csv_memory_is_bounded(tmp_path):
+    """The reader keeps the values, 8 B per cell, and no (cells, 3) table or per-cell texts."""
+    thetas = np.linspace(0.0, math.pi, 401)
+    phis = np.linspace(0.0, 2 * math.pi, 801)
+    values = np.random.default_rng(41).uniform(-1.0, 1.0, (thetas.size, phis.size))
+    path = tmp_path / "large.csv"
+    with open(path, "w", encoding="utf-8") as handle:
+        write_csv(SweepResult(thetas, phis, values), handle)
+    with open(path, encoding="utf-8") as handle:
+        tracemalloc.start()
+        try:
+            back = read_csv(handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(back.values, values)
+    assert peak < 16 * values.size + 4 * 2**20, peak / values.size
 
 
 def test_csv_trailing_blank_lines_accepted():
