@@ -146,10 +146,10 @@ def _gram_entries(cols: np.ndarray, partition: Partition) -> np.ndarray:
     return np.concatenate(entries)
 
 
-def _purity_quartic(
-    family: SpinFamily, alpha: float, omega: float, partition: Partition
+def _purity_quartics(
+    family: SpinFamily, alpha: float, omegas: tuple[float, ...], partition: Partition
 ) -> np.ndarray:
-    """Coefficients over _QUARTICS of the partition's total purity after the boost by omega.
+    """Coefficients over _QUARTICS of the partition's total purity after each boost, (boosts, 15).
 
     The momentum state populates only |p+ p-> and |p- p+>, and the boost
     keeps each sector, so a family member is the two branches
@@ -158,21 +158,26 @@ def _purity_quartic(
     quadratic form in x: batch_gram evaluates it at e_i and e_i + e_j, and
     differences of those values give its six coefficients, with no fit.
     The squares of the forms expand into the 15 quartic coefficients.
+    batch_gram treats each point alone, so one pass over every boost's six
+    points gives each boost the bits of a pass of its own.
     """
     mom = momentum_state(alpha)
     if np.delete(mom, MOMENTUM_BRANCHES).any():
         raise ValueError("momentum state populates |p+ p+> or |p- p->, outside the two branches")
-    u = boost_operator(omega).real.reshape(4, 9, 4, 9)
-    cols = np.stack([
-        c * u[s, :, s][:, FAMILY_INDICES[family]]
-        for c, s in zip(mom[list(MOMENTUM_BRANCHES)].real, MOMENTUM_BRANCHES)
-    ])
-    points = np.concatenate([cols, cols[..., _LEFT] + cols[..., _RIGHT]], axis=2)
-    at = _gram_entries(points, partition)
-    forms = np.concatenate([at[:, :3], at[:, 3:] - at[:, _LEFT] - at[:, _RIGHT]], axis=1)
-    quartic = np.zeros(len(_QUARTICS))
-    np.add.at(quartic, _PRODUCT, (forms[:, :, None] * forms[:, None, :]).sum(axis=0))
-    return quartic
+    weights = mom[list(MOMENTUM_BRANCHES)].real
+    points = []
+    for omega in omegas:
+        u = boost_operator(omega).real.reshape(4, 9, 4, 9)
+        cols = np.stack([
+            c * u[s, :, s][:, FAMILY_INDICES[family]] for c, s in zip(weights, MOMENTUM_BRANCHES)
+        ])
+        points += [cols, cols[..., _LEFT] + cols[..., _RIGHT]]
+    entries = _gram_entries(np.concatenate(points, axis=2), partition)
+    quartics = np.zeros((len(omegas), len(_QUARTICS)))
+    for quartic, at in zip(quartics, np.split(entries, len(omegas), axis=1)):
+        forms = np.concatenate([at[:, :3], at[:, 3:] - at[:, _LEFT] - at[:, _RIGHT]], axis=1)
+        np.add.at(quartic, _PRODUCT, (forms[:, :, None] * forms[:, None, :]).sum(axis=0))
+    return quartics
 
 
 def _monomial_factors(factors: np.ndarray) -> np.ndarray:
@@ -206,15 +211,14 @@ def family_entropies(
     theta_monomials = _monomial_factors(theta_factors)
     phi_monomials = _monomial_factors(phi_factors)
 
-    def entropy(angle: float) -> np.ndarray:
+    def entropy(quartic: np.ndarray) -> np.ndarray:
         purity = np.zeros((theta_monomials.shape[1], phi_monomials.shape[1]))
-        for coefficient, theta_part, phi_part in zip(
-            _purity_quartic(family, alpha, angle, partition), theta_monomials, phi_monomials
-        ):
+        for coefficient, theta_part, phi_part in zip(quartic, theta_monomials, phi_monomials):
             purity += (coefficient * theta_part)[:, None] * phi_part
         return len(partition.parts) - purity
 
-    return entropy(0.0), entropy(omega)
+    before, after = _purity_quartics(family, alpha, (0.0, omega), partition)
+    return entropy(before), entropy(after)
 
 
 @dataclass(frozen=True)

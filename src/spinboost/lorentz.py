@@ -80,7 +80,6 @@ def wigner_d(beta: float) -> np.ndarray:
 
 _P_PLUS = np.diag([1.0, 0.0]).astype(complex)
 _P_MINUS = np.diag([0.0, 1.0]).astype(complex)
-_SECTORS = ((_P_PLUS, 1.0), (_P_MINUS, -1.0))
 
 
 def boost_operator(omega: float) -> np.ndarray:
@@ -92,14 +91,18 @@ def boost_operator(omega: float) -> np.ndarray:
         U = sum over a, b of (P_a x P_b) x (d1(sign_a omega) x d1(sign_b omega))
 
     The 36x36 result is unitary and block diagonal over momentum sectors.
+    Each term is one momentum sector's 9x9 diagonal block, built here as
+    the outer product of its two rotations.
     """
-    u = np.zeros((36, 36), dtype=complex)
-    for proj_a, sign_a in _SECTORS:
-        for proj_b, sign_b in _SECTORS:
-            da = wigner_d(sign_a * omega)
-            db = wigner_d(sign_b * omega)
-            u += kron_all(proj_a, proj_b, da, db)
-    return u
+    rotations = (wigner_d(omega), wigner_d(-omega))  # under momentum p+ and p-
+    u = np.zeros((4, 9, 4, 9), dtype=complex)
+    for a, da in enumerate(rotations):
+        for b, db in enumerate(rotations):
+            # sector (a, b) is momentum index 2a + b; adding into the zeros
+            # turns a -0.0 product into 0.0, as the sum does
+            block = (da[:, None, :, None] * db[None, :, None, :]).reshape(9, 9)
+            u[2 * a + b, :, 2 * a + b] += block
+    return u.reshape(36, 36)
 
 
 def single_particle_boost(omega: float) -> np.ndarray:

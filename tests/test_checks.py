@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from spinboost import checks
 from spinboost.checks import check_suite
-from spinboost.lorentz import boost_operator
+from spinboost.lorentz import boost_operator, wigner_d
+from spinboost.sweep import delta_e_grid
 
 # rows of the (p+, p-) momentum sector, which the family states populate
 _POPULATED_ROWS = slice(9, 18)
@@ -18,6 +20,11 @@ def test_default_suite_all_pass():
     report = check_suite()
     assert report.passed, [r.name for r in report.results if not r.passed]
     assert len(report.results) == 11
+
+
+def test_seeded_draws_repeat_the_report():
+    """Every sampled input comes from a seeded generator, so two runs report the same text."""
+    assert check_suite().to_dict() == check_suite().to_dict()
 
 
 def test_report_to_dict_shape():
@@ -133,13 +140,42 @@ def _nan_at(row: int, col: int):
 def test_nan_in_hook_fails_the_matrix_checks():
     """The maxima over matrix entries and state defects keep a NaN, so it fails them."""
     names = by_name(check_suite(boost_fn=_nan_at(10, 10)))
-    for name in ("boost_unitarity", "invariant_state_is_fixed"):
+    for name in ("boost_unitarity", "boost_factorizes_per_particle", "invariant_state_is_fixed"):
         assert not names[name].passed, names[name].detail
         assert "nan" in names[name].detail
     # the NaN sits in a diagonal block; one between the populated sectors fails the block check
     assert names["boost_block_diagonal"].passed
     coupled = by_name(check_suite(boost_fn=_nan_at(10, 20)))["boost_block_diagonal"]
     assert not coupled.passed, coupled.detail
+
+
+@pytest.mark.parametrize("cells", [np.s_[:], np.s_[3, 4]], ids=["all-cells", "one-cell"])
+def test_nan_surface_fails_the_sign_flip_check(cells, monkeypatch):
+    """The maximum over the compared surfaces keeps a NaN from the evaluator, so it fails the check."""
+
+    def with_nan(*args):
+        surface = delta_e_grid(*args)
+        surface[cells] = np.nan
+        return surface
+
+    monkeypatch.setattr(checks, "delta_e_grid", with_nan)
+    result = by_name(check_suite())["global_sign_flip_invariance"]
+    assert not result.passed, result.detail
+    assert "nan" in result.detail
+
+
+def test_nan_closed_form_fails_the_exponential_check(monkeypatch):
+    """The maximum over the sampled angles keeps a NaN from the closed form, so it fails the check."""
+
+    def with_nan(beta):
+        d = wigner_d(beta)
+        d[1, 1] = np.nan
+        return d
+
+    monkeypatch.setattr(checks, "wigner_d", with_nan)
+    result = by_name(check_suite())["wigner_d_matches_exponential"]
+    assert not result.passed, result.detail
+    assert "nan" in result.detail
 
 
 def test_broken_hook_reports_instead_of_raising():

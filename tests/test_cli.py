@@ -38,6 +38,32 @@ def test_package_top_level_is_lean():
     assert report["version"] == version
 
 
+def test_no_command_loads_numpy_random(tmp_path):
+    """No command draws from numpy.random, so none pays the memory of loading it."""
+    out = tmp_path / "s.csv"
+    commands = [
+        ["check"],
+        ["delta-e", "--state", "s00", "--alpha", "0.7", "--omega", "0.3", "--partition", "1v3"],
+        ["sweep", "--family", "s1", "--alpha", "0.7", "--omega", "0.3", "--partition", "svp",
+         *SMALL_GRID, "--out", str(out)],
+        ["extrema", "--in", str(out)],
+        ["wigner-angle", "--xi", "1", "--eta", "1"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from spinboost.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = main(argv)\n"
+        "    print(json.dumps([argv[0], rc, 'numpy.random' in sys.modules]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(spinboost.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, check=True)
+    reports = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert reports == [[argv[0], 0, False] for argv in commands]
+
+
 def test_wigner_angle_command(capsys):
     assert main(["wigner-angle", "--xi", "1", "--eta", "1"]) == 0
     out = capsys.readouterr().out.strip()

@@ -1,4 +1,5 @@
-"""Layout rule: every public top-level name in src/ has a user outside the tests."""
+"""Layout rules: every public top-level name in src/ has a user outside the tests, and
+src/ leaves numpy.random unloaded."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,13 @@ def test_every_public_src_name_is_used_outside_tests():
         if name not in used
     ]
     assert not unused, f"public names that only tests use: {unused}"
+
+
+def test_src_never_names_numpy_random():
+    """Loading numpy.random adds about 6 MB to a command's peak RSS; the checks draw from stdlib."""
+    named = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "np.random" in path.read_text() or "numpy.random" in path.read_text()
+    ]
+    assert not named, f"src files that name numpy.random: {named}"

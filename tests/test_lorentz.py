@@ -166,6 +166,25 @@ def test_boost_operator_unitary_and_block_diagonal():
                     assert np.max(np.abs(blocks[a, :, b, :])) == 0.0
 
 
+def _boost_by_definition(omega):
+    """The documented sum over (a, b) of (P_a x P_b) x (d(s_a omega) x d(s_b omega)), by np.kron."""
+    projectors = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    signs = (1.0, -1.0)
+    u = np.zeros((36, 36), dtype=complex)
+    for proj_a, sign_a in zip(projectors, signs):
+        for proj_b, sign_b in zip(projectors, signs):
+            spins = np.kron(wigner_d(sign_a * omega), wigner_d(sign_b * omega))
+            u += np.kron(np.kron(proj_a, proj_b), spins)
+    return u
+
+
+def test_block_built_boost_equals_the_definition():
+    rng = np.random.default_rng(19)
+    omegas = [0.0, math.pi / 2, -math.pi / 2, -1.3, 7.0, *rng.uniform(-2 * math.pi, 2 * math.pi, 50)]
+    for omega in map(float, omegas):
+        assert np.array_equal(boost_operator(omega), _boost_by_definition(omega)), omega
+
+
 def test_boost_operator_zero_angle_is_identity():
     assert np.max(np.abs(boost_operator(0.0) - np.eye(36))) < 1e-15
 
