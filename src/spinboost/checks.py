@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .entanglement import PARTITIONS, linear_entropy
+from .entanglement import PARTITIONS, Partition
 from .lorentz import (
     boost_operator,
     jy_matrix,
@@ -176,9 +176,29 @@ def _check_conservation(boost_fn: BoostFn) -> tuple[bool, str]:
     )
 
 
+def _linear_entropy(rows: np.ndarray, partition: Partition) -> np.ndarray:
+    """Sum over parts of 1 - Tr(rho_part^2) for each of a (cells, 36) batch of canonical rows.
+
+    Each part's axes go first, so a row is a (kept, rest) matrix M and the
+    reduced state is G = M M^dag on the kept side. This shares no kernel
+    with the evaluator, which sums Gram entries over the smaller side of a cut.
+    """
+    tens = np.asarray(rows).reshape((-1,) + CANONICAL_ORDER.dims)
+    entropy = np.zeros(len(tens))
+    for part in partition.parts:
+        # sorted: a frozenset's iteration order follows the string hash seed, so unsorted
+        # axes could change the summation order, and a detail's last digits, between runs
+        kept = sorted(CANONICAL_ORDER.axis(label) + 1 for label in part)
+        m = np.moveaxis(tens, kept, range(1, len(kept) + 1))
+        m = m.reshape(len(tens), math.prod(label.dim for label in part), -1)
+        gram = m @ m.conj().transpose(0, 2, 1)
+        entropy += 1.0 - (np.abs(gram) ** 2).sum(axis=(1, 2))
+    return entropy
+
+
 def _max_abs_change(vecs: np.ndarray, boosted: np.ndarray, partitions) -> float:
     """Largest |entropy change| between matching rows of two (cells, 36) batches."""
-    changes = [linear_entropy(boosted, p) - linear_entropy(vecs, p) for p in partitions]
+    changes = [_linear_entropy(boosted, p) - _linear_entropy(vecs, p) for p in partitions]
     return float(np.abs(changes).max())
 
 
@@ -222,7 +242,7 @@ def _check_alpha_scaling(boost_fn: BoostFn) -> tuple[bool, str]:
     boosted = vecs @ u.T
     spreads = [0.0]
     for partition in (PARTITIONS["1vs3"], PARTITIONS["SvsP"]):
-        change = linear_entropy(boosted, partition) - linear_entropy(vecs, partition)
+        change = _linear_entropy(boosted, partition) - _linear_entropy(vecs, partition)
         # one row of ratios per spin, one column per alpha
         for ratios in change.reshape(len(spins), alphas.size) / np.sin(2 * alphas) ** 2:
             scale = np.abs(ratios).max()
@@ -241,13 +261,13 @@ def _check_sign_flip_invariance() -> tuple[bool, str]:
         for theta in thetas
         for phi in phis
     ])
-    unboosted = {name: linear_entropy(vecs, p) for name, p in PARTITIONS.items()}
+    unboosted = {name: _linear_entropy(vecs, p) for name, p in PARTITIONS.items()}
     defects = []
     for omega in (math.pi / 8, math.pi / 2):
         flipped = vecs @ boost_operator(-omega).T
         for name, partition in PARTITIONS.items():
             plus = delta_e_grid(SpinFamily.S1, math.pi / 4, omega, partition, thetas, phis)
-            flip = linear_entropy(flipped, partition) - unboosted[name]
+            flip = _linear_entropy(flipped, partition) - unboosted[name]
             defects.append(np.abs(plus.ravel() - flip).max())
     worst = float(np.max(defects))
     return worst < MATRIX_TOL, f"max |dE(+) - dE(-)| over sampled grids = {worst:.3e}"
@@ -261,7 +281,7 @@ def _check_entropy_bounds() -> tuple[bool, str]:
         raw = np.array(draws[:36]) + 1j * np.array(draws[36:])
         vecs.append(raw / np.linalg.norm(raw))
     batch = np.array(vecs)
-    entropies = {name: linear_entropy(batch, p) for name, p in PARTITIONS.items()}
+    entropies = {name: _linear_entropy(batch, p) for name, p in PARTITIONS.items()}
     issues = []
     for k in range(len(batch)):
         for partition in PARTITIONS.values():

@@ -30,7 +30,6 @@ from .tensor import (
     FactorOrder,
     SubsystemLabel,
     batch_gram,
-    batch_purity,
 )
 
 _PA, _PB, _SA, _SB = (
@@ -89,19 +88,6 @@ def parse_partition(text: str) -> Partition:
     except KeyError:
         known = ", ".join(list(PARTITION_ALIASES) + list(PARTITIONS))
         raise ValueError(f"unknown partition {text!r}; known: {known}") from None
-
-
-def linear_entropy(rows: np.ndarray, partition: Partition) -> np.ndarray:
-    """Sum over partition parts of (1 - purity of the reduced state), one value per row.
-
-    `rows` is a (cells, 36) array of amplitude vectors in the canonical
-    factor order.
-    """
-    rows = np.asarray(rows)
-    if rows.ndim != 2 or rows.shape[1] != 36:
-        raise ValueError(f"linear_entropy takes (cells, 36) amplitude rows, got shape {rows.shape}")
-    cols = rows.T
-    return sum(1.0 - batch_purity(cols, part) for part in partition.parts)
 
 
 # on the two populated branches pA labels the branch and fixes pB

@@ -179,7 +179,7 @@ def purity(rho: DensityMatrix) -> float:
 
 @functools.cache
 def _cut(order: FactorOrder, keep: frozenset[SubsystemLabel]) -> tuple[tuple[int, ...], int, tuple]:
-    """The smaller side of the cut between `keep` and the rest, as batch_purity reduces it.
+    """The smaller side of the cut between `keep` and the rest, as batch_gram reduces it.
 
     Returns the axis permutation of the (dims..., cells) tensor that puts
     the smaller side's axes first, then the other axes, then the cells;
@@ -205,7 +205,7 @@ def _cut(order: FactorOrder, keep: frozenset[SubsystemLabel]) -> tuple[tuple[int
 def batch_gram(
     cols: np.ndarray,
     keep: Iterable[SubsystemLabel],
-    order: FactorOrder = CANONICAL_ORDER,
+    order: FactorOrder,
 ) -> np.ndarray:
     """Gram entries of the reduced state over `keep` for each column of a (total_dim, cells) array.
 
@@ -230,24 +230,6 @@ def batch_gram(
         # conj() of a real array is the array itself, so real columns stay real
         gram += a[:, None] * a[None, :].conj()
     return gram.reshape(dk * dk, cells)
-
-
-def batch_purity(
-    cols: np.ndarray,
-    keep: Iterable[SubsystemLabel],
-    order: FactorOrder = CANONICAL_ORDER,
-) -> np.ndarray:
-    """Purity of the reduced state over `keep` for each column of a (total_dim, cells) array.
-
-    The squared entries of batch_gram's Gram matrix, summed front to back
-    in row-major order, without forming the full projector. Columns are
-    taken as they are, without normalization checks.
-    """
-    gram = batch_gram(cols, keep, order)
-    purity = np.zeros(gram.shape[1])
-    for entry in gram:
-        purity += (entry * entry.conj()).real
-    return purity
 
 
 def permute_operator(matrix: np.ndarray, order: FactorOrder, new_order: FactorOrder) -> np.ndarray:

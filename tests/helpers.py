@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from spinboost.entanglement import Partition, linear_entropy
-from spinboost.tensor import NORM_TOL, FactorOrder, PureState
+from spinboost.entanglement import Partition
+from spinboost.tensor import NORM_TOL, FactorOrder, PureState, outer, partial_trace, purity
 
 
 def assemble(spin: np.ndarray, momentum: np.ndarray) -> PureState:
@@ -27,5 +27,6 @@ def permute_factors(psi: PureState, new_order: FactorOrder) -> PureState:
 
 
 def entropy(vec: np.ndarray, partition: Partition) -> float:
-    """linear_entropy of one canonical-order amplitude vector, as a batch of one row."""
-    return float(linear_entropy(np.asarray(vec)[None], partition)[0])
+    """Linear entropy of one canonical-order amplitude vector, through the dense oracle."""
+    rho = outer(PureState(vec))
+    return sum(1.0 - purity(partial_trace(rho, part)) for part in partition.parts)

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from helpers import assemble, entropy, permute_factors
 
+from spinboost.checks import _linear_entropy as checks_entropy
 from spinboost.entanglement import (
     PARTITIONS,
     Partition,
     delta_e,
     family_entropies,
-    linear_entropy,
     parse_partition,
 )
 from spinboost.lorentz import boost_operator
@@ -27,7 +27,9 @@ from spinboost.tensor import (
     FactorOrder,
     PureState,
     SubsystemLabel,
-    batch_purity,
+    outer,
+    partial_trace,
+    purity,
 )
 
 PA, PB, SA, SB = (
@@ -113,37 +115,25 @@ def test_linear_entropy_matches_reordered_factors_and_per_row_values():
     rng = np.random.default_rng(5)
     psi = family_state(rng)
     # the same state with its factors reordered, so kept axes are not canonical
-    moved = permute_factors(psi, FactorOrder((SB, PA, SA, PB)))
+    moved = outer(permute_factors(psi, FactorOrder((SB, PA, SA, PB))))
     for partition in PARTITIONS.values():
-        a = entropy(psi.amplitudes, partition)
-        moved_entropy = sum(
-            1.0 - batch_purity(moved.amplitudes[:, None], part, moved.order)
-            for part in partition.parts
-        )[0]
-        assert abs(moved_entropy - a) < 1e-14
-        for part in partition.parts:
-            moved_purity = batch_purity(moved.amplitudes[:, None], part, moved.order)[0]
-            assert abs(moved_purity - batch_purity(psi.amplitudes[:, None], part)[0]) < 1e-14
-    # a (cells, 36) batch gives exactly the per-row values
-    rows = np.array([family_state(rng).amplitudes for _ in range(6)])
+        moved_entropy = sum(1.0 - purity(partial_trace(moved, part)) for part in partition.parts)
+        assert abs(moved_entropy - entropy(psi.amplitudes, partition)) < 1e-14
+    # the checks' batched kept-side reduction gives each row the oracle's value
+    raw = rng.standard_normal((3, 36)) + 1j * rng.standard_normal((3, 36))
+    rows = np.vstack([
+        [family_state(rng).amplitudes for _ in range(6)],
+        raw / np.linalg.norm(raw, axis=1, keepdims=True),
+    ])
     for partition in PARTITIONS.values():
-        batch = linear_entropy(rows, partition)
-        assert batch.shape == (6,)
-        assert batch.tolist() == [entropy(row, partition) for row in rows]
-        for part in partition.parts:
-            purities = batch_purity(rows.T, part)
-            assert purities.tolist() == [batch_purity(row[:, None], part)[0] for row in rows]
-
-
-@pytest.mark.parametrize("shape", [(36,), (2, 35)])
-def test_linear_entropy_names_the_expected_shape(shape):
-    with pytest.raises(ValueError, match=r"\(cells, 36\)"):
-        linear_entropy(np.zeros(shape), PARTITIONS["AvsB"])
+        batch = checks_entropy(rows, partition)
+        assert batch.shape == (9,)
+        assert np.abs(batch - [entropy(row, partition) for row in rows]).max() < 1e-14
 
 
 @pytest.mark.parametrize("family", list(SpinFamily))
 def test_family_entropies_match_dense_route(family):
-    """The two-branch evaluator agrees with assembled 36-dim states and the dense boost."""
+    """The two-branch evaluator agrees with assembled 36-dim states, the dense boost and the oracle."""
     rng = np.random.default_rng(29)
     thetas = rng.uniform(0.0, math.pi, 12)
     phis = rng.uniform(0.0, 2 * math.pi, 12)
@@ -158,8 +148,11 @@ def test_family_entropies_match_dense_route(family):
                     [grid[0, 0] for grid in family_entropies(family, alpha, omega, partition, [t], [p])]
                     for t, p in zip(thetas, phis)
                 ]).T
-                assert np.abs(before - linear_entropy(psi, partition)).max() < 1e-14
-                assert np.abs(after - linear_entropy(boosted, partition)).max() < 1e-14
+                dense = np.array([
+                    [entropy(vec, partition) for vec in pair] for pair in zip(psi, boosted)
+                ]).T
+                assert np.abs(before - dense[0]).max() < 1e-14
+                assert np.abs(after - dense[1]).max() < 1e-14
 
 
 @pytest.mark.parametrize("partition", list(PARTITIONS))

@@ -1,5 +1,5 @@
-"""Layout rules: every public top-level name in src/ has a user outside the tests, and
-src/ leaves numpy.random unloaded."""
+"""Layout rules: every public top-level name in src/ has a user outside the tests, src/
+leaves numpy.random unloaded, and the checks share no kernel with the evaluator."""
 
 import ast
 from pathlib import Path
@@ -56,3 +56,17 @@ def test_src_never_names_numpy_random():
         if "np.random" in path.read_text() or "numpy.random" in path.read_text()
     ]
     assert not named, f"src files that name numpy.random: {named}"
+
+
+def test_checks_import_no_evaluator_kernel():
+    """The checks reduce entropies on their own route; delta_e_grid is the one evaluator
+    entry they compare against, so they import no Gram kernel and no private name."""
+    path = PACKAGE / "checks.py"
+    borrowed = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module in ("entanglement", "tensor")
+        for alias in node.names
+        if alias.name in ("batch_gram", "family_entropies") or alias.name.startswith("_")
+    ]
+    assert not borrowed, f"checks.py imports evaluator internals: {borrowed}"
