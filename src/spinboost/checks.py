@@ -19,13 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .entanglement import PARTITIONS, Partition
-from .lorentz import (
-    boost_operator,
-    jy_matrix,
-    single_particle_boost,
-    wigner_angle,
-    wigner_d,
-)
+from .kinematics import wigner_angle
+from .lorentz import boost_operator, jy_matrix, single_particle_boost, wigner_d
 from .states import (
     NAMED_STATES,
     SpinFamily,

@@ -14,22 +14,10 @@ import os
 import sys
 from pathlib import Path
 
-from .entanglement import delta_e, parse_partition
-from .lorentz import wigner_angle
-from .states import SpinFamily, SpinParams, get_named_state
-from .sweep import (
-    DEFAULT_MERGE_RADIUS,
-    DEFAULT_PHI_GRID,
-    DEFAULT_THETA_GRID,
-    GridSpec,
-    find_extrema,
-    read_csv,
-    read_json,
-    run_sweep,
-    write_csv,
-    write_json,
-)
-from .checks import check_suite
+# the only package import at load time: each command and argument converter
+# imports the modules it runs, so `wigner-angle`, `--help` and a missing or
+# unknown flag never load numpy
+from .kinematics import wigner_angle
 
 
 class _UsageError(Exception):
@@ -43,7 +31,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _grid_spec(text: str) -> GridSpec:
+def _grid_spec(text: str):
+    from .sweep import GridSpec
+
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected START:STOP:COUNT, got {text!r}")
@@ -61,7 +51,9 @@ def _merge_radius(text: str) -> float:
     return radius
 
 
-def _family(text: str) -> SpinFamily:
+def _family(text: str):
+    from .states import SpinFamily
+
     try:
         return SpinFamily(text.lower())
     except ValueError:
@@ -69,6 +61,8 @@ def _family(text: str) -> SpinFamily:
 
 
 def _partition(text: str):
+    from .entanglement import parse_partition
+
     try:
         return parse_partition(text)
     except ValueError as exc:
@@ -119,10 +113,10 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--alpha", type=float, required=True)
     _add_boost_arguments(p_sweep)
     p_sweep.add_argument("--partition", type=_partition, required=True)
-    p_sweep.add_argument("--theta-grid", type=_grid_spec, default=DEFAULT_THETA_GRID,
-                         metavar="START:STOP:COUNT")
-    p_sweep.add_argument("--phi-grid", type=_grid_spec, default=DEFAULT_PHI_GRID,
-                         metavar="START:STOP:COUNT")
+    # the grid and merge-radius defaults (None here) are sweep's constants,
+    # read by the commands so that the parser does not load sweep
+    p_sweep.add_argument("--theta-grid", type=_grid_spec, metavar="START:STOP:COUNT")
+    p_sweep.add_argument("--phi-grid", type=_grid_spec, metavar="START:STOP:COUNT")
     p_sweep.add_argument("--out", type=Path, help="output file (default stdout)")
     p_sweep.add_argument("--format", choices=("csv", "json"),
                          help="output format (default csv, json for .json outputs)")
@@ -131,7 +125,7 @@ def build_parser() -> _Parser:
 
     p_extrema = sub.add_parser("extrema", help="extrema report for a sweep file")
     p_extrema.add_argument("--in", dest="infile", type=Path, required=True)
-    p_extrema.add_argument("--merge-radius", type=_merge_radius, default=DEFAULT_MERGE_RADIUS,
+    p_extrema.add_argument("--merge-radius", type=_merge_radius,
                            help="cluster radius in grid steps")
 
     p_check = sub.add_parser("check", help="run the self-check suite")
@@ -146,6 +140,9 @@ def _cmd_wigner_angle(args: argparse.Namespace) -> int:
 
 
 def _cmd_delta_e(args: argparse.Namespace) -> int:
+    from .entanglement import delta_e
+    from .states import SpinParams, get_named_state
+
     angles = (args.family, args.theta, args.phi)
     if args.state is not None:
         if any(v is not None for v in angles):
@@ -179,13 +176,22 @@ def _print_extrema(report, stream) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .sweep import (
+        DEFAULT_PHI_GRID,
+        DEFAULT_THETA_GRID,
+        find_extrema,
+        run_sweep,
+        write_csv,
+        write_json,
+    )
+
     omega = _omega(args)
     fmt = args.format
     if fmt is None:
         fmt = "json" if args.out is not None and args.out.suffix == ".json" else "csv"
-    result = run_sweep(
-        args.family, args.alpha, omega, args.partition, args.theta_grid, args.phi_grid
-    )
+    theta_grid = DEFAULT_THETA_GRID if args.theta_grid is None else args.theta_grid
+    phi_grid = DEFAULT_PHI_GRID if args.phi_grid is None else args.phi_grid
+    result = run_sweep(args.family, args.alpha, omega, args.partition, theta_grid, phi_grid)
     if args.omega is None:
         print(f"omega = {omega:.17g}", file=sys.stderr)
     writer = write_csv if fmt == "csv" else write_json
@@ -209,6 +215,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _sniff_and_read(path: Path):
     """Read a sweep file as JSON if its first non-blank character is `{`, else as CSV."""
+    from .sweep import read_csv, read_json
+
     with open(path, "r", encoding="utf-8") as handle:
         head = handle.read(1)
         while head.isspace():
@@ -218,13 +226,18 @@ def _sniff_and_read(path: Path):
 
 
 def _cmd_extrema(args: argparse.Namespace) -> int:
+    from .sweep import DEFAULT_MERGE_RADIUS, find_extrema
+
     result = _sniff_and_read(args.infile)
-    report = find_extrema(result, merge_radius=args.merge_radius)
+    radius = DEFAULT_MERGE_RADIUS if args.merge_radius is None else args.merge_radius
+    report = find_extrema(result, merge_radius=radius)
     _print_extrema(report, sys.stdout)
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .checks import check_suite
+
     report = check_suite()
     if args.as_json:
         print(json.dumps(report.to_dict(), indent=2))

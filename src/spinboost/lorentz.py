@@ -1,4 +1,4 @@
-"""Relativistic kinematics: Wigner angle, rotation matrices, boost operator.
+"""Spin-1 rotation matrices and the composite boost operator.
 
 For particles moving along +z and -z and an observer boost along x, the
 boost acts on each spin as a rotation about y. The rotation angle has equal
@@ -14,38 +14,6 @@ import math
 import numpy as np
 
 from .tensor import kron_all
-
-
-def wigner_angle(xi: float, eta: float) -> float:
-    """Rotation angle from the particle rapidity xi and the boost rapidity eta.
-
-    The angle is arctan(sinh(xi) sinh(eta) / (cosh(xi) + cosh(eta))). The
-    ratio grows without bound with the rapidities, so the angle fills
-    [0, pi/2) and reaches pi/2 only in the infinite-rapidity limit, or where
-    the ratio is beyond double precision. Symmetric in its arguments and
-    monotone nondecreasing in each.
-    """
-    if not (math.isfinite(xi) and math.isfinite(eta)):
-        raise ValueError("rapidities must be finite")
-    if xi < 0 or eta < 0:
-        raise ValueError("rapidities must be nonnegative")
-    if xi == 0.0 or eta == 0.0:
-        return 0.0
-    try:
-        ratio = math.sinh(xi) * math.sinh(eta) / (math.cosh(xi) + math.cosh(eta))
-    except OverflowError:
-        ratio = math.inf
-    if math.isfinite(ratio):
-        return math.atan(ratio)
-    # past rapidity ~710 the hyperbolic functions overflow; the same ratio
-    # in bounded functions is tanh(xi) tanh(eta) / (sech(xi) + sech(eta))
-    return math.atan2(math.tanh(xi) * math.tanh(eta), _sech(xi) + _sech(eta))
-
-
-def _sech(x: float) -> float:
-    """1/cosh(x) for x >= 0, underflowing to 0 instead of overflowing."""
-    e = math.exp(-x)
-    return 2.0 * e / (1.0 + e * e)
 
 
 def jy_matrix() -> np.ndarray:

@@ -13,7 +13,8 @@ import numpy as np
 from helpers import assemble, entropy
 
 from spinboost.entanglement import PARTITIONS, delta_e
-from spinboost.lorentz import boost_operator, jy_matrix, wigner_angle, wigner_d
+from spinboost.kinematics import wigner_angle
+from spinboost.lorentz import boost_operator, jy_matrix, wigner_d
 from spinboost.states import (
     NAMED_STATES,
     SpinFamily,

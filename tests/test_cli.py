@@ -39,29 +39,40 @@ def test_package_top_level_is_lean():
 
 
 def test_no_command_loads_numpy_random(tmp_path):
-    """No command draws from numpy.random, so none pays the memory of loading it."""
+    """No command draws from numpy.random, so none pays the memory of loading it; and
+    each command loads only the modules it runs, so the numpy-free ones never load numpy.
+
+    One interpreter runs the commands in order of their footprint, so the modules a
+    command reports are the ones it and the lighter commands before it loaded."""
     out = tmp_path / "s.csv"
-    commands = [
-        ["check"],
-        ["delta-e", "--state", "s00", "--alpha", "0.7", "--omega", "0.3", "--partition", "1v3"],
-        ["sweep", "--family", "s1", "--alpha", "0.7", "--omega", "0.3", "--partition", "svp",
-         *SMALL_GRID, "--out", str(out)],
-        ["extrema", "--in", str(out)],
-        ["wigner-angle", "--xi", "1", "--eta", "1"],
+    sweep, checks = "spinboost.sweep", "spinboost.checks"
+    expected = [
+        (["wigner-angle", "--xi", "1", "--eta", "1"], 0, []),
+        (["--help"], 0, []),
+        (["wigner-angle", "--xi", "1"], 1, []),  # a usage error: --eta is missing
+        (["delta-e", "--state", "s00", "--alpha", "0.7", "--omega", "0.3", "--partition", "1v3"],
+         0, ["numpy"]),
+        (["sweep", "--family", "s1", "--alpha", "0.7", "--omega", "0.3", "--partition", "svp",
+          *SMALL_GRID, "--out", str(out)], 0, ["numpy", sweep]),
+        (["extrema", "--in", str(out)], 0, ["numpy", sweep]),
+        (["check"], 0, ["numpy", checks, sweep]),
     ]
     code = (
         "import contextlib, io, json, sys\n"
         "from spinboost.cli import main\n"
+        "watched = ('numpy', 'numpy.random', 'spinboost.checks', 'spinboost.sweep')\n"
         "for argv in json.loads(sys.argv[1]):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
         "        rc = main(argv)\n"
-        "    print(json.dumps([argv[0], rc, 'numpy.random' in sys.modules]))\n"
+        "    print(json.dumps([argv, rc, [m for m in watched if m in sys.modules]]))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(spinboost.__file__).resolve().parents[1])}
+    commands = [argv for argv, _, _ in expected]
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
                           capture_output=True, text=True, env=env, check=True)
     reports = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert reports == [[argv[0], 0, False] for argv in commands]
+    assert reports == [[argv, rc, loaded] for argv, rc, loaded in expected]
 
 
 def test_wigner_angle_command(capsys):
@@ -357,6 +368,37 @@ def test_extrema_merge_radius_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_and_extrema_defaults_come_from_sweep(tmp_path, capsys, monkeypatch):
+    """Omitted grid and merge-radius flags take sweep's constants, read when the command runs."""
+    import spinboost.sweep as sweep
+
+    base = ["sweep", "--family", "s1", "--alpha", "0.785", "--omega", "0.3926990816987241",
+            "--partition", "1v3"]
+    implicit, explicit = tmp_path / "implicit.csv", tmp_path / "explicit.csv"
+    assert main([*base, "--out", str(implicit)]) == 0
+    assert main([*base, "--theta-grid", "0:3.141592653589793:121",
+                 "--phi-grid", "0:6.283185307179586:241", "--out", str(explicit)]) == 0
+    assert implicit.read_bytes() == explicit.read_bytes()
+    monkeypatch.setattr(sweep, "DEFAULT_THETA_GRID", GridSpec(0.0, math.pi, 3))
+    monkeypatch.setattr(sweep, "DEFAULT_PHI_GRID", GridSpec(0.0, 2 * math.pi, 5))
+    assert main([*base, "--out", str(implicit)]) == 0
+    assert len(implicit.read_text().splitlines()) == 1 + 3 * 5
+
+    peaked = tmp_path / "peaked.csv"
+    assert main([*base, "--theta-grid", "0:3.141592653589793:25",
+                 "--phi-grid", "0:6.283185307179586:49", "--out", str(peaked)]) == 0
+    capsys.readouterr()
+    reports = []
+    for extra in ([], ["--merge-radius", "3"]):
+        assert main(["extrema", "--in", str(peaked), *extra]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert "maxima (2 clusters):" in reports[0]
+    monkeypatch.setattr(sweep, "DEFAULT_MERGE_RADIUS", math.inf)
+    assert main(["extrema", "--in", str(peaked)]) == 0
+    assert "maxima (1 cluster):" in capsys.readouterr().out
+
+
 def test_check_command(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
@@ -536,7 +578,7 @@ def test_extrema_infinite_merge_radius_merges_everything(tmp_path, capsys):
 
 @pytest.mark.parametrize("existing", [False, True])
 def test_sweep_writer_failure_leaves_no_partial_file(existing, tmp_path, capsys, monkeypatch):
-    import spinboost.cli as cli
+    import spinboost.sweep as sweep
 
     def failing_writer(result, stream):
         stream.write("theta,phi,delta_e\n")
@@ -549,7 +591,8 @@ def test_sweep_writer_failure_leaves_no_partial_file(existing, tmp_path, capsys,
         assert main(argv) == 0
         assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
     before = out.read_bytes() if existing else None
-    monkeypatch.setattr(cli, "write_csv", failing_writer)
+    # the command looks its writer up in sweep when it runs
+    monkeypatch.setattr(sweep, "write_csv", failing_writer)
     assert main(argv) == 2
     assert "disk full" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == (["s.csv"] if existing else [])

@@ -1,7 +1,9 @@
 """Layout rules: every public top-level name in src/ has a user outside the tests, src/
-leaves numpy.random unloaded, and the checks share no kernel with the evaluator."""
+leaves numpy.random unloaded, the checks share no kernel with the evaluator, and the CLI
+module loads no numpy."""
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,3 +72,36 @@ def test_checks_import_no_evaluator_kernel():
         if alias.name in ("batch_gram", "family_entropies") or alias.name.startswith("_")
     ]
     assert not borrowed, f"checks.py imports evaluator internals: {borrowed}"
+
+
+def _module_level_imports(path: Path) -> list[str]:
+    """Modules that importing `path` imports: every import statement outside a function body,
+    relative ones with their leading dots."""
+    found = []
+    pending = list(ast.parse(path.read_text(), filename=str(path)).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.append("." * node.level + (node.module or ""))
+        pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _stdlib(name: str) -> bool:
+    return name.split(".")[0] in sys.stdlib_module_names
+
+
+def test_cli_loads_only_stdlib_and_kinematics():
+    """`spinboost wigner-angle`, `--help` and usage errors never load numpy: at load time
+    cli.py imports the standard library and the numpy-free kinematics module only; each
+    command imports the modules it runs."""
+    cli = [name for name in _module_level_imports(PACKAGE / "cli.py")
+           if not (_stdlib(name) or name == ".kinematics")]
+    assert not cli, f"cli.py imports at load time: {cli}"
+    kinematics = [name for name in _module_level_imports(PACKAGE / "kinematics.py")
+                  if not _stdlib(name)]
+    assert not kinematics, f"kinematics.py imports beyond the standard library: {kinematics}"

@@ -5,13 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spinboost.lorentz import (
-    boost_operator,
-    jy_matrix,
-    single_particle_boost,
-    wigner_angle,
-    wigner_d,
-)
+from spinboost.kinematics import wigner_angle
+from spinboost.lorentz import boost_operator, jy_matrix, single_particle_boost, wigner_d
 from spinboost.tensor import CANONICAL_ORDER, FactorOrder, SubsystemLabel, kron_all, permute_operator
 
 PA, PB, SA, SB = (
