@@ -26,11 +26,7 @@ from .states import (
     amplitude_factors,
     momentum_state,
 )
-from .tensor import (
-    FactorOrder,
-    SubsystemLabel,
-    batch_gram,
-)
+from .tensor import SubsystemLabel
 
 _PA, _PB, _SA, _SB = (
     SubsystemLabel.PA,
@@ -90,46 +86,39 @@ def parse_partition(text: str) -> Partition:
         raise ValueError(f"unknown partition {text!r}; known: {known}") from None
 
 
-# on the two populated branches pA labels the branch and fixes pB
-_BRANCH_ORDER = FactorOrder((_PA, _SA, _SB))
-_SPIN_ORDER = FactorOrder((_SA, _SB))
-_SPINS = frozenset({_SA, _SB})
+# axes of the spins in the (branch, sA, sB, amplitude) branch columns
+_SPIN_AXES = {_SA: 1, _SB: 2}
 
 # exponents (a, b, c) of the quartic monomials x0^a x1^b x2^c in the amplitudes
 _QUARTICS = tuple((a, b, 4 - a - b) for a in range(5) for b in range(5 - a))
-# the quadratic monomials x_i x_j with i <= j, squares first; a quadratic form
-# takes its x_i^2 coefficient at e_i and adds its x_i x_j one at e_i + e_j
-_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-_LEFT, _RIGHT = [i for i, _ in _PAIRS[3:]], [j for _, j in _PAIRS[3:]]
-# the quartic monomial that the product of quadratic monomials m and n gives
-_PRODUCT = np.array([
-    [_QUARTICS.index(tuple(np.bincount(m + n, minlength=3))) for n in _PAIRS]
-    for m in _PAIRS
+# the monomial x_i x_j x_m x_n as a position in _QUARTICS, flat over (i, j, m, n)
+_MONOMIALS = np.array([
+    _QUARTICS.index(tuple(np.bincount(ijmn, minlength=3)))
+    for ijmn in np.ndindex(3, 3, 3, 3)
 ])
 
 
-def _gram_entries(cols: np.ndarray, partition: Partition) -> np.ndarray:
-    """Gram entries whose squares sum to the partition's total purity, as (entries, 6) columns.
+def _gram_forms(branches: np.ndarray, part: frozenset[SubsystemLabel]) -> np.ndarray:
+    """The part's Gram entries as quadratic forms in x, (batch, kept, kept, 3, 3).
 
-    `cols` holds the (2, 9, 6) two-branch columns at the six points of
-    _PAIRS. A part that holds both momenta keeps the branch coherence, so
-    it is pA and its spins over the (18, 6) columns. A part that holds
-    neither traces the branch out: its spins over the same columns. A part
-    that holds exactly one momentum sees the branches as a direct sum, so
-    its purity is the sum of per-branch purities of its spins; with no
-    spins that is each branch's squared norm, squared.
+    `branches` holds the two branch columns as (branch, sA, sB, amplitude),
+    so entry (k, l) is sum_ij x_i x_j Q[..., k, l, i, j]. A part that holds
+    both momenta keeps the branch coherence, so the branch joins its kept
+    side. A part that holds neither traces the branch out with the other
+    spins. A part that holds exactly one momentum sees the branches as a
+    direct sum, so the branch is a batch axis; with no spins its kept side
+    is empty, and the 1x1 Gram matrix is each branch's squared norm.
     """
-    coherent = cols.reshape(18, cols.shape[2])
-    entries = []
-    for part in partition.parts:
-        spins = part & _SPINS
-        momenta = len(part - _SPINS)
-        if momenta == 1:
-            entries += [batch_gram(branch, spins or _SPINS, _SPIN_ORDER) for branch in cols]
-        else:
-            keep = spins | {_PA} if momenta == 2 else spins
-            entries.append(batch_gram(coherent, keep, _BRANCH_ORDER))
-    return np.concatenate(entries)
+    spins = sorted(_SPIN_AXES[label] for label in part if label in _SPIN_AXES)
+    momenta = len(part) - len(spins)
+    kept = 3 ** len(spins)
+    # the kept spins first, then the branch, the other spins and the amplitude
+    m = np.moveaxis(branches, spins, range(len(spins))).reshape(kept, 2, 9 // kept, 3)
+    if momenta == 1:
+        m = m.transpose(1, 0, 2, 3)
+    else:
+        m = m.reshape((1, 2 * kept, -1, 3) if momenta == 2 else (1, kept, -1, 3))
+    return np.einsum("bkri,blrj->bklij", m, m)
 
 
 def _purity_quartics(
@@ -141,39 +130,33 @@ def _purity_quartics(
     keeps each sector, so a family member is the two branches
     c_b sum_i x_i D_b[:, f_i], with D_b the branch's 9x9 diagonal block and
     f_i the amplitudes' positions. Each Gram entry of a part is therefore a
-    quadratic form in x: batch_gram evaluates it at e_i and e_i + e_j, and
-    differences of those values give its six coefficients, with no fit.
-    The squares of the forms expand into the 15 quartic coefficients.
-    batch_gram treats each point alone, so one pass over every boost's six
-    points gives each boost the bits of a pass of its own.
+    quadratic form in x, read off the branch columns, and the sum of their
+    squares is the part's purity: its 81 products of form coefficients fold
+    onto the 15 quartic monomials. Each boost is its own pass.
     """
     mom = momentum_state(alpha)
     if np.delete(mom, MOMENTUM_BRANCHES).any():
         raise ValueError("momentum state populates |p+ p+> or |p- p->, outside the two branches")
     weights = mom[list(MOMENTUM_BRANCHES)].real
-    points = []
-    for omega in omegas:
-        u = boost_operator(omega).real.reshape(4, 9, 4, 9)
-        cols = np.stack([
-            c * u[s, :, s][:, FAMILY_INDICES[family]] for c, s in zip(weights, MOMENTUM_BRANCHES)
-        ])
-        points += [cols, cols[..., _LEFT] + cols[..., _RIGHT]]
-    entries = _gram_entries(np.concatenate(points, axis=2), partition)
     quartics = np.zeros((len(omegas), len(_QUARTICS)))
-    for quartic, at in zip(quartics, np.split(entries, len(omegas), axis=1)):
-        forms = np.concatenate([at[:, :3], at[:, 3:] - at[:, _LEFT] - at[:, _RIGHT]], axis=1)
-        np.add.at(quartic, _PRODUCT, (forms[:, :, None] * forms[:, None, :]).sum(axis=0))
+    for quartic, omega in zip(quartics, omegas):
+        u = boost_operator(omega).real.reshape(4, 9, 4, 9)
+        branches = np.stack([
+            c * u[s, :, s][:, FAMILY_INDICES[family]] for c, s in zip(weights, MOMENTUM_BRANCHES)
+        ]).reshape(2, 3, 3, 3)
+        for part in partition.parts:
+            forms = _gram_forms(branches, part)
+            products = np.einsum("bklij,bklmn->ijmn", forms, forms)
+            quartic += np.bincount(_MONOMIALS, products.ravel(), len(_QUARTICS))
     return quartics
 
 
 def _monomial_factors(factors: np.ndarray) -> np.ndarray:
     """One axis's factor of each quartic monomial, (15, points), from its amplitude factors."""
-    out = np.ones((len(_QUARTICS), factors.shape[1]))
-    for row, powers in zip(out, _QUARTICS):
-        for factor, power in zip(factors, powers):
-            for _ in range(power):
-                row *= factor
-    return out
+    powers = [np.ones_like(factors)]
+    for _ in range(4):
+        powers.append(powers[-1] * factors)
+    return np.stack([powers[a][0] * powers[b][1] * powers[c][2] for a, b, c in _QUARTICS])
 
 
 def family_entropies(

@@ -378,7 +378,15 @@ def read_json(stream: IO[str]) -> SweepResult:
         tg = GridSpec(**config["theta_grid"])
         pg = GridSpec(**config["phi_grid"])
         shape = tuple(envelope["shape"])
-        values = np.array(envelope["values"], dtype=float)
+        raw = envelope["values"]
+        # numpy would convert "0.5", true and null to floats; a cell must be a JSON number
+        if not set(map(type, raw)) <= {float, int}:
+            bad = [json.dumps(value)[:20] for value in raw if type(value) not in (float, int)]
+            raise ValueError(
+                f"JSON sweep values must be numbers, got {len(bad)} that are not: "
+                + ", ".join(bad[:3])
+            )
+        values = np.array(raw, dtype=float)
         # the counts must match the stored values before any grid is built,
         # so a count the file does not back allocates nothing
         if shape != (tg.count, pg.count) or values.shape != (tg.count * pg.count,):
@@ -387,7 +395,7 @@ def read_json(stream: IO[str]) -> SweepResult:
                 f"the {tg.count} x {pg.count} grid"
             )
         thetas, phis = tg.points, pg.points
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed JSON sweep envelope ({type(exc).__name__}: {exc})") from None
     values = values.reshape(shape)
     family = SpinFamily(config["family"]) if config.get("family") else None

@@ -12,7 +12,6 @@ concurrently.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -175,61 +174,6 @@ def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2), real by hermiticity."""
     r = rho.entries
     return float(np.trace(r @ r).real)
-
-
-@functools.cache
-def _cut(order: FactorOrder, keep: frozenset[SubsystemLabel]) -> tuple[tuple[int, ...], int, tuple]:
-    """The smaller side of the cut between `keep` and the rest, as batch_gram reduces it.
-
-    Returns the axis permutation of the (dims..., cells) tensor that puts
-    the smaller side's axes first, then the other axes, then the cells;
-    the smaller side's dimension; and, for each index of the other side in
-    row-major order, the tensor index that selects it.
-    """
-    if not keep:
-        raise ValueError("keep must be a nonempty set of labels")
-    kept_axes = sorted(order.axis(label) for label in keep)
-    rest_axes = [ax for ax in range(len(order.labels)) if ax not in kept_axes]
-    dims = order.dims
-    dk = 1
-    for ax in kept_axes:
-        dk *= dims[ax]
-    if dk * dk > order.total_dim:
-        kept_axes, rest_axes = rest_axes, kept_axes
-        dk = order.total_dim // dk
-    kept = (slice(None),) * len(kept_axes)
-    rest = tuple(kept + index for index in np.ndindex(*(dims[ax] for ax in rest_axes)))
-    return tuple(kept_axes + rest_axes + [len(dims)]), dk, rest
-
-
-def batch_gram(
-    cols: np.ndarray,
-    keep: Iterable[SubsystemLabel],
-    order: FactorOrder,
-) -> np.ndarray:
-    """Gram entries of the reduced state over `keep` for each column of a (total_dim, cells) array.
-
-    Each column is a pure state over `order`. A pure state has the same
-    nonzero spectrum on both sides of a cut, so the Gram matrix is taken on
-    the smaller side, dk x dk, and returned row-major as (dk * dk, cells).
-    Its terms are summed over the other side's indices front to back in
-    row-major order, each step an elementwise operation over the cells. No
-    sum runs along the cell axis, so a column gives the same bits alone as
-    inside any batch. Real columns stay real and complex columns complex.
-    """
-    perm, dk, rest = _cut(order, frozenset(keep))
-    cols = np.asarray(cols)
-    if not np.iscomplexobj(cols):
-        cols = cols.astype(float, copy=False)
-    cells = cols.shape[1]
-    tens = np.transpose(cols.reshape(order.dims + (cells,)), perm)
-    gram = np.zeros((dk, dk, cells), cols.dtype)
-    for index in rest:
-        # a view whenever the smaller side's axes merge, as a single axis does
-        a = tens[index].reshape(dk, cells)
-        # conj() of a real array is the array itself, so real columns stay real
-        gram += a[:, None] * a[None, :].conj()
-    return gram.reshape(dk * dk, cells)
 
 
 def permute_operator(matrix: np.ndarray, order: FactorOrder, new_order: FactorOrder) -> np.ndarray:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinboost import checks, entanglement, tensor
+from spinboost import checks, entanglement
 from spinboost.checks import check_suite
 from spinboost.lorentz import boost_operator, wigner_d
 from spinboost.sweep import delta_e_grid
@@ -165,31 +165,27 @@ def test_nan_surface_fails_the_sign_flip_check(cells, monkeypatch):
 
 
 def _scaled_gram(monkeypatch):
-    """Every entry of the evaluator's Gram kernel, under each name it is bound to, times 1 + 1e-6."""
-    exact = tensor.batch_gram
+    """Every coefficient of the evaluator's Gram forms times 1 + 1e-6."""
+    exact = entanglement._gram_forms
 
     def scaled(*args):
         return exact(*args) * (1 + 1e-6)
 
-    monkeypatch.setattr(tensor, "batch_gram", scaled)
-    monkeypatch.setattr(entanglement, "batch_gram", scaled)
+    monkeypatch.setattr(entanglement, "_gram_forms", scaled)
 
 
-def _dropped_rest_index(monkeypatch):
-    """The evaluator's Gram sums skip the last index of the other side of every cut."""
-    exact = tensor._cut
-
-    def cut(order, keep):
-        perm, dk, rest = exact(order, keep)
-        return perm, dk, rest[:-1]
-
-    monkeypatch.setattr(tensor, "_cut", cut)
+def _swapped_fold(monkeypatch):
+    """The fold onto the quartic monomials sends x0^4 and x0^3 x1 to each other's place."""
+    monomials = entanglement._MONOMIALS.copy()
+    monomials[[0, 1]] = monomials[[1, 0]]
+    monkeypatch.setattr(entanglement, "_MONOMIALS", monomials)
 
 
-@pytest.mark.parametrize("corrupt", [_scaled_gram, _dropped_rest_index], ids=["scaled", "dropped-index"])
+@pytest.mark.parametrize("corrupt", [_scaled_gram, _swapped_fold], ids=["scaled", "swapped-fold"])
 def test_corrupted_gram_kernel_fails_the_sign_flip_check(corrupt, monkeypatch):
     """The checks reduce entropies on a route of their own, so a defect in the evaluator's
-    kernel fails the one check that compares against the evaluator, and only that one."""
+    Gram forms or in their fold fails the one check that compares against the evaluator,
+    and only that one."""
     corrupt(monkeypatch)
     report = check_suite()
     assert {r.name for r in report.results if not r.passed} == {"global_sign_flip_invariance"}

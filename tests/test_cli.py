@@ -481,7 +481,8 @@ def test_extrema_rejects_phi_outer_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize("edit", ["drop-config", "drop-values", "drop-grid", "short-values",
                                   "wrong-shape", "equal-endpoints", "huge-count",
-                                  "span-overflow"])
+                                  "span-overflow", "string-value", "bool-value",
+                                  "int-overflow"])
 def test_extrema_rejects_malformed_json(edit, tmp_path, capsys):
     path = tmp_path / "s.json"
     _write_small_sweep(path, capsys)
@@ -501,6 +502,13 @@ def test_extrema_rejects_malformed_json(edit, tmp_path, capsys):
         envelope["config"]["theta_grid"]["count"] = 10**15
     elif edit == "span-overflow":
         envelope["config"]["theta_grid"].update(start=-1e308, stop=1e308)
+    elif edit == "string-value":
+        # numpy would read each of these as a float
+        envelope["values"][:2] = ["0.5", " 7 "]
+    elif edit == "bool-value":
+        envelope["values"][5] = True
+    elif edit == "int-overflow":
+        envelope["values"][0] = 10**400
     else:
         envelope["shape"] = [9, 7]
     path.write_text(json.dumps(envelope))
@@ -510,6 +518,10 @@ def test_extrema_rejects_malformed_json(edit, tmp_path, capsys):
     assert captured.err.startswith("error: ")
     if edit == "huge-count":
         assert "does not match" in captured.err
+    if edit == "string-value":
+        assert 'got 2 that are not: "0.5", " 7 "' in captured.err
+    if edit == "bool-value":
+        assert "got 1 that are not: true" in captured.err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

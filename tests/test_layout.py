@@ -1,6 +1,6 @@
 """Layout rules: every public top-level name in src/ has a user outside the tests, src/
-leaves numpy.random unloaded, the checks share no kernel with the evaluator, and the CLI
-module loads no numpy."""
+leaves numpy.random unloaded, the checks share no kernel with the evaluator, the evaluator
+uses no part of the dense oracle, and the CLI module loads no numpy."""
 
 import ast
 import sys
@@ -62,16 +62,32 @@ def test_src_never_names_numpy_random():
 
 def test_checks_import_no_evaluator_kernel():
     """The checks reduce entropies on their own route; delta_e_grid is the one evaluator
-    entry they compare against, so they import no Gram kernel and no private name."""
+    entry they compare against, so they import no other evaluator entry and no private name."""
     path = PACKAGE / "checks.py"
     borrowed = [
         f"{node.module}.{alias.name}"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.ImportFrom) and node.module in ("entanglement", "tensor")
         for alias in node.names
-        if alias.name in ("batch_gram", "family_entropies") or alias.name.startswith("_")
+        if alias.name in ("family_entropies", "delta_e") or alias.name.startswith("_")
     ]
     assert not borrowed, f"checks.py imports evaluator internals: {borrowed}"
+
+
+def test_evaluator_uses_no_dense_oracle():
+    """The dense route (outer, partial_trace, purity, DensityMatrix) is the oracle that the
+    acceptance tests and the benchmark gate hold the evaluator to, so the evaluator and the
+    sweep never call it, whether imported by name or read as a module attribute."""
+    oracle = {"outer", "partial_trace", "purity", "DensityMatrix"}
+    borrowed = []
+    for name in ("entanglement.py", "sweep.py"):
+        path = PACKAGE / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                borrowed += [f"{name}: {a.name}" for a in node.names if a.name in oracle]
+            elif isinstance(node, ast.Attribute) and node.attr in oracle:
+                borrowed.append(f"{name}: .{node.attr}")
+    assert not borrowed, f"the evaluator uses the dense oracle: {borrowed}"
 
 
 def _module_level_imports(path: Path) -> list[str]:

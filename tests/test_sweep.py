@@ -3,7 +3,11 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,26 +95,9 @@ def test_grid_cells_independent_of_batching():
 @pytest.mark.parametrize("family", list(SpinFamily))
 @pytest.mark.parametrize("partition", list(PARTITIONS))
 def test_grid_cells_evaluated_alone_match_full_grid(family, partition):
-    """A grid of one cell gives the same bits as that cell inside the full grid."""
-    thetas = np.linspace(0.0, math.pi, 9)
-    phis = np.linspace(0.0, 2 * math.pi, 17)
-    part = PARTITIONS[partition]
-    full = delta_e_grid(family, 0.7, math.pi / 8, part, thetas, phis)
-    alone = np.array(
-        [
-            [delta_e_grid(family, 0.7, math.pi / 8, part, thetas[i : i + 1], phis[j : j + 1])[0, 0]
-             for j in range(phis.size)]
-            for i in range(thetas.size)
-        ]
-    )
-    assert np.array_equal(full, alone)
-
-
-@pytest.mark.parametrize("family", list(SpinFamily))
-@pytest.mark.parametrize("partition", list(PARTITIONS))
-def test_chunk_size_does_not_change_any_cell(family, partition):
-    """Each cell evaluated alone, as a 1x1 grid, gives the sweep's surface and CSV bytes."""
-    config = small_config(partition=partition, nt=9, np_=17, family=family)
+    """A grid of one cell gives the same bits as that cell inside the full sweep, and so the
+    same CSV bytes, which also tell -0.0 from 0.0."""
+    config = dict(small_config(partition=partition, nt=9, np_=17, family=family), alpha=0.7)
 
     def csv_text(result):
         buf = io.StringIO()
@@ -169,6 +156,36 @@ def test_run_sweep_deterministic_bytes():
         write_csv(run_sweep(**config), buf)
         streams.append(buf.getvalue())
     assert streams[0] == streams[1]
+
+
+# prints the spins' frozenset order under this hash seed and a digest of eight surfaces
+_SURFACES_UNDER_SEED = """
+import hashlib, math
+from spinboost.entanglement import PARTITIONS
+from spinboost.states import SpinFamily
+from spinboost.sweep import delta_e_grid
+from spinboost.tensor import SubsystemLabel
+thetas, phis = [math.pi * k / 8 for k in range(9)], [math.pi * k / 8 for k in range(17)]
+digest = hashlib.sha256()
+for family in SpinFamily:
+    for partition in PARTITIONS.values():
+        digest.update(delta_e_grid(family, 0.7, 1.2, partition, thetas, phis).tobytes())
+print(",".join(label.value for label in frozenset({SubsystemLabel.SA, SubsystemLabel.SB})))
+print(digest.hexdigest())
+"""
+
+
+def test_surfaces_do_not_depend_on_the_hash_seed():
+    """A part is a frozenset of labels, iterated in an order that follows the string hash seed;
+    two seeds that order the spins differently give the same surface bytes."""
+    env = {**os.environ, "PYTHONPATH": str(Path(sweep.__file__).resolve().parents[1])}
+    orders, digests = zip(*(
+        subprocess.run([sys.executable, "-c", _SURFACES_UNDER_SEED], capture_output=True,
+                       text=True, env={**env, "PYTHONHASHSEED": seed}, check=True).stdout.split()
+        for seed in ("0", "1")
+    ))
+    assert orders[0] != orders[1]
+    assert digests[0] == digests[1]
 
 
 def test_csv_round_trip_exact():

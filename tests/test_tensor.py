@@ -1,7 +1,4 @@
-"""Tensor-core tests: factor bookkeeping, partial trace, purity, batched Gram entries."""
-
-import itertools
-import math
+"""Tensor-core tests: factor bookkeeping, partial trace, purity."""
 
 import numpy as np
 import pytest
@@ -13,7 +10,6 @@ from spinboost.tensor import (
     FactorOrder,
     PureState,
     SubsystemLabel,
-    batch_gram,
     kron_all,
     outer,
     partial_trace,
@@ -136,110 +132,6 @@ def test_partial_trace_rejects_empty_keep():
     rho = outer(PureState(random_state(rng)))
     with pytest.raises(ValueError):
         partial_trace(rho, [])
-
-
-def gram_purity(cols, keep, order=CANONICAL_ORDER):
-    """Purity of each column, summed here as sum |g|^2 over its batch_gram entries."""
-    return (np.abs(batch_gram(cols, keep, order)) ** 2).sum(axis=0)
-
-
-def test_batch_gram_real_columns_match_complex_columns():
-    rng = np.random.default_rng(29)
-    rows = rng.standard_normal((8, 36))
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    for size in range(1, 5):
-        for keep in itertools.combinations((PA, PB, SA, SB), size):
-            real = batch_gram(rows.T, keep, CANONICAL_ORDER)
-            assert real.dtype == np.float64
-            complex_ = batch_gram(rows.T.astype(complex), keep, CANONICAL_ORDER)
-            assert complex_.dtype == np.complex128
-            assert np.max(np.abs(real - complex_)) < 1e-14
-
-
-def test_batch_gram_either_side_matches_partial_trace():
-    """Every kept set, reduced on whichever side is smaller, has the oracle's purity."""
-    rng = np.random.default_rng(31)
-    moved_order = FactorOrder((SB, PA, SA, PB))
-    real = rng.standard_normal(36)
-    states = [PureState(random_state(rng)), PureState(real / np.linalg.norm(real))]
-    states += [permute_factors(psi, moved_order) for psi in states]
-    for psi in states:
-        rho = outer(psi)
-        for size in range(1, 5):
-            for keep in itertools.combinations((PA, PB, SA, SB), size):
-                via_trace = purity(partial_trace(rho, keep))
-                via_gram = gram_purity(psi.amplitudes[:, None], keep, psi.order)[0]
-                assert abs(via_trace - via_gram) < 1e-12
-
-
-def test_batch_gram_columns_match_one_column_calls_bit_for_bit():
-    """No sum runs along the cell axis, so batching cannot move a bit."""
-    rng = np.random.default_rng(37)
-    real = rng.standard_normal((36, 11))
-    moved_order = FactorOrder((SB, PA, SA, PB))
-    for cols in (real, real + 1j * rng.standard_normal((36, 11))):
-        for order in (CANONICAL_ORDER, moved_order):
-            for size in range(1, 5):
-                for keep in itertools.combinations((PA, PB, SA, SB), size):
-                    batch = batch_gram(cols, keep, order)
-                    alone = np.hstack([batch_gram(cols[:, [k]], keep, order) for k in range(11)])
-                    assert batch.dtype == cols.dtype
-                    assert batch.tolist() == alone.tolist()
-
-
-def front_to_back_gram(col, keep, order):
-    """Gram entries of one real column in plain Python, in batch_gram's order.
-
-    The Gram matrix is taken on the smaller side of the cut (the kept side
-    on a tie). Its terms are added over the other side's indices front to
-    back in row-major order, and its entries are listed row-major.
-    """
-    dims = order.dims
-    side = [ax for ax, label in enumerate(order.labels) if label in keep]
-    other = [ax for ax in range(len(dims)) if ax not in side]
-    if math.prod(dims[ax] for ax in side) > math.prod(dims[ax] for ax in other):
-        side, other = other, side
-    tens = col.reshape(dims)
-
-    def amplitude(side_index, other_index):
-        index = [0] * len(dims)
-        for ax, i in zip(side + other, side_index + other_index):
-            index[ax] = i
-        return float(tens[tuple(index)])
-
-    side_indices = list(itertools.product(*(range(dims[ax]) for ax in side)))
-    gram = [[0.0] * len(side_indices) for _ in side_indices]
-    for o in itertools.product(*(range(dims[ax]) for ax in other)):
-        for i, si in enumerate(side_indices):
-            for j, sj in enumerate(side_indices):
-                gram[i][j] += amplitude(si, o) * amplitude(sj, o)
-    return [entry for row in gram for entry in row]
-
-
-def test_batch_gram_sums_front_to_back_bit_for_bit():
-    """The evaluator's bits depend on this order: smaller side, terms front to back, row-major."""
-    rng = np.random.default_rng(41)
-    cols = rng.standard_normal((36, 3))
-    for order in (CANONICAL_ORDER, FactorOrder((SB, PA, SA, PB))):
-        for size in range(1, 5):
-            for keep in itertools.combinations((PA, PB, SA, SB), size):
-                expected = [front_to_back_gram(cols[:, k], keep, order) for k in range(3)]
-                assert batch_gram(cols, keep, order).T.tolist() == expected
-
-
-def test_batch_gram_purity_bounds():
-    rng = np.random.default_rng(23)
-    vec = random_state(rng)
-    for keep, dim in (({PA}, 2), ({SA}, 3), ({SA, SB}, 9)):
-        p = gram_purity(vec[:, None], keep)[0]
-        assert 1.0 / dim - 1e-12 <= p <= 1.0 + 1e-12
-
-
-def test_batch_gram_of_product_basis_state_has_purity_one():
-    vec = np.zeros(36, dtype=complex)
-    vec[5] = 1.0
-    for keep in ({PA}, {PB}, {SA}, {SB}, {PA, SB}, {SA, SB}):
-        assert abs(gram_purity(vec[:, None], keep)[0] - 1.0) < 1e-15
 
 
 def test_permute_factors_basis_index_mapping():
