@@ -115,6 +115,30 @@ def test_grid_cells_evaluated_alone_match_full_grid(family, partition):
     assert csv_text(result) == csv_text(SweepResult(result.thetas, result.phis, alone))
 
 
+@pytest.mark.parametrize("family", list(SpinFamily))
+@pytest.mark.parametrize("partition", list(PARTITIONS))
+def test_chunk_size_does_not_change_any_cell(family, partition):
+    """Tiling the grid into blocks of any size, ragged edges included, gives the sweep's
+    surface and CSV bytes."""
+    config = small_config(partition=partition, nt=9, np_=17, family=family)
+
+    def csv_text(result):
+        buf = io.StringIO()
+        write_csv(result, buf)
+        return buf.getvalue()
+
+    result = run_sweep(**config)
+    args = (family, config["alpha"], config["omega"], config["partition"])
+    for rows, cols in ((2, 3), (4, 5), (9, 7), (5, 17)):
+        tiled = np.block([
+            [delta_e_grid(*args, result.thetas[i : i + rows], result.phis[j : j + cols])
+             for j in range(0, result.phis.size, cols)]
+            for i in range(0, result.thetas.size, rows)
+        ])
+        assert np.array_equal(result.values, tiled), (rows, cols)
+        assert csv_text(result) == csv_text(SweepResult(result.thetas, result.phis, tiled))
+
+
 def test_delta_e_grid_memory_is_bounded():
     """The evaluator holds a few floats per cell plus at most 4 MiB of per-axis work."""
     thetas = np.linspace(0.0, math.pi, 401)
