@@ -13,20 +13,21 @@ measure is defined as the literal sum over listed parts.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from operator import mul
 
-import numpy as np
-
-from .lorentz import boost_operator
+from .kinematics import d1
 from .states import (
     FAMILY_INDICES,
     MOMENTUM_BRANCHES,
     SpinFamily,
     SpinParams,
-    amplitude_factors,
+    SubsystemLabel,
     momentum_state,
+    phi_factors,
+    theta_factors,
 )
-from .tensor import SubsystemLabel
 
 _PA, _PB, _SA, _SB = (
     SubsystemLabel.PA,
@@ -86,108 +87,106 @@ def parse_partition(text: str) -> Partition:
         raise ValueError(f"unknown partition {text!r}; known: {known}") from None
 
 
-# axes of the spins in the (branch, sA, sB, amplitude) branch columns
+# positions of the spins in a (branch, sA, sB) row index of the branch columns
 _SPIN_AXES = {_SA: 1, _SB: 2}
 
 # exponents (a, b, c) of the quartic monomials x0^a x1^b x2^c in the amplitudes
 _QUARTICS = tuple((a, b, 4 - a - b) for a in range(5) for b in range(5 - a))
 # the monomial x_i x_j x_m x_n as a position in _QUARTICS, flat over (i, j, m, n)
-_MONOMIALS = np.array([
-    _QUARTICS.index(tuple(np.bincount(ijmn, minlength=3)))
-    for ijmn in np.ndindex(3, 3, 3, 3)
-])
+_MONOMIALS = tuple(
+    _QUARTICS.index(tuple(ijmn.count(k) for k in range(3)))
+    for ijmn in itertools.product(range(3), repeat=4)
+)
 
 
-def _gram_forms(branches: np.ndarray, part: frozenset[SubsystemLabel]) -> np.ndarray:
-    """The part's Gram entries as quadratic forms in x, (batch, kept, kept, 3, 3).
+def _gram_forms(
+    branches: dict[tuple[int, int, int], list[float]], part: frozenset[SubsystemLabel]
+) -> list[list[float]]:
+    """The part's Gram entries as quadratic forms in x, each 9 coefficients flat over (i, j).
 
-    `branches` holds the two branch columns as (branch, sA, sB, amplitude),
-    so entry (k, l) is sum_ij x_i x_j Q[..., k, l, i, j]. A part that holds
-    both momenta keeps the branch coherence, so the branch joins its kept
-    side. A part that holds neither traces the branch out with the other
-    spins. A part that holds exactly one momentum sees the branches as a
-    direct sum, so the branch is a batch axis; with no spins its kept side
-    is empty, and the 1x1 Gram matrix is each branch's squared norm.
+    `branches` maps each (branch, sA, sB) row of the two branch columns to
+    its coefficients of the three amplitudes, so entry (k, l) is
+    sum_ij x_i x_j q[3 i + j], with q the sum over the traced rows r of
+    row (k, r)[i] * row (l, r)[j]. A part that holds both momenta keeps the
+    branch coherence, so the branch joins its kept side. A part that holds
+    neither traces the branch out with the other spins. A part that holds
+    exactly one momentum sees the branches as a direct sum, so the branch
+    is a batch index; with no spins its kept side is empty, and the 1x1
+    Gram matrix is each branch's squared norm.
     """
-    spins = sorted(_SPIN_AXES[label] for label in part if label in _SPIN_AXES)
+    # the dict, unlike the frozenset, has one iteration order whatever the hash seed
+    spins = [axis for label, axis in _SPIN_AXES.items() if label in part]
     momenta = len(part) - len(spins)
-    kept = 3 ** len(spins)
-    # the kept spins first, then the branch, the other spins and the amplitude
-    m = np.moveaxis(branches, spins, range(len(spins))).reshape(kept, 2, 9 // kept, 3)
-    if momenta == 1:
-        m = m.transpose(1, 0, 2, 3)
-    else:
-        m = m.reshape((1, 2 * kept, -1, 3) if momenta == 2 else (1, kept, -1, 3))
-    return np.einsum("bkri,blrj->bklij", m, m)
+    blocks: dict[int, dict[tuple[int, ...], list[list[float]]]] = {}
+    # rows come in (branch, sA, sB) order, so every kept index lists its traced rows alike
+    for row, coefficients in branches.items():
+        kept = tuple(row[axis] for axis in spins)
+        if momenta == 2:
+            kept = (row[0],) + kept
+        batch = row[0] if momenta == 1 else 0
+        blocks.setdefault(batch, {}).setdefault(kept, []).append(coefficients)
+    forms = []
+    for block in blocks.values():
+        # each kept index's traced rows as three amplitude columns
+        sides = [list(zip(*rows)) for rows in block.values()]
+        for left in sides:
+            for right in sides:
+                forms.append([sum(map(mul, u, v)) for u in left for v in right])
+    return forms
 
 
 def _purity_quartics(
     family: SpinFamily, alpha: float, omegas: tuple[float, ...], partition: Partition
-) -> np.ndarray:
+) -> list[list[float]]:
     """Coefficients over _QUARTICS of the partition's total purity after each boost, (boosts, 15).
 
     The momentum state populates only |p+ p-> and |p- p+>, and the boost
     keeps each sector, so a family member is the two branches
-    c_b sum_i x_i D_b[:, f_i], with D_b the branch's 9x9 diagonal block and
-    f_i the amplitudes' positions. Each Gram entry of a part is therefore a
+    c_b sum_i x_i (d_A x d_B)[:, f_i]: each branch rotates spin A by d1 of
+    +omega or -omega as momentum A is p+ or p-, spin B likewise, and f_i
+    are the amplitudes' positions. Each Gram entry of a part is therefore a
     quadratic form in x, read off the branch columns, and the sum of their
     squares is the part's purity: its 81 products of form coefficients fold
-    onto the 15 quartic monomials. Each boost is its own pass.
+    onto the 15 quartic monomials. Each boost is its own pass, in plain
+    floats.
     """
     mom = momentum_state(alpha)
-    if np.delete(mom, MOMENTUM_BRANCHES).any():
+    if any(weight for sector, weight in enumerate(mom) if sector not in MOMENTUM_BRANCHES):
         raise ValueError("momentum state populates |p+ p+> or |p- p->, outside the two branches")
-    weights = mom[list(MOMENTUM_BRANCHES)].real
-    quartics = np.zeros((len(omegas), len(_QUARTICS)))
-    for quartic, omega in zip(quartics, omegas):
-        u = boost_operator(omega).real.reshape(4, 9, 4, 9)
-        branches = np.stack([
-            c * u[s, :, s][:, FAMILY_INDICES[family]] for c, s in zip(weights, MOMENTUM_BRANCHES)
-        ]).reshape(2, 3, 3, 3)
+    quartics = []
+    for omega in omegas:
+        rotations = (d1(omega), d1(-omega))  # under momentum p+ and p-
+        branches = {}
+        for branch, sector in enumerate(MOMENTUM_BRANCHES):
+            d_a, d_b = (rotations[p] for p in divmod(sector, 2))
+            for s_a, s_b in itertools.product(range(3), repeat=2):
+                branches[branch, s_a, s_b] = [
+                    mom[sector] * (d_a[s_a][f // 3] * d_b[s_b][f % 3])
+                    for f in FAMILY_INDICES[family]
+                ]
+        quartic = [0.0] * len(_QUARTICS)
         for part in partition.parts:
-            forms = _gram_forms(branches, part)
-            products = np.einsum("bklij,bklmn->ijmn", forms, forms)
-            quartic += np.bincount(_MONOMIALS, products.ravel(), len(_QUARTICS))
+            columns = list(zip(*_gram_forms(branches, part)))
+            products = (sum(map(mul, u, v)) for u in columns for v in columns)
+            for monomial, product in zip(_MONOMIALS, products):
+                quartic[monomial] += product
+        quartics.append(quartic)
     return quartics
 
 
-def _monomial_factors(factors: np.ndarray) -> np.ndarray:
-    """One axis's factor of each quartic monomial, (15, points), from its amplitude factors."""
-    powers = [np.ones_like(factors)]
-    for _ in range(4):
-        powers.append(powers[-1] * factors)
-    return np.stack([powers[a][0] * powers[b][1] * powers[c][2] for a, b, c in _QUARTICS])
+def _monomial_factors(factors):
+    """One axis's factor of each quartic monomial, in _QUARTICS order, from its amplitude factors.
 
-
-def family_entropies(
-    family: SpinFamily,
-    alpha: float,
-    omega: float,
-    partition: Partition,
-    thetas: np.ndarray,
-    phis: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Entropy before and after the boost over a (theta, phi) grid, theta outer.
-
-    The partition's total purity is a quartic form in the amplitudes x, and
-    each monomial splits into a theta factor times a phi factor, so a
-    surface is the number of parts minus a sum of 15 outer products. Each
-    is an elementwise multiply-add over the grid, so a 1x1 grid gives the
-    same bits as that cell inside a grid of any size. Before is the boost
-    by zero, so at omega = 0 both surfaces are the same bits.
+    `factors` holds the three amplitudes' factors along the axis: floats for
+    a point, or equal-shape arrays for the points of a grid axis. Either way
+    each factor's powers 0-4 come by repeated multiplication and each
+    monomial is the product of its three powers, so a point and a grid
+    get the same bits.
     """
-    theta_factors, phi_factors = amplitude_factors(thetas, phis)
-    theta_monomials = _monomial_factors(theta_factors)
-    phi_monomials = _monomial_factors(phi_factors)
-
-    def entropy(quartic: np.ndarray) -> np.ndarray:
-        purity = np.zeros((theta_monomials.shape[1], phi_monomials.shape[1]))
-        for coefficient, theta_part, phi_part in zip(quartic, theta_monomials, phi_monomials):
-            purity += (coefficient * theta_part)[:, None] * phi_part
-        return len(partition.parts) - purity
-
-    before, after = _purity_quartics(family, alpha, (0.0, omega), partition)
-    return entropy(before), entropy(after)
+    powers = [(1.0, 1.0, 1.0)]
+    for _ in range(4):
+        powers.append(tuple(power * factor for power, factor in zip(powers[-1], factors)))
+    return [powers[a][0] * powers[b][1] * powers[c][2] for a, b, c in _QUARTICS]
 
 
 @dataclass(frozen=True)
@@ -203,10 +202,21 @@ def delta_e(spin: SpinParams, alpha: float, omega: float, partition: Partition) 
     """Linear-entropy change produced by the boost of angle omega.
 
     `spin` holds the family parameters; `alpha` is the momentum parameter.
-    The point is a 1x1 grid of family_entropies.
+    The partition's total purity is a quartic form in the amplitudes x, and
+    each monomial splits into a theta factor times a phi factor, so an
+    entropy is the number of parts minus 15 multiply-adds. They run in the
+    order of `sweep.family_entropies`, so a point gives the bits of its grid
+    cell. Before is the boost by zero, so at omega = 0 the change is +0.0.
     """
-    before, after = family_entropies(
-        spin.family, alpha, omega, partition, [spin.theta], [spin.phi]
-    )
-    e_before, e_after = float(before[0, 0]), float(after[0, 0])
+    theta_monomials = _monomial_factors(theta_factors(spin.theta))
+    phi_monomials = _monomial_factors(phi_factors(spin.phi))
+
+    def entropy(quartic: list[float]) -> float:
+        purity = 0.0
+        for coefficient, theta_part, phi_part in zip(quartic, theta_monomials, phi_monomials):
+            purity += coefficient * theta_part * phi_part
+        return len(partition.parts) - purity
+
+    before, after = _purity_quartics(spin.family, alpha, (0.0, omega), partition)
+    e_before, e_after = entropy(before), entropy(after)
     return DeltaEResult(e_before=e_before, e_after=e_after, delta=e_after - e_before)

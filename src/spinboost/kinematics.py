@@ -1,4 +1,4 @@
-"""Wigner angle of the boost, from the rapidities alone.
+"""Wigner angle of the boost from the rapidities, and the spin-1 rotation it applies.
 
 This module needs only the standard library, so `spinboost.cli` can import
 it at load time and `spinboost wigner-angle` never loads numpy.
@@ -39,3 +39,17 @@ def _sech(x: float) -> float:
     """1/cosh(x) for x >= 0, underflowing to 0 instead of overflowing."""
     e = math.exp(-x)
     return 2.0 * e / (1.0 + e * e)
+
+
+def d1(beta: float) -> tuple[tuple[float, float, float], ...]:
+    """Closed-form spin-1 small-d rotation matrix, equal to exp(-i beta Jy) entrywise.
+
+    The rows and columns run over the basis (|1>, |0>, |-1>).
+    """
+    c, s = math.cos(beta), math.sin(beta)
+    r = math.sqrt(2.0)
+    return (
+        ((1 + c) / 2, -s / r, (1 - c) / 2),
+        (s / r, c, -s / r),
+        ((1 - c) / 2, s / r, (1 + c) / 2),
+    )

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .kinematics import d1
 from .tensor import kron_all
 
 
@@ -30,20 +31,8 @@ def jy_matrix() -> np.ndarray:
 
 
 def wigner_d(beta: float) -> np.ndarray:
-    """Closed-form spin-1 small-d rotation matrix, equal to exp(-i beta Jy) entrywise.
-
-    The basis is (|1>, |0>, |-1>).
-    """
-    c, s = math.cos(beta), math.sin(beta)
-    r = math.sqrt(2.0)
-    return np.array(
-        [
-            [(1 + c) / 2, -s / r, (1 - c) / 2],
-            [s / r, c, -s / r],
-            [(1 - c) / 2, s / r, (1 + c) / 2],
-        ],
-        dtype=complex,
-    )
+    """The closed-form spin-1 rotation `kinematics.d1` as a complex 3x3 array."""
+    return np.array(d1(beta), dtype=complex)
 
 
 _P_PLUS = np.diag([1.0, 0.0]).astype(complex)

@@ -1,9 +1,10 @@
-"""Parametrized state families and named special states.
+"""Subsystem labels, parametrized state families and named special states.
 
 Momentum states live on the two-particle momentum pair (dim 4, order
 [pA, pB]), spin states on the two-particle spin pair (dim 9, order
 [sA, sB]). Their Kronecker product, momentum first, is a state in the
-canonical [pA, pB, sA, sB] order.
+canonical [pA, pB, sA, sB] order. Both are plain lists of floats: this
+module needs only the standard library.
 
 Basis conventions: momentum |p+> is index 0 and |p-> index 1 within each
 particle; spin indices run |1> = 0, |0> = 1, |-1> = 2.
@@ -15,7 +16,26 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
+
+class SubsystemLabel(Enum):
+    """The four physical subsystems: momenta and spins of particles A and B."""
+
+    PA = "pA"
+    PB = "pB"
+    SA = "sA"
+    SB = "sB"
+
+    @property
+    def dim(self) -> int:
+        return _LABEL_DIMS[self]
+
+
+_LABEL_DIMS = {
+    SubsystemLabel.PA: 2,
+    SubsystemLabel.PB: 2,
+    SubsystemLabel.SA: 3,
+    SubsystemLabel.SB: 3,
+}
 
 
 class SpinFamily(Enum):
@@ -45,38 +65,42 @@ FAMILY_INDICES = {
 MOMENTUM_BRANCHES = (1, 2)
 
 
-def momentum_state(alpha: float) -> np.ndarray:
+def momentum_state(alpha: float) -> list[float]:
     """cos(alpha) |p+ p-> + sin(alpha) |p- p+> as a 4-dim vector."""
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    vec = np.zeros(4, dtype=complex)
-    vec[list(MOMENTUM_BRANCHES)] = math.cos(alpha), math.sin(alpha)
+    vec = [0.0] * 4
+    for sector, weight in zip(MOMENTUM_BRANCHES, (math.cos(alpha), math.sin(alpha))):
+        vec[sector] = weight
     return vec
 
 
-def amplitude_factors(thetas: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Theta and phi factors of the three family amplitudes, (3, thetas) and (3, phis).
+def theta_factors(theta: float) -> tuple[float, float, float]:
+    """Theta factors (sin t, sin t, cos t) of the three family amplitudes."""
+    sin_theta = math.sin(theta)
+    return sin_theta, sin_theta, math.cos(theta)
 
-    Amplitude i of the member at (theta, phi) is theta_factors[i] * phi_factors[i],
-    which gives (sin t cos p, sin t sin p, cos t).
+
+def phi_factors(phi: float) -> tuple[float, float, float]:
+    """Phi factors (cos p, sin p, 1) of the three family amplitudes.
+
+    Amplitude i of the member at (theta, phi) is theta_factors(theta)[i] *
+    phi_factors(phi)[i], which gives (sin t cos p, sin t sin p, cos t).
     """
-    thetas, phis = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
-    sin_thetas = np.sin(thetas)
-    theta_factors = np.stack([sin_thetas, sin_thetas, np.cos(thetas)])
-    phi_factors = np.stack([np.cos(phis), np.sin(phis), np.ones_like(phis)])
-    return theta_factors, phi_factors
+    return math.cos(phi), math.sin(phi), 1.0
 
 
-def spin_state(params: SpinParams) -> np.ndarray:
-    """Spin vector of one family member, a real 9-dim array.
+def spin_state(params: SpinParams) -> list[float]:
+    """Spin vector of one family member, 9 real amplitudes.
 
     Family S1 puts its three amplitudes on |1 1>, |0 0>, |-1 -1>; family S2
     uses |1 -1>, |-1 1>, |0 0> instead.
     """
-    theta_factors, phi_factors = amplitude_factors([params.theta], [params.phi])
-    vec = np.zeros(9)
-    vec[list(FAMILY_INDICES[params.family])] = (theta_factors * phi_factors)[:, 0]
+    vec = [0.0] * 9
+    amplitudes = zip(theta_factors(params.theta), phi_factors(params.phi))
+    for index, (theta_factor, phi_factor) in zip(FAMILY_INDICES[params.family], amplitudes):
+        vec[index] = theta_factor * phi_factor
     return vec
 
 

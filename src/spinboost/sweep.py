@@ -18,8 +18,8 @@ from typing import IO
 
 import numpy as np
 
-from .entanglement import Partition, family_entropies
-from .states import SpinFamily
+from .entanglement import Partition, _monomial_factors, _purity_quartics
+from .states import SpinFamily, phi_factors, theta_factors
 
 COLLECT_TOL = 1e-9
 DEFAULT_MERGE_RADIUS = 3.0
@@ -65,6 +65,40 @@ class SweepResult:
     partition_name: str | None = None
     theta_grid: GridSpec | None = None
     phi_grid: GridSpec | None = None
+
+
+def family_entropies(
+    family: SpinFamily,
+    alpha: float,
+    omega: float,
+    partition: Partition,
+    thetas: np.ndarray,
+    phis: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy before and after the boost over a (theta, phi) grid, theta outer.
+
+    The coefficients and each axis's monomial factors are those of
+    `entanglement.delta_e`, and each surface is the number of parts minus
+    the same 15 multiply-adds, as elementwise outer products, so every cell
+    has the bits of its point. The amplitude factors come from `math`, as a
+    point's do, not from numpy's own sine and cosine. Before is the boost by
+    zero, so at omega = 0 both surfaces are the same bits.
+    """
+    theta_monomials = _monomial_factors(
+        np.array([theta_factors(theta) for theta in np.asarray(thetas, dtype=float).tolist()]).T
+    )
+    phi_monomials = _monomial_factors(
+        np.array([phi_factors(phi) for phi in np.asarray(phis, dtype=float).tolist()]).T
+    )
+
+    def entropy(quartic: list[float]) -> np.ndarray:
+        purity = np.zeros((theta_monomials[0].size, phi_monomials[0].size))
+        for coefficient, theta_part, phi_part in zip(quartic, theta_monomials, phi_monomials):
+            purity += (coefficient * theta_part)[:, None] * phi_part
+        return len(partition.parts) - purity
+
+    before, after = _purity_quartics(family, alpha, (0.0, omega), partition)
+    return entropy(before), entropy(after)
 
 
 def delta_e_grid(

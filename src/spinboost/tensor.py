@@ -13,36 +13,16 @@ concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable
 
 import numpy as np
+
+from .states import SubsystemLabel
 
 NORM_TOL = 1e-12
 TRACE_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
-
-
-class SubsystemLabel(Enum):
-    """The four physical subsystems: momenta and spins of particles A and B."""
-
-    PA = "pA"
-    PB = "pB"
-    SA = "sA"
-    SB = "sB"
-
-    @property
-    def dim(self) -> int:
-        return _LABEL_DIMS[self]
-
-
-_LABEL_DIMS = {
-    SubsystemLabel.PA: 2,
-    SubsystemLabel.PB: 2,
-    SubsystemLabel.SA: 3,
-    SubsystemLabel.SB: 3,
-}
 
 
 @dataclass(frozen=True)

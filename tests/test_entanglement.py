@@ -11,7 +11,6 @@ from spinboost.entanglement import (
     PARTITIONS,
     Partition,
     delta_e,
-    family_entropies,
     parse_partition,
 )
 from spinboost.lorentz import boost_operator
@@ -23,6 +22,7 @@ from spinboost.states import (
     momentum_state,
     spin_state,
 )
+from spinboost.sweep import family_entropies
 from spinboost.tensor import (
     FactorOrder,
     PureState,

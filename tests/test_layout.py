@@ -1,6 +1,7 @@
 """Layout rules: every public top-level name in src/ has a user outside the tests, src/
 leaves numpy.random unloaded, the checks share no kernel with the evaluator, the evaluator
-uses no part of the dense oracle, and the CLI module loads no numpy."""
+uses no part of the dense oracle, the CLI module loads no numpy, and the modules that
+`delta-e` runs import nothing beyond the standard library and each other."""
 
 import ast
 import sys
@@ -67,7 +68,7 @@ def test_checks_import_no_evaluator_kernel():
     borrowed = [
         f"{node.module}.{alias.name}"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.ImportFrom) and node.module in ("entanglement", "tensor")
+        if isinstance(node, ast.ImportFrom) and node.module in ("entanglement", "sweep", "tensor")
         for alias in node.names
         if alias.name in ("family_entropies", "delta_e") or alias.name.startswith("_")
     ]
@@ -118,6 +119,26 @@ def test_cli_loads_only_stdlib_and_kinematics():
     cli = [name for name in _module_level_imports(PACKAGE / "cli.py")
            if not (_stdlib(name) or name == ".kinematics")]
     assert not cli, f"cli.py imports at load time: {cli}"
-    kinematics = [name for name in _module_level_imports(PACKAGE / "kinematics.py")
-                  if not _stdlib(name)]
-    assert not kinematics, f"kinematics.py imports beyond the standard library: {kinematics}"
+
+
+# the modules that `spinboost delta-e` loads besides cli.py
+NUMPY_FREE = ("kinematics", "states", "entanglement")
+
+
+def test_numpy_free_layer_imports_only_stdlib_and_itself():
+    """`spinboost delta-e` never loads numpy: every import statement in the modules it runs,
+    those inside functions included, names the standard library or one of those modules."""
+    allowed = {f".{name}" for name in NUMPY_FREE}
+    outside = []
+    for name in NUMPY_FREE:
+        path = PACKAGE / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = ["." * node.level + (node.module or "")]
+            else:
+                continue
+            outside += [f"{name}.py: {module}" for module in modules
+                        if not (_stdlib(module) or module in allowed)]
+    assert not outside, f"the numpy-free layer imports: {outside}"

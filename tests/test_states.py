@@ -77,9 +77,9 @@ def test_assemble_rejects_unnormalized_inputs():
     good_mom = momentum_state(0.3)
     good_spin = spin_state(SpinParams(SpinFamily.S1, 0.8, 0.9))
     with pytest.raises(ValueError):
-        assemble(good_spin * 2.0, good_mom)
+        assemble(np.multiply(good_spin, 2.0), good_mom)
     with pytest.raises(ValueError):
-        assemble(good_spin, good_mom * 0.5)
+        assemble(good_spin, np.multiply(good_mom, 0.5))
 
 
 def test_named_state_vectors_exact():

@@ -1,6 +1,7 @@
 """Sweep-engine tests: grid kernel, extrema clustering, CSV/JSON round-trips."""
 
 import io
+import itertools
 import json
 import math
 import os
@@ -51,23 +52,29 @@ def test_grid_spec_validation_and_points():
             GridSpec(start, stop, 5)
 
 
+def _bits(value: float) -> tuple[float, float]:
+    """A float and the sign of its zero, so that +0.0 and -0.0 compare unequal."""
+    return value, math.copysign(1.0, value)
+
+
 def test_grid_kernel_matches_scalar_evaluation():
+    """A point and its grid cell share the coefficient pass and run two 15-term sums, one in
+    Python floats and one in numpy; both give every value the same bits, the edge cells
+    theta in {0, pi} and phi in {0, 2 pi} and the boost by zero included."""
     thetas = np.linspace(0.0, math.pi, 5)
     phis = np.linspace(0.0, 2 * math.pi, 7)
-    for family in (SpinFamily.S1, SpinFamily.S2):
-        for partition in ("1vs3", "SvsP", "AvsB"):
-            grid = delta_e_grid(
-                family, math.pi / 4, math.pi / 8, PARTITIONS[partition], thetas, phis
-            )
-            for i, theta in enumerate(thetas):
-                for j, phi in enumerate(phis):
-                    scalar = delta_e(
-                        SpinParams(family, float(theta), float(phi)),
-                        math.pi / 4,
-                        math.pi / 8,
-                        PARTITIONS[partition],
-                    ).delta
-                    assert grid[i, j] == scalar
+    for family, partition, omega in itertools.product(
+        SpinFamily, PARTITIONS.values(), (0.0, math.pi / 8, 1.2, math.pi / 2)
+    ):
+        before, after = sweep.family_entropies(family, math.pi / 4, omega, partition, thetas, phis)
+        grid = delta_e_grid(family, math.pi / 4, omega, partition, thetas, phis)
+        for i, theta in enumerate(thetas.tolist()):
+            for j, phi in enumerate(phis.tolist()):
+                point = delta_e(SpinParams(family, theta, phi), math.pi / 4, omega, partition)
+                cell = before[i, j], after[i, j], grid[i, j]
+                assert [_bits(v) for v in cell] == [
+                    _bits(v) for v in (point.e_before, point.e_after, point.delta)
+                ], (family, partition.name, omega, theta, phi)
 
 
 def test_grid_cells_independent_of_batching():
