@@ -84,12 +84,12 @@ def family_entropies(
     point's do, not from numpy's own sine and cosine. Before is the boost by
     zero, so at omega = 0 both surfaces are the same bits.
     """
-    theta_monomials = _monomial_factors(
-        np.array([theta_factors(theta) for theta in np.asarray(thetas, dtype=float).tolist()]).T
-    )
-    phi_monomials = _monomial_factors(
-        np.array([phi_factors(phi) for phi in np.asarray(phis, dtype=float).tolist()]).T
-    )
+    def monomials(factors, points) -> list[np.ndarray]:
+        table = [factors(point) for point in np.asarray(points, dtype=float).tolist()]
+        return _monomial_factors(np.array(table).reshape(-1, 3).T)
+
+    theta_monomials = monomials(theta_factors, thetas)
+    phi_monomials = monomials(phi_factors, phis)
 
     def entropy(quartic: list[float]) -> np.ndarray:
         purity = np.zeros((theta_monomials[0].size, phi_monomials[0].size))
