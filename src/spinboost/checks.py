@@ -146,7 +146,7 @@ def _check_boost_factorization(boost_fn: BoostFn) -> tuple[bool, str]:
     )
 
 
-def _random_spin_state(rng: random.Random) -> np.ndarray:
+def _random_spin_state(rng: random.Random) -> list[float]:
     """Spin vector of a family member with family, theta and phi drawn in that order."""
     family = SpinFamily.S1 if rng.randrange(2) else SpinFamily.S2
     theta = rng.uniform(0.0, math.pi)

@@ -24,9 +24,9 @@ from .states import (
     SpinFamily,
     SpinParams,
     SubsystemLabel,
+    _phi_factors,
+    _theta_factors,
     momentum_state,
-    phi_factors,
-    theta_factors,
 )
 
 _PA, _PB, _SA, _SB = (
@@ -189,6 +189,31 @@ def _monomial_factors(factors):
     return [powers[a][0] * powers[b][1] * powers[c][2] for a, b, c in _QUARTICS]
 
 
+def _entropies(family, alpha, omega, partition, theta_factors, phi_factors):
+    """Entropy before and after the boost of angle omega, from each axis's amplitude factors.
+
+    The partition's total purity is a quartic form in the amplitudes x, and
+    each monomial splits into a theta factor times a phi factor, so an
+    entropy is the number of parts minus 15 multiply-adds, front to back in
+    _QUARTICS order. The factors are floats for a point, or arrays for a
+    grid, theta's shaped (n, 1) and phi's (m,), which broadcast each
+    multiply-add to the (n, m) surface; either way a cell gets the bits of
+    its point. Before is the boost by zero, so at omega = 0 both entropies
+    are the same bits.
+    """
+    theta_monomials = _monomial_factors(theta_factors)
+    phi_monomials = _monomial_factors(phi_factors)
+
+    def entropy(quartic: list[float]):
+        purity = 0.0
+        for coefficient, theta_part, phi_part in zip(quartic, theta_monomials, phi_monomials):
+            purity += coefficient * theta_part * phi_part
+        return len(partition.parts) - purity
+
+    before, after = _purity_quartics(family, alpha, (0.0, omega), partition)
+    return entropy(before), entropy(after)
+
+
 @dataclass(frozen=True)
 class DeltaEResult:
     """Entanglement before and after a boost, and their difference."""
@@ -202,21 +227,11 @@ def delta_e(spin: SpinParams, alpha: float, omega: float, partition: Partition) 
     """Linear-entropy change produced by the boost of angle omega.
 
     `spin` holds the family parameters; `alpha` is the momentum parameter.
-    The partition's total purity is a quartic form in the amplitudes x, and
-    each monomial splits into a theta factor times a phi factor, so an
-    entropy is the number of parts minus 15 multiply-adds. They run in the
-    order of `sweep.family_entropies`, so a point gives the bits of its grid
-    cell. Before is the boost by zero, so at omega = 0 the change is +0.0.
+    The entropies come from the sum that `sweep.family_entropies` runs on a
+    grid, so a point gives the bits of its grid cell, and at omega = 0 the
+    change is +0.0.
     """
-    theta_monomials = _monomial_factors(theta_factors(spin.theta))
-    phi_monomials = _monomial_factors(phi_factors(spin.phi))
-
-    def entropy(quartic: list[float]) -> float:
-        purity = 0.0
-        for coefficient, theta_part, phi_part in zip(quartic, theta_monomials, phi_monomials):
-            purity += coefficient * theta_part * phi_part
-        return len(partition.parts) - purity
-
-    before, after = _purity_quartics(spin.family, alpha, (0.0, omega), partition)
-    e_before, e_after = entropy(before), entropy(after)
+    e_before, e_after = _entropies(
+        spin.family, alpha, omega, partition, _theta_factors(spin.theta), _phi_factors(spin.phi)
+    )
     return DeltaEResult(e_before=e_before, e_after=e_after, delta=e_after - e_before)

@@ -76,17 +76,17 @@ def momentum_state(alpha: float) -> list[float]:
     return vec
 
 
-def theta_factors(theta: float) -> tuple[float, float, float]:
+def _theta_factors(theta: float) -> tuple[float, float, float]:
     """Theta factors (sin t, sin t, cos t) of the three family amplitudes."""
     sin_theta = math.sin(theta)
     return sin_theta, sin_theta, math.cos(theta)
 
 
-def phi_factors(phi: float) -> tuple[float, float, float]:
+def _phi_factors(phi: float) -> tuple[float, float, float]:
     """Phi factors (cos p, sin p, 1) of the three family amplitudes.
 
-    Amplitude i of the member at (theta, phi) is theta_factors(theta)[i] *
-    phi_factors(phi)[i], which gives (sin t cos p, sin t sin p, cos t).
+    Amplitude i of the member at (theta, phi) is _theta_factors(theta)[i] *
+    _phi_factors(phi)[i], which gives (sin t cos p, sin t sin p, cos t).
     """
     return math.cos(phi), math.sin(phi), 1.0
 
@@ -98,7 +98,7 @@ def spin_state(params: SpinParams) -> list[float]:
     uses |1 -1>, |-1 1>, |0 0> instead.
     """
     vec = [0.0] * 9
-    amplitudes = zip(theta_factors(params.theta), phi_factors(params.phi))
+    amplitudes = zip(_theta_factors(params.theta), _phi_factors(params.phi))
     for index, (theta_factor, phi_factor) in zip(FAMILY_INDICES[params.family], amplitudes):
         vec[index] = theta_factor * phi_factor
     return vec

@@ -18,8 +18,8 @@ from typing import IO
 
 import numpy as np
 
-from .entanglement import Partition, _monomial_factors, _purity_quartics
-from .states import SpinFamily, phi_factors, theta_factors
+from .entanglement import Partition, _entropies
+from .states import SpinFamily, _phi_factors, _theta_factors
 
 COLLECT_TOL = 1e-9
 DEFAULT_MERGE_RADIUS = 3.0
@@ -77,28 +77,17 @@ def family_entropies(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Entropy before and after the boost over a (theta, phi) grid, theta outer.
 
-    The coefficients and each axis's monomial factors are those of
-    `entanglement.delta_e`, and each surface is the number of parts minus
-    the same 15 multiply-adds, as elementwise outer products, so every cell
-    has the bits of its point. The amplitude factors come from `math`, as a
-    point's do, not from numpy's own sine and cosine. Before is the boost by
-    zero, so at omega = 0 both surfaces are the same bits.
+    The grid runs the sum of `entanglement.delta_e` on the axes' amplitude
+    factors as arrays, theta's shaped (n, 1) and phi's (m,), so every cell
+    has the bits of its point. The factors come from `math`, as a point's
+    do, not from numpy's own sine and cosine.
     """
-    def monomials(factors, points) -> list[np.ndarray]:
-        table = [factors(point) for point in np.asarray(points, dtype=float).tolist()]
-        return _monomial_factors(np.array(table).reshape(-1, 3).T)
+    def table(factors, points) -> np.ndarray:
+        rows = [factors(point) for point in np.asarray(points, dtype=float).tolist()]
+        return np.array(rows).reshape(-1, 3).T
 
-    theta_monomials = monomials(theta_factors, thetas)
-    phi_monomials = monomials(phi_factors, phis)
-
-    def entropy(quartic: list[float]) -> np.ndarray:
-        purity = np.zeros((theta_monomials[0].size, phi_monomials[0].size))
-        for coefficient, theta_part, phi_part in zip(quartic, theta_monomials, phi_monomials):
-            purity += (coefficient * theta_part)[:, None] * phi_part
-        return len(partition.parts) - purity
-
-    before, after = _purity_quartics(family, alpha, (0.0, omega), partition)
-    return entropy(before), entropy(after)
+    theta_table = table(_theta_factors, thetas)[:, :, None]
+    return _entropies(family, alpha, omega, partition, theta_table, table(_phi_factors, phis))
 
 
 def delta_e_grid(

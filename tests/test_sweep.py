@@ -58,8 +58,8 @@ def _bits(value: float) -> tuple[float, float]:
 
 
 def test_grid_kernel_matches_scalar_evaluation():
-    """A point and its grid cell share the coefficient pass and run two 15-term sums, one in
-    Python floats and one in numpy; both give every value the same bits, the edge cells
+    """A point and its grid cell run the one 15-term sum, on Python floats and on numpy
+    arrays broadcast over the grid; both give every value the same bits, the edge cells
     theta in {0, pi} and phi in {0, 2 pi} and the boost by zero included."""
     thetas = np.linspace(0.0, math.pi, 5)
     phis = np.linspace(0.0, 2 * math.pi, 7)
