@@ -260,7 +260,15 @@ _COMMANDS = {
 }
 
 
+# BLAS starts a thread per core when numpy loads, and the engine has no product big
+# enough for threads to pay (the largest are 36x36; the grid is elementwise)
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS")
+
+
 def main(argv: list[str] | None = None) -> int:
+    # before any command loads numpy; a thread count the user sets wins
+    if not any(name in os.environ for name in _BLAS_THREADS):
+        os.environ["OMP_NUM_THREADS"] = "1"
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -227,9 +227,9 @@ def delta_e(spin: SpinParams, alpha: float, omega: float, partition: Partition) 
     """Linear-entropy change produced by the boost of angle omega.
 
     `spin` holds the family parameters; `alpha` is the momentum parameter.
-    The entropies come from the sum that `sweep.family_entropies` runs on a
-    grid, so a point gives the bits of its grid cell, and at omega = 0 the
-    change is +0.0.
+    The entropies come from the sum that `sweep.delta_e_grid` runs on a
+    grid, so a point's change has the bits of its grid cell, and at
+    omega = 0 it is +0.0.
     """
     e_before, e_after = _entropies(
         spin.family, alpha, omega, partition, _theta_factors(spin.theta), _phi_factors(spin.phi)

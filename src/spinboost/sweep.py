@@ -67,15 +67,15 @@ class SweepResult:
     phi_grid: GridSpec | None = None
 
 
-def family_entropies(
+def delta_e_grid(
     family: SpinFamily,
     alpha: float,
     omega: float,
     partition: Partition,
     thetas: np.ndarray,
     phis: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Entropy before and after the boost over a (theta, phi) grid, theta outer.
+) -> np.ndarray:
+    """Entanglement-change surface over a (theta, phi) grid, theta outer.
 
     The grid runs the sum of `entanglement.delta_e` on the axes' amplitude
     factors as arrays, theta's shaped (n, 1) and phi's (m,), so every cell
@@ -87,19 +87,9 @@ def family_entropies(
         return np.array(rows).reshape(-1, 3).T
 
     theta_table = table(_theta_factors, thetas)[:, :, None]
-    return _entropies(family, alpha, omega, partition, theta_table, table(_phi_factors, phis))
-
-
-def delta_e_grid(
-    family: SpinFamily,
-    alpha: float,
-    omega: float,
-    partition: Partition,
-    thetas: np.ndarray,
-    phis: np.ndarray,
-) -> np.ndarray:
-    """Entanglement-change surface over a (theta, phi) grid, theta outer."""
-    before, after = family_entropies(family, alpha, omega, partition, thetas, phis)
+    before, after = _entropies(
+        family, alpha, omega, partition, theta_table, table(_phi_factors, phis)
+    )
     after -= before
     return after
 
@@ -195,16 +185,15 @@ def find_extrema(result: SweepResult, merge_radius: float = DEFAULT_MERGE_RADIUS
     def collect(target: float, sign: float) -> tuple[tuple[float, float, float], ...]:
         hits = np.argwhere(sign * (target - values) < COLLECT_TOL)
         labels = _cluster(hits, merge_radius)
-        reps = []
-        for label in np.unique(labels):
-            best = min(
-                map(tuple, hits[labels == label]),
-                key=lambda ij: (-sign * values[ij], result.thetas[ij[0]], result.phis[ij[1]]),
-            )
-            reps.append(
-                (float(result.thetas[best[0]]), float(result.phis[best[1]]), float(values[best]))
-            )
-        return tuple(sorted(reps, key=lambda rec: (rec[0], rec[1])))
+        thetas, phis = result.thetas[hits[:, 0]], result.phis[hits[:, 1]]
+        cells = values[hits[:, 0], hits[:, 1]]
+        # one stable sort groups the labels, best value then smaller (theta, phi)
+        # first, so each group's first row is its representative
+        order = np.lexsort((phis, thetas, -sign * cells, labels))
+        grouped = labels[order]
+        reps = order[np.concatenate([[True], grouped[1:] != grouped[:-1]])]
+        reps = reps[np.lexsort((phis[reps], thetas[reps]))]
+        return tuple(zip(thetas[reps].tolist(), phis[reps].tolist(), cells[reps].tolist()))
 
     return ExtremaReport(
         maxima=collect(vmax, 1.0),

@@ -50,6 +50,12 @@ def grid_value(result, theta, phi):
     return float(result.values[i, j])
 
 
+def shown(value):
+    """A cell's dE as a message prints it. A value within the collection tolerance of
+    zero prints as 0, so the message does not change with the evaluator's last bits."""
+    return f"{value:.3e}" if abs(value) >= COLLECT_TOL else f"0 (|dE| < {COLLECT_TOL:g})"
+
+
 def test_criterion_01_boost_unitarity():
     worst = 0.0
     eye = np.eye(36)
@@ -157,7 +163,7 @@ def test_criterion_06_first_family_extrema_migration():
     if vmax2 - s00_value > 1e-9:
         i, j = np.unravel_index(int(res2.values.argmax()), res2.values.shape)
         failures.append(
-            f"omega=pi/2: dE at the |0 0> point is {s00_value:.3e}, not the global "
+            f"omega=pi/2: dE at the |0 0> point is {shown(s00_value)}, not the global "
             f"maximum {vmax2:.6f} (attained at theta = {res2.thetas[i]:.6f}, "
             f"phi = {res2.phis[j]:.6f}; the aligned product points |1 1> and "
             "|-1 -1> share that value). A quarter-turn "
@@ -171,7 +177,7 @@ def test_criterion_06_first_family_extrema_migration():
     former = max(abs(grid_value(res2, t, p)) for t, p in pm_points)
     if former > 1e-10:
         failures.append(
-            f"omega=pi/2: dE at the former maxima should vanish but is {former:.3e}"
+            f"omega=pi/2: dE at the former maxima should vanish but is {shown(former)}"
         )
 
     status = "ok" if not failures else f"{len(failures)} conflicting landscape facts"
@@ -220,12 +226,8 @@ def test_criterion_08_minima_stability():
                 if steps > report.merge_radius:
                     stray.append((theta, phi, value))
             if stray:
-                # a value within the collection tolerance of zero prints as 0, so the
-                # message does not change with the evaluator's last bits
                 listing = "; ".join(
-                    f"theta = {t:.4f}, phi = {p:.4f}, dE = "
-                    + (f"{v:.3e}" if abs(v) >= COLLECT_TOL else f"0 (|dE| < {COLLECT_TOL:g})")
-                    for t, p, v in stray
+                    f"theta = {t:.4f}, phi = {p:.4f}, dE = {shown(v)}" for t, p, v in stray
                 )
                 failures.append(
                     f"{partition} at omega = {omega:.4f}: minima away from the "

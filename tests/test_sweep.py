@@ -59,22 +59,20 @@ def _bits(value: float) -> tuple[float, float]:
 
 def test_grid_kernel_matches_scalar_evaluation():
     """A point and its grid cell run the one 15-term sum, on Python floats and on numpy
-    arrays broadcast over the grid; both give every value the same bits, the edge cells
+    arrays broadcast over the grid; both give the change the same bits, the edge cells
     theta in {0, pi} and phi in {0, 2 pi} and the boost by zero included."""
     thetas = np.linspace(0.0, math.pi, 5)
     phis = np.linspace(0.0, 2 * math.pi, 7)
     for family, partition, omega in itertools.product(
         SpinFamily, PARTITIONS.values(), (0.0, math.pi / 8, 1.2, math.pi / 2)
     ):
-        before, after = sweep.family_entropies(family, math.pi / 4, omega, partition, thetas, phis)
         grid = delta_e_grid(family, math.pi / 4, omega, partition, thetas, phis)
         for i, theta in enumerate(thetas.tolist()):
             for j, phi in enumerate(phis.tolist()):
                 point = delta_e(SpinParams(family, theta, phi), math.pi / 4, omega, partition)
-                cell = before[i, j], after[i, j], grid[i, j]
-                assert [_bits(v) for v in cell] == [
-                    _bits(v) for v in (point.e_before, point.e_after, point.delta)
-                ], (family, partition.name, omega, theta, phi)
+                assert _bits(grid[i, j]) == _bits(point.delta), (
+                    family, partition.name, omega, theta, phi
+                )
 
 
 def test_grid_cells_independent_of_batching():
@@ -583,3 +581,34 @@ def test_cluster_matches_all_pairs_single_linkage(radius):
     hits = np.argwhere(rng.random((60, 90)) < 0.04)
     assert len(hits) > 150
     assert _cluster(hits, radius).tolist() == _all_pairs_single_linkage(hits, radius).tolist()
+
+
+@pytest.mark.parametrize("radius", [0.0, 1.0, 3.0, math.inf])
+def test_find_extrema_representatives_match_per_cluster_min(radius):
+    """Each cluster is reported through its cell least by (-sign * value, theta, phi),
+    so tied values go to the smaller theta, then phi, and the report is in (theta, phi)
+    order."""
+    rng = np.random.default_rng(41)
+    thetas = np.sort(rng.uniform(0.0, math.pi, 40))
+    phis = np.sort(rng.uniform(0.0, 2 * math.pi, 70))
+    # three levels within the collection tolerance, so most hits tie with others
+    levels = np.array([0.0, 2e-10, 5e-10])
+    for _ in range(3):
+        values = rng.uniform(-0.5, 0.5, (40, 70))
+        top = rng.random(values.shape) < 0.06
+        bottom = ~top & (rng.random(values.shape) < 0.06)
+        values[top] = 1.0 - rng.choice(levels, top.sum())
+        values[bottom] = -1.0 + rng.choice(levels, bottom.sum())
+        report = find_extrema(SweepResult(thetas, phis, values), merge_radius=radius)
+        for sign, mask, entries in ((1.0, top, report.maxima), (-1.0, bottom, report.minima)):
+            hits = np.argwhere(mask)
+            labels = _all_pairs_single_linkage(hits, radius).tolist()
+            cells = [(float(thetas[i]), float(phis[j]), float(values[i, j])) for i, j in hits]
+            expected = sorted(
+                min(
+                    (cell for cell, label in zip(cells, labels) if label == seed),
+                    key=lambda cell: (-sign * cell[2], cell[0], cell[1]),
+                )
+                for seed in set(labels)
+            )
+            assert list(entries) == expected
