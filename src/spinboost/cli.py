@@ -115,8 +115,12 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--partition", type=_partition, required=True)
     # the grid and merge-radius defaults (None here) are sweep's constants,
     # read by the commands so that the parser does not load sweep
-    p_sweep.add_argument("--theta-grid", type=_grid_spec, metavar="START:STOP:COUNT")
-    p_sweep.add_argument("--phi-grid", type=_grid_spec, metavar="START:STOP:COUNT")
+    p_sweep.add_argument("--theta-grid", type=_grid_spec, metavar="START:STOP:COUNT",
+                         help="default 0:pi:121; a negative START needs the = form, "
+                              "--theta-grid=-0.5:1:3")
+    p_sweep.add_argument("--phi-grid", type=_grid_spec, metavar="START:STOP:COUNT",
+                         help="default 0:2pi:241; a negative START needs the = form, "
+                              "--phi-grid=-1:1:5")
     p_sweep.add_argument("--out", type=Path, help="output file (default stdout)")
     p_sweep.add_argument("--format", choices=("csv", "json"),
                          help="output format (default csv, json for .json outputs)")

@@ -20,7 +20,6 @@ from operator import mul
 from .kinematics import d1
 from .states import (
     FAMILY_INDICES,
-    MOMENTUM_BRANCHES,
     SpinFamily,
     SpinParams,
     SubsystemLabel,
@@ -87,8 +86,8 @@ def parse_partition(text: str) -> Partition:
         raise ValueError(f"unknown partition {text!r}; known: {known}") from None
 
 
-# positions of the spins in a (branch, sA, sB) row index of the branch columns
-_SPIN_AXES = {_SA: 1, _SB: 2}
+# canonical axis of each subsystem in a (pA, pB, sA, sB) row index
+_AXES = {_PA: 0, _PB: 1, _SA: 2, _SB: 3}
 
 # exponents (a, b, c) of the quartic monomials x0^a x1^b x2^c in the amplitudes
 _QUARTICS = tuple((a, b, 4 - a - b) for a in range(5) for b in range(5 - a))
@@ -100,39 +99,27 @@ _MONOMIALS = tuple(
 
 
 def _gram_forms(
-    branches: dict[tuple[int, int, int], list[float]], part: frozenset[SubsystemLabel]
+    rows: dict[tuple[int, int, int, int], list[float]], part: frozenset[SubsystemLabel]
 ) -> list[list[float]]:
     """The part's Gram entries as quadratic forms in x, each 9 coefficients flat over (i, j).
 
-    `branches` maps each (branch, sA, sB) row of the two branch columns to
-    its coefficients of the three amplitudes, so entry (k, l) is
-    sum_ij x_i x_j q[3 i + j], with q the sum over the traced rows r of
-    row (k, r)[i] * row (l, r)[j]. A part that holds both momenta keeps the
-    branch coherence, so the branch joins its kept side. A part that holds
-    neither traces the branch out with the other spins. A part that holds
-    exactly one momentum sees the branches as a direct sum, so the branch
-    is a batch index; with no spins its kept side is empty, and the 1x1
-    Gram matrix is each branch's squared norm.
+    `rows` maps each canonical index (pA, pB, sA, sB) of the state to its
+    coefficients of the three amplitudes. With k and l indices of the
+    part's kept axes and r of the traced ones, entry (k, l) is
+    sum_ij x_i x_j q[3 i + j], with q[3 i + j] the sum over r of
+    row (k, r)[i] * row (l, r)[j]: the partial trace.
     """
     # the dict, unlike the frozenset, has one iteration order whatever the hash seed
-    spins = [axis for label, axis in _SPIN_AXES.items() if label in part]
-    momenta = len(part) - len(spins)
-    blocks: dict[int, dict[tuple[int, ...], list[list[float]]]] = {}
-    # rows come in (branch, sA, sB) order, so every kept index lists its traced rows alike
-    for row, coefficients in branches.items():
-        kept = tuple(row[axis] for axis in spins)
-        if momenta == 2:
-            kept = (row[0],) + kept
-        batch = row[0] if momenta == 1 else 0
-        blocks.setdefault(batch, {}).setdefault(kept, []).append(coefficients)
-    forms = []
-    for block in blocks.values():
-        # each kept index's traced rows as three amplitude columns
-        sides = [list(zip(*rows)) for rows in block.values()]
-        for left in sides:
-            for right in sides:
-                forms.append([sum(map(mul, u, v)) for u in left for v in right])
-    return forms
+    axes = [axis for label, axis in _AXES.items() if label in part]
+    kept: dict[tuple[int, ...], list[list[float]]] = {}
+    # every kept index lists its traced rows in the order of `rows`
+    for index, coefficients in rows.items():
+        kept.setdefault(tuple(index[axis] for axis in axes), []).append(coefficients)
+    # each kept index's traced rows as three amplitude columns
+    sides = [list(zip(*traced)) for traced in kept.values()]
+    return [
+        [sum(map(mul, u, v)) for u in left for v in right] for left in sides for right in sides
+    ]
 
 
 def _purity_quartics(
@@ -140,33 +127,31 @@ def _purity_quartics(
 ) -> list[list[float]]:
     """Coefficients over _QUARTICS of the partition's total purity after each boost, (boosts, 15).
 
-    The momentum state populates only |p+ p-> and |p- p+>, and the boost
-    keeps each sector, so a family member is the two branches
-    c_b sum_i x_i (d_A x d_B)[:, f_i]: each branch rotates spin A by d1 of
-    +omega or -omega as momentum A is p+ or p-, spin B likewise, and f_i
-    are the amplitudes' positions. Each Gram entry of a part is therefore a
-    quadratic form in x, read off the branch columns, and the sum of their
-    squares is the part's purity: its 81 products of form coefficients fold
-    onto the 15 quartic monomials. Each boost is its own pass, in plain
-    floats.
+    The boost keeps each momentum sector and rotates spin A by d1 of +omega
+    or -omega as momentum A is p+ or p-, spin B likewise. So the boosted
+    family member's amplitude at (pA, pB, sA, sB) is
+    mom[2 pA + pB] sum_i x_i d_A[sA][f_i // 3] d_B[sB][f_i % 3], with f_i
+    the amplitudes' positions: a row of three coefficients of x. Each Gram
+    entry of a part is therefore a quadratic form in x, and the sum of
+    their squares is the part's purity: its 81 products of form
+    coefficients fold onto the 15 quartic monomials. Each boost is its own
+    pass, in plain floats.
     """
     mom = momentum_state(alpha)
-    if any(weight for sector, weight in enumerate(mom) if sector not in MOMENTUM_BRANCHES):
-        raise ValueError("momentum state populates |p+ p+> or |p- p->, outside the two branches")
     quartics = []
     for omega in omegas:
         rotations = (d1(omega), d1(-omega))  # under momentum p+ and p-
-        branches = {}
-        for branch, sector in enumerate(MOMENTUM_BRANCHES):
-            d_a, d_b = (rotations[p] for p in divmod(sector, 2))
-            for s_a, s_b in itertools.product(range(3), repeat=2):
-                branches[branch, s_a, s_b] = [
-                    mom[sector] * (d_a[s_a][f // 3] * d_b[s_b][f % 3])
-                    for f in FAMILY_INDICES[family]
-                ]
+        rows = {}
+        # pB runs p- first: each part meets |p+ p-> before |p- p+>, the order its bits were fixed in
+        for p_a, p_b, s_a, s_b in itertools.product((0, 1), (1, 0), range(3), range(3)):
+            d_a, d_b = rotations[p_a], rotations[p_b]
+            rows[p_a, p_b, s_a, s_b] = [
+                mom[2 * p_a + p_b] * (d_a[s_a][f // 3] * d_b[s_b][f % 3])
+                for f in FAMILY_INDICES[family]
+            ]
         quartic = [0.0] * len(_QUARTICS)
         for part in partition.parts:
-            columns = list(zip(*_gram_forms(branches, part)))
+            columns = list(zip(*_gram_forms(rows, part)))
             products = (sum(map(mul, u, v)) for u in columns for v in columns)
             for monomial, product in zip(_MONOMIALS, products):
                 quartic[monomial] += product

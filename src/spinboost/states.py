@@ -60,20 +60,12 @@ FAMILY_INDICES = {
     SpinFamily.S2: (2, 6, 4),  # |1 -1>, |-1 1>, |0 0>
 }
 
-# momentum basis positions 2*pA + pB of the two branches |p+ p-> and |p- p+>;
-# branch b holds pA = b and pB = 1 - b
-MOMENTUM_BRANCHES = (1, 2)
-
-
 def momentum_state(alpha: float) -> list[float]:
-    """cos(alpha) |p+ p-> + sin(alpha) |p- p+> as a 4-dim vector."""
+    """cos(alpha) |p+ p-> + sin(alpha) |p- p+> as a 4-dim vector, indexed 2*pA + pB."""
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    vec = [0.0] * 4
-    for sector, weight in zip(MOMENTUM_BRANCHES, (math.cos(alpha), math.sin(alpha))):
-        vec[sector] = weight
-    return vec
+    return [0.0, math.cos(alpha), math.sin(alpha), 0.0]
 
 
 def _theta_factors(theta: float) -> tuple[float, float, float]:

@@ -391,6 +391,12 @@ def read_json(stream: IO[str]) -> SweepResult:
         pg = GridSpec(**config["phi_grid"])
         shape = tuple(envelope["shape"])
         raw = envelope["values"]
+        # a string or an object would be iterated as characters or keys
+        if type(raw) is not list:
+            kinds = {str: "a string", dict: "an object", bool: "a boolean", type(None): "null"}
+            raise ValueError(
+                f"JSON sweep values must be an array, got {kinds.get(type(raw), 'a number')}"
+            )
         # numpy would convert "0.5", true and null to floats; a cell must be a JSON number
         if not set(map(type, raw)) <= {float, int}:
             bad = [json.dumps(value)[:20] for value in raw if type(value) not in (float, int)]

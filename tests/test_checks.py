@@ -181,11 +181,24 @@ def _swapped_fold(monkeypatch):
     monkeypatch.setattr(entanglement, "_MONOMIALS", tuple(monomials))
 
 
-@pytest.mark.parametrize("corrupt", [_scaled_gram, _swapped_fold], ids=["scaled", "swapped-fold"])
+def _swapped_axes(monkeypatch):
+    """The evaluator reads momentum B from the spin A axis of each row index and spin A from
+    the momentum B axis; swapping pA with pB, or sA with sB, would be a physical symmetry."""
+    axes = dict(entanglement._AXES)
+    pb, sa = entanglement._PB, entanglement._SA
+    axes[pb], axes[sa] = axes[sa], axes[pb]
+    monkeypatch.setattr(entanglement, "_AXES", axes)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_scaled_gram, _swapped_fold, _swapped_axes],
+    ids=["scaled", "swapped-fold", "swapped-axes"],
+)
 def test_corrupted_gram_kernel_fails_the_sign_flip_check(corrupt, monkeypatch):
     """The checks reduce entropies on a route of their own, so a defect in the evaluator's
-    Gram forms or in their fold fails the one check that compares against the evaluator,
-    and only that one, on its numbers rather than by raising."""
+    Gram forms, in their fold or in its axis map fails the one check that compares against
+    the evaluator, and only that one, on its numbers rather than by raising."""
     corrupt(monkeypatch)
     report = check_suite()
     failed = [r for r in report.results if not r.passed]

@@ -274,6 +274,19 @@ def test_sweep_to_file_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_takes_a_negative_grid_start_joined_by_equals(tmp_path, capsys):
+    """argparse reads a separate "-0.5:1:3" as an option; joined to its flag by = it is a grid."""
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--family", "s1", "--alpha", "0.785", "--omega", "0.3",
+            "--partition", "svp", "--phi-grid", "0:1:2", "--out", str(out)]
+    assert main([*args, "--theta-grid", "-0.5:1:3"]) == 1
+    assert "expected one argument" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*args, "--theta-grid=-0.5:1:3"]) == 0
+    assert out.read_text().splitlines()[1].startswith("-0.5,")
+    capsys.readouterr()
+
+
 def test_sweep_json_format_inference(tmp_path, capsys):
     args = ["sweep", "--family", "s1", "--alpha", "0.785", "--omega", "0.3",
             "--partition", "svp", *SMALL_GRID]
@@ -522,7 +535,8 @@ def test_extrema_rejects_phi_outer_csv(tmp_path, capsys):
 @pytest.mark.parametrize("edit", ["drop-config", "drop-values", "drop-grid", "short-values",
                                   "wrong-shape", "equal-endpoints", "huge-count",
                                   "span-overflow", "string-value", "bool-value",
-                                  "int-overflow"])
+                                  "int-overflow", "values-string", "values-empty-string",
+                                  "values-object"])
 def test_extrema_rejects_malformed_json(edit, tmp_path, capsys):
     path = tmp_path / "s.json"
     _write_small_sweep(path, capsys)
@@ -549,6 +563,12 @@ def test_extrema_rejects_malformed_json(edit, tmp_path, capsys):
         envelope["values"][5] = True
     elif edit == "int-overflow":
         envelope["values"][0] = 10**400
+    elif edit == "values-string":
+        envelope["values"] = "1234"
+    elif edit == "values-empty-string":
+        envelope["values"] = ""
+    elif edit == "values-object":
+        envelope["values"] = {"0.5": 1}
     else:
         envelope["shape"] = [9, 7]
     path.write_text(json.dumps(envelope))
@@ -562,6 +582,10 @@ def test_extrema_rejects_malformed_json(edit, tmp_path, capsys):
         assert 'got 2 that are not: "0.5", " 7 "' in captured.err
     if edit == "bool-value":
         assert "got 1 that are not: true" in captured.err
+    if edit in ("values-string", "values-empty-string"):
+        assert "values must be an array, got a string" in captured.err
+    if edit == "values-object":
+        assert "values must be an array, got an object" in captured.err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

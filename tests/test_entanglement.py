@@ -1,5 +1,6 @@
 """Entanglement-measure tests: partitions, linear entropy, boost-induced change."""
 
+import itertools
 import math
 
 import numpy as np
@@ -133,7 +134,7 @@ def test_linear_entropy_matches_reordered_factors_and_per_row_values():
 
 @pytest.mark.parametrize("family", list(SpinFamily))
 def test_family_entropies_match_dense_route(family):
-    """The two-branch evaluator agrees with assembled 36-dim states, the dense boost and the
+    """The evaluator agrees with assembled 36-dim states, the dense boost and the
     oracle: a point's entropies, and the change of the 1x1 grid at that point."""
     rng = np.random.default_rng(29)
     thetas = rng.uniform(0.0, math.pi, 12)
@@ -181,17 +182,32 @@ def test_family_entropies_keep_no_state_between_calls(partition):
         assert np.array_equal(result, kept)
 
 
-def test_family_entropies_reject_a_populated_empty_sector(monkeypatch):
-    """|p+ p+> or |p- p-> amplitude would be lost by the two-branch rows, so it is refused."""
-    for sector in (0, 3):
-        def four_sector_state(alpha, sector=sector):
-            vec = momentum_state(alpha)
-            vec[sector] = 1e-3
-            return vec
+# normalized momentum states with weight on |p+ p+> or |p- p->, which the family states leave empty
+FOUR_SECTOR_MOMENTA = ([0.3, 0.5, 0.6, math.sqrt(0.3)], [1.0, 0.0, 0.0, 0.0], [0.0, 0.8, 0.0, -0.6])
 
-        monkeypatch.setattr("spinboost.entanglement.momentum_state", four_sector_state)
-        with pytest.raises(ValueError):
-            delta_e_grid(SpinFamily.S1, 0.7, 0.3, PARTITIONS["AvsB"], [1.0], [2.0])
+
+@pytest.mark.parametrize("momentum", FOUR_SECTOR_MOMENTA, ids=["all-four", "p+p+", "signed"])
+def test_family_entropies_match_dense_route_on_four_sector_momenta(momentum, monkeypatch):
+    """The evaluator traces every momentum sector alike, so a momentum state that populates
+    |p+ p+> or |p- p-> gives the dense route's points and cells too."""
+    monkeypatch.setattr("spinboost.entanglement.momentum_state", lambda alpha: list(momentum))
+    rng = np.random.default_rng(37)
+    thetas = rng.uniform(0.0, math.pi, 3)
+    phis = rng.uniform(0.0, 2 * math.pi, 4)
+    cells = list(itertools.product(enumerate(thetas.tolist()), enumerate(phis.tolist())))
+    for family, omega, partition in itertools.product(
+        SpinFamily, (math.pi / 8, 1.2), PARTITIONS.values()
+    ):
+        surface = delta_e_grid(family, 0.7, omega, partition, thetas, phis)
+        for (i, theta), (j, phi) in cells:
+            spin = SpinParams(family, theta, phi)
+            psi = np.kron(momentum, spin_state(spin))
+            before = entropy(psi, partition)
+            after = entropy(boost_operator(omega) @ psi, partition)
+            point = delta_e(spin, 0.7, omega, partition)
+            assert abs(point.e_before - before) < 1e-14
+            assert abs(point.e_after - after) < 1e-14
+            assert abs(surface[i, j] - (after - before)) < 1e-14
 
 
 def test_delta_e_zero_boost_is_identity():
