@@ -32,7 +32,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _grid_spec(text: str):
-    from .sweep import GridSpec
+    from .extrema import GridSpec
 
     parts = text.split(":")
     if len(parts) != 3:
@@ -113,8 +113,8 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--alpha", type=float, required=True)
     _add_boost_arguments(p_sweep)
     p_sweep.add_argument("--partition", type=_partition, required=True)
-    # the grid and merge-radius defaults (None here) are sweep's constants,
-    # read by the commands so that the parser does not load sweep
+    # the grid defaults (None here) are sweep's constants and the merge-radius
+    # default is extrema's, read by the commands so that the parser loads neither
     p_sweep.add_argument("--theta-grid", type=_grid_spec, metavar="START:STOP:COUNT",
                          help="default 0:pi:121; a negative START needs the = form, "
                               "--theta-grid=-0.5:1:3")
@@ -217,25 +217,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sniff_and_read(path: Path):
-    """Read a sweep file as JSON if its first non-blank character is `{`, else as CSV."""
-    from .sweep import read_csv, read_json
+def _cmd_extrema(args: argparse.Namespace) -> int:
+    from .extrema import DEFAULT_MERGE_RADIUS, HitCollector, read_csv, read_json
 
-    with open(path, "r", encoding="utf-8") as handle:
+    hits = HitCollector()
+    with open(args.infile, "r", encoding="utf-8") as handle:
+        # JSON if the first non-blank character is `{`, else CSV
         head = handle.read(1)
         while head.isspace():
             head = handle.read(1)
         handle.seek(0)
-        return read_json(handle) if head == "{" else read_csv(handle)
-
-
-def _cmd_extrema(args: argparse.Namespace) -> int:
-    from .sweep import DEFAULT_MERGE_RADIUS, find_extrema
-
-    result = _sniff_and_read(args.infile)
+        thetas, phis = (read_json if head == "{" else read_csv)(handle, hits.add)
     radius = DEFAULT_MERGE_RADIUS if args.merge_radius is None else args.merge_radius
-    report = find_extrema(result, merge_radius=radius)
-    _print_extrema(report, sys.stdout)
+    _print_extrema(hits.report(thetas, phis, radius), sys.stdout)
     return 0
 
 

@@ -1,8 +1,10 @@
-"""Builders that only the tests use: product states, factor reordering, one-state entropy."""
+"""Builders that only the tests use: product states, factor reordering, one-state entropy,
+and a stored surface read back whole."""
 
 import numpy as np
 
 from spinboost.entanglement import Partition
+from spinboost.sweep import SweepResult
 from spinboost.tensor import NORM_TOL, FactorOrder, PureState, outer, partial_trace, purity
 
 
@@ -30,3 +32,11 @@ def entropy(vec: np.ndarray, partition: Partition) -> float:
     """Linear entropy of one canonical-order amplitude vector, through the dense oracle."""
     rho = outer(PureState(vec))
     return sum(1.0 - purity(partial_trace(rho, part)) for part in partition.parts)
+
+
+def read_surface(reader, stream) -> SweepResult:
+    """A stored surface read back whole: the rows a reader hands over, stacked under its axes."""
+    rows = []
+    thetas, phis = reader(stream, rows.append)
+    values = np.array(rows, dtype=float).reshape(len(thetas), len(phis))
+    return SweepResult(thetas=np.array(thetas), phis=np.array(phis), values=values)

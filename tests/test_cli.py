@@ -14,7 +14,10 @@ import spinboost
 from spinboost.cli import main
 from spinboost.entanglement import PARTITIONS, delta_e
 from spinboost.states import SpinFamily
-from spinboost.sweep import GridSpec, read_csv, run_sweep
+from spinboost.extrema import read_csv
+from spinboost.sweep import GridSpec, run_sweep
+
+from helpers import read_surface
 
 SMALL_GRID = ["--theta-grid", "0:3.141592653589793:7", "--phi-grid", "0:6.283185307179586:9"]
 
@@ -44,7 +47,8 @@ def test_no_command_loads_numpy_random(tmp_path):
 
     One interpreter runs the commands in order of their footprint, so the modules a
     command reports are the ones it and the lighter commands before it loaded."""
-    out = tmp_path / "s.csv"
+    out, stored = tmp_path / "s.csv", tmp_path / "stored.csv"
+    stored.write_text("theta,phi,delta_e\n0,0,0.5\n0,1,0.25\n1,0,0\n1,1,1\n")
     sweep, checks = "spinboost.sweep", "spinboost.checks"
     expected = [
         (["wigner-angle", "--xi", "1", "--eta", "1"], 0, []),
@@ -52,9 +56,9 @@ def test_no_command_loads_numpy_random(tmp_path):
         (["wigner-angle", "--xi", "1"], 1, []),  # a usage error: --eta is missing
         (["delta-e", "--state", "s00", "--alpha", "0.7", "--omega", "0.3", "--partition", "1v3"],
          0, []),
+        (["extrema", "--in", str(stored)], 0, []),
         (["sweep", "--family", "s1", "--alpha", "0.7", "--omega", "0.3", "--partition", "svp",
           *SMALL_GRID, "--out", str(out)], 0, ["numpy", sweep]),
-        (["extrema", "--in", str(out)], 0, ["numpy", sweep]),
         (["check"], 0, ["numpy", checks, sweep]),
     ]
     code = (
@@ -259,7 +263,7 @@ def test_sweep_stdout_csv(capsys):
     )
     import io
 
-    parsed = read_csv(io.StringIO(out))
+    parsed = read_surface(read_csv, io.StringIO(out))
     assert np.array_equal(parsed.values, expected.values)
 
 
@@ -382,7 +386,9 @@ def test_extrema_merge_radius_flag(tmp_path, capsys):
 
 
 def test_sweep_and_extrema_defaults_come_from_sweep(tmp_path, capsys, monkeypatch):
-    """Omitted grid and merge-radius flags take sweep's constants, read when the command runs."""
+    """Omitted grid flags take sweep's constants and an omitted merge radius takes extrema's,
+    read when the command runs."""
+    import spinboost.extrema as extrema
     import spinboost.sweep as sweep
 
     base = ["sweep", "--family", "s1", "--alpha", "0.785", "--omega", "0.3926990816987241",
@@ -407,7 +413,7 @@ def test_sweep_and_extrema_defaults_come_from_sweep(tmp_path, capsys, monkeypatc
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
     assert "maxima (2 clusters):" in reports[0]
-    monkeypatch.setattr(sweep, "DEFAULT_MERGE_RADIUS", math.inf)
+    monkeypatch.setattr(extrema, "DEFAULT_MERGE_RADIUS", math.inf)
     assert main(["extrema", "--in", str(peaked)]) == 0
     assert "maxima (1 cluster):" in capsys.readouterr().out
 

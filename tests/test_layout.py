@@ -1,7 +1,7 @@
 """Layout rules: every public top-level name in src/ has a user outside the tests, src/
 leaves numpy.random unloaded, the checks share no kernel with the evaluator, the evaluator
 uses no part of the dense oracle, the CLI module loads no numpy, and the modules that
-`delta-e` runs import nothing beyond the standard library and each other."""
+`delta-e` and `extrema` run import nothing beyond the standard library and each other."""
 
 import ast
 import sys
@@ -121,13 +121,14 @@ def test_cli_loads_only_stdlib_and_kinematics():
     assert not cli, f"cli.py imports at load time: {cli}"
 
 
-# the modules that `spinboost delta-e` loads besides cli.py
-NUMPY_FREE = ("kinematics", "states", "entanglement")
+# the modules that `spinboost delta-e` and `spinboost extrema` load besides cli.py
+NUMPY_FREE = ("kinematics", "states", "entanglement", "extrema")
 
 
 def test_numpy_free_layer_imports_only_stdlib_and_itself():
-    """`spinboost delta-e` never loads numpy: every import statement in the modules it runs,
-    those inside functions included, names the standard library or one of those modules."""
+    """`spinboost delta-e` and `spinboost extrema` never load numpy: every import statement
+    in the modules they run, those inside functions included, names the standard library or
+    one of those modules."""
     allowed = {f".{name}" for name in NUMPY_FREE}
     outside = []
     for name in NUMPY_FREE:

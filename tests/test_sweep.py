@@ -12,18 +12,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import read_surface
 
-from spinboost import sweep
+from spinboost import extrema, sweep
 from spinboost.entanglement import PARTITIONS, delta_e
+from spinboost.extrema import HitCollector, _cluster, read_csv, read_json
 from spinboost.states import SpinFamily, SpinParams
 from spinboost.sweep import (
     GridSpec,
     SweepResult,
-    _cluster,
     delta_e_grid,
     find_extrema,
-    read_csv,
-    read_json,
     run_sweep,
     write_csv,
     write_json,
@@ -39,6 +38,22 @@ def small_config(omega=math.pi / 8, partition="1vs3", nt=13, np_=25, family=Spin
         theta_grid=GridSpec(0.0, math.pi, nt),
         phi_grid=GridSpec(0.0, 2 * math.pi, np_),
     )
+
+
+def test_grid_points_match_np_linspace_bit_for_bit():
+    """GridSpec.points is np.linspace in pure Python: random spans of every scale, and spans
+    so small that the step underflows to zero, where numpy scales the index by the span."""
+    rng = np.random.default_rng(7)
+    specs = [GridSpec(0.0, 5e-324, 3), GridSpec(-5e-324, 1e-323, 9), GridSpec(1e-322, 0.0, 100)]
+    for _ in range(4000):
+        scale = 10.0 ** rng.integers(-320, 300)
+        start, stop = (float(x) for x in rng.uniform(-1.0, 1.0, 2) * scale)
+        if start != stop:
+            specs.append(GridSpec(start, stop, int(rng.integers(2, 400))))
+    assert sum((spec.stop - spec.start) / (spec.count - 1) == 0.0 for spec in specs) >= 3
+    for spec in specs:
+        expected = np.linspace(spec.start, spec.stop, spec.count)
+        assert np.array(spec.points).tobytes() == expected.tobytes(), spec
 
 
 def test_grid_spec_validation_and_points():
@@ -224,7 +239,7 @@ def test_csv_round_trip_exact():
     text = buf.getvalue()
     assert text.startswith("theta,phi,delta_e\n")
     assert len(text.strip().splitlines()) == 1 + 13 * 25
-    back = read_csv(io.StringIO(text))
+    back = read_surface(read_csv, io.StringIO(text))
     assert np.array_equal(back.values, result.values)
     assert np.array_equal(back.thetas, result.thetas)
     assert np.array_equal(back.phis, result.phis)
@@ -291,9 +306,9 @@ def test_write_json_matches_json_dump_reference(case):
 
 def test_csv_header_validation():
     with pytest.raises(ValueError):
-        read_csv(io.StringIO("a,b,c\n1,2,3\n"))
+        read_surface(read_csv, io.StringIO("a,b,c\n1,2,3\n"))
     with pytest.raises(ValueError):
-        read_csv(io.StringIO("theta,phi,delta_e\n"))
+        read_surface(read_csv, io.StringIO("theta,phi,delta_e\n"))
 
 
 def test_csv_rows_must_form_theta_outer_product():
@@ -306,7 +321,7 @@ def test_csv_rows_must_form_theta_outer_product():
     ragged = rows[:8] + rows[9:] + rows[8:9]
     for bad in (phi_outer, repeated_block, ragged, rows[:9]):
         with pytest.raises(ValueError):
-            read_csv(io.StringIO("\n".join([header, *bad]) + "\n"))
+            read_surface(read_csv, io.StringIO("\n".join([header, *bad]) + "\n"))
 
 
 def _small_csv_lines():
@@ -343,17 +358,40 @@ def test_csv_rejects_malformed_rows(edit):
             "hash-in-cell": f"{t},{p},#{v}",
         }[edit]
     with pytest.raises(ValueError):
-        read_csv(io.StringIO("\n".join([header, *rows]) + "\n"))
+        read_surface(read_csv, io.StringIO("\n".join([header, *rows]) + "\n"))
 
 
 def test_csv_reader_block_size_does_not_change_the_arrays(monkeypatch):
-    """Blocks of 7 rows, shorter than a grid row and the last one short, give the default arrays."""
+    """Chunks of 7 characters, shorter than a line and the last one short, give the default
+    arrays."""
     text = "\n".join(_small_csv_lines()) + "\n"
-    plain = read_csv(io.StringIO(text))
-    monkeypatch.setattr(sweep, "_CSV_BLOCK_ROWS", 7)
-    blocked = read_csv(io.StringIO(text))
+    plain = read_surface(read_csv, io.StringIO(text))
+    monkeypatch.setattr(extrema, "_CSV_CHUNK", 7)
+    blocked = read_surface(read_csv, io.StringIO(text))
     for name in ("thetas", "phis", "values"):
         assert getattr(blocked, name).tobytes() == getattr(plain, name).tobytes()
+
+
+# np.loadtxt reads the first seven and 1.5\x1c; float() alone reads the last three too,
+# and not 1.5\x1c
+_SPELLINGS = (" 1.5", "1.5 ", "infinity", "-nan", "1e400", ".5", "5.", "0x10", "1d5", "#0.5",
+              "1.5\x1c", "1_0", "1_0.5", "\uff11")
+
+
+@pytest.mark.parametrize("spelling", _SPELLINGS)
+def test_csv_reads_numbers_as_np_loadtxt_does(spelling):
+    """A cell reads as np.loadtxt reads it, with the same bits, or is a ValueError where
+    np.loadtxt raises one: float() alone would also read '_' between digits and non-ASCII
+    digits."""
+    text = f"theta,phi,delta_e\n0,0,{spelling}\n0,1,0.5\n1,0,0.25\n1,1,0.125\n"
+    try:
+        expected = np.loadtxt([f"0,0,{spelling}\n"], delimiter=",", comments=None, ndmin=2)[0, 2]
+    except ValueError:
+        with pytest.raises(ValueError, match="is not a number"):
+            read_surface(read_csv, io.StringIO(text))
+        return
+    back = read_surface(read_csv, io.StringIO(text))
+    assert back.values[0, 0].tobytes() == expected.tobytes()
 
 
 def _spelled_csv(spell):
@@ -384,7 +422,7 @@ def test_csv_coordinates_compare_by_value_whatever_their_text(case):
         return repr(x)
 
     text, expected = _spelled_csv(spell)
-    back = read_csv(io.StringIO(text))
+    back = read_surface(read_csv, io.StringIO(text))
     for name in ("thetas", "phis", "values"):
         assert getattr(back, name).tobytes() == getattr(expected, name).tobytes()
 
@@ -394,39 +432,52 @@ def test_csv_long_texts_that_share_a_prefix_are_told_apart():
     prefix = "0" * 40
     # phi 1 and 2 written with the same 40-character prefix: a distinct, accepted grid
     text, expected = _spelled_csv(lambda x, k, column: f"{prefix}{x!r}" if column else repr(x))
-    back = read_csv(io.StringIO(text))
+    back = read_surface(read_csv, io.StringIO(text))
     assert back.phis.tobytes() == expected.phis.tobytes()
     # a later row's phi that shares the first row's prefix but not its number is off the grid
     lines = text.splitlines()
     t, _, v = lines[6].split(",")
     lines[6] = f"{t},{prefix}3.0,{v}"
     with pytest.raises(ValueError, match="theta x phi grid"):
-        read_csv(io.StringIO("\n".join(lines) + "\n"))
+        read_surface(read_csv, io.StringIO("\n".join(lines) + "\n"))
 
 
 def test_read_csv_memory_is_bounded(tmp_path):
-    """The reader keeps the values, 8 B per cell, and no (cells, 3) table or per-cell texts."""
-    thetas = np.linspace(0.0, math.pi, 401)
-    phis = np.linspace(0.0, 2 * math.pi, 801)
-    values = np.random.default_rng(41).uniform(-1.0, 1.0, (thetas.size, phis.size))
-    path = tmp_path / "large.csv"
-    with open(path, "w", encoding="utf-8") as handle:
-        write_csv(SweepResult(thetas, phis, values), handle)
-    with open(path, encoding="utf-8") as handle:
-        tracemalloc.start()
-        try:
-            back = read_csv(handle)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert np.array_equal(back.values, values)
-    assert peak < 16 * values.size + 4 * 2**20, peak / values.size
+    """A CSV extrema pass keeps a chunk of text, one row and the hits, not the surface: its
+    peak is within one bound, 16 B per cell of the smaller grid plus 4 MiB, at both sizes."""
+    bound = 16 * 201 * 401 + 4 * 2**20
+    for shape in ((201, 401), (401, 801)):
+        thetas = np.linspace(0.0, math.pi, shape[0])
+        phis = np.linspace(0.0, 2 * math.pi, shape[1])
+        values = np.random.default_rng(41).uniform(-1.0, 1.0, shape)
+        path = tmp_path / "large.csv"
+        with open(path, "w", encoding="utf-8") as handle:
+            write_csv(SweepResult(thetas, phis, values), handle)
+        expected, mismatched = iter(values.tolist()), []
+        hits = HitCollector()
+
+        def add_row(row):
+            hits.add(row)
+            if row != next(expected):
+                mismatched.append(row)
+
+        with open(path, encoding="utf-8") as handle:
+            tracemalloc.start()
+            try:
+                axes = read_csv(handle, add_row)
+                report = hits.report(*axes, merge_radius=3.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert mismatched == [] and next(expected, None) is None
+        assert report == find_extrema(SweepResult(thetas, phis, values), merge_radius=3.0)
+        assert peak < bound, (shape, peak)
 
 
 def test_csv_trailing_blank_lines_accepted():
     lines = _small_csv_lines()
-    plain = read_csv(io.StringIO("\n".join(lines) + "\n"))
-    padded = read_csv(io.StringIO("\n".join(lines) + "\n\n\n"))
+    plain = read_surface(read_csv, io.StringIO("\n".join(lines) + "\n"))
+    padded = read_surface(read_csv, io.StringIO("\n".join(lines) + "\n\n\n"))
     assert np.array_equal(padded.values, plain.values)
     assert np.array_equal(padded.thetas, plain.thetas)
     assert np.array_equal(padded.phis, plain.phis)
@@ -436,15 +487,17 @@ def test_json_round_trip_exact():
     result = run_sweep(**small_config(partition="SvsP", family=SpinFamily.S2))
     buf = io.StringIO()
     write_json(result, buf)
-    back = read_json(io.StringIO(buf.getvalue()))
+    back = read_surface(read_json, io.StringIO(buf.getvalue()))
     assert np.array_equal(back.values, result.values)
     assert np.array_equal(back.thetas, result.thetas)
-    assert back.family is SpinFamily.S2
-    assert back.partition_name == "SvsP"
-    assert back.omega == result.omega
-    assert back.alpha == result.alpha
-    assert back.theta_grid == result.theta_grid
-    assert back.phi_grid == result.phi_grid
+    # the reader hands over the surface alone; the config is the envelope's
+    config = json.loads(buf.getvalue())["config"]
+    assert SpinFamily(config["family"]) is SpinFamily.S2
+    assert config["partition"] == "SvsP"
+    assert config["omega"] == result.omega
+    assert config["alpha"] == result.alpha
+    assert GridSpec(**config["theta_grid"]) == result.theta_grid
+    assert GridSpec(**config["phi_grid"]) == result.phi_grid
 
 
 def test_file_round_trip(tmp_path):
@@ -456,9 +509,9 @@ def test_file_round_trip(tmp_path):
     with open(json_path, "w", encoding="utf-8") as handle:
         write_json(result, handle)
     with open(csv_path, encoding="utf-8") as handle:
-        assert np.array_equal(read_csv(handle).values, result.values)
+        assert np.array_equal(read_surface(read_csv, handle).values, result.values)
     with open(json_path, encoding="utf-8") as handle:
-        assert np.array_equal(read_json(handle).values, result.values)
+        assert np.array_equal(read_surface(read_json, handle).values, result.values)
 
 
 def test_find_extrema_flat_surface():
@@ -574,13 +627,15 @@ def _all_pairs_single_linkage(hits, radius):
     return labels
 
 
-@pytest.mark.parametrize("radius", [0.0, 1.0, 3.0, 7.5, math.inf])
+# 200 steps is wider than the grid's diagonal
+@pytest.mark.parametrize("radius", [0.0, 0.5, 1.0, 1.5, 3.0, 7.5, 10.0, 200.0, math.inf])
 def test_cluster_matches_all_pairs_single_linkage(radius):
     rng = np.random.default_rng(23)
     # sparse hits over a wide grid, row-sorted as np.argwhere gives them
     hits = np.argwhere(rng.random((60, 90)) < 0.04)
     assert len(hits) > 150
-    assert _cluster(hits, radius).tolist() == _all_pairs_single_linkage(hits, radius).tolist()
+    cells = [(i, j) for i, j in hits.tolist()]
+    assert _cluster(cells, radius) == _all_pairs_single_linkage(hits, radius).tolist()
 
 
 @pytest.mark.parametrize("radius", [0.0, 1.0, 3.0, math.inf])
