@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable
 
 import numpy as np
@@ -44,16 +44,11 @@ _SEED = 20240817
 BoostFn = Callable[[float], np.ndarray]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+CheckResult = namedtuple("CheckResult", "name passed detail")
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    results: tuple[CheckResult, ...]
+class CheckReport(namedtuple("CheckReport", "results")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -8,7 +8,6 @@ so emitted files round-trip exactly.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -32,7 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _grid_spec(text: str):
-    from .extrema import GridSpec
+    from .grid import GridSpec
 
     parts = text.split(":")
     if len(parts) != 3:
@@ -90,50 +89,59 @@ def _omega(args: argparse.Namespace) -> float:
     return wigner_angle(args.xi, args.eta)
 
 
-def build_parser() -> _Parser:
+def build_parser(argv: list[str] | None = None) -> _Parser:
+    """The `spinboost` parser. When argv starts with a command's name, only that
+    command's subparser is built, which parses and prints help as it does among all
+    five; `--help`, an unknown command and a missing one get all five."""
     parser = _Parser(prog="spinboost", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    wanted = [argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS
 
-    p_wigner = sub.add_parser("wigner-angle", help="Wigner angle from two rapidities")
-    p_wigner.add_argument("--xi", type=float, required=True)
-    p_wigner.add_argument("--eta", type=float, required=True)
+    if "wigner-angle" in wanted:
+        p_wigner = sub.add_parser("wigner-angle", help="Wigner angle from two rapidities")
+        p_wigner.add_argument("--xi", type=float, required=True)
+        p_wigner.add_argument("--eta", type=float, required=True)
 
-    p_delta = sub.add_parser("delta-e", help="entanglement change for one state")
-    p_delta.add_argument("--state", help="named state identifier")
-    p_delta.add_argument("--family", type=_family, help="spin family (s1 or s2)")
-    p_delta.add_argument("--theta", type=float, help="polar angle in radians")
-    p_delta.add_argument("--phi", type=float, help="azimuthal angle in radians")
-    p_delta.add_argument("--alpha", type=float, required=True, help="momentum parameter")
-    _add_boost_arguments(p_delta)
-    p_delta.add_argument("--partition", type=_partition, required=True,
-                         help="avb, mixed, svp or 1v3")
+    if "delta-e" in wanted:
+        p_delta = sub.add_parser("delta-e", help="entanglement change for one state")
+        p_delta.add_argument("--state", help="named state identifier")
+        p_delta.add_argument("--family", type=_family, help="spin family (s1 or s2)")
+        p_delta.add_argument("--theta", type=float, help="polar angle in radians")
+        p_delta.add_argument("--phi", type=float, help="azimuthal angle in radians")
+        p_delta.add_argument("--alpha", type=float, required=True, help="momentum parameter")
+        _add_boost_arguments(p_delta)
+        p_delta.add_argument("--partition", type=_partition, required=True,
+                             help="avb, mixed, svp or 1v3")
 
-    p_sweep = sub.add_parser("sweep", help="grid sweep of the entanglement change")
-    p_sweep.add_argument("--family", type=_family, required=True)
-    p_sweep.add_argument("--alpha", type=float, required=True)
-    _add_boost_arguments(p_sweep)
-    p_sweep.add_argument("--partition", type=_partition, required=True)
-    # the grid defaults (None here) are sweep's constants and the merge-radius
-    # default is extrema's, read by the commands so that the parser loads neither
-    p_sweep.add_argument("--theta-grid", type=_grid_spec, metavar="START:STOP:COUNT",
-                         help="default 0:pi:121; a negative START needs the = form, "
-                              "--theta-grid=-0.5:1:3")
-    p_sweep.add_argument("--phi-grid", type=_grid_spec, metavar="START:STOP:COUNT",
-                         help="default 0:2pi:241; a negative START needs the = form, "
-                              "--phi-grid=-1:1:5")
-    p_sweep.add_argument("--out", type=Path, help="output file (default stdout)")
-    p_sweep.add_argument("--format", choices=("csv", "json"),
-                         help="output format (default csv, json for .json outputs)")
-    p_sweep.add_argument("--summary", action="store_true",
-                         help="also print an extrema summary to stderr")
+    if "sweep" in wanted:
+        p_sweep = sub.add_parser("sweep", help="grid sweep of the entanglement change")
+        p_sweep.add_argument("--family", type=_family, required=True)
+        p_sweep.add_argument("--alpha", type=float, required=True)
+        _add_boost_arguments(p_sweep)
+        p_sweep.add_argument("--partition", type=_partition, required=True)
+        # the grid defaults (None here) are sweep's constants and the merge-radius
+        # default is extrema's, read by the commands so that the parser loads neither
+        p_sweep.add_argument("--theta-grid", type=_grid_spec, metavar="START:STOP:COUNT",
+                             help="default 0:pi:121; a negative START needs the = form, "
+                                  "--theta-grid=-0.5:1:3")
+        p_sweep.add_argument("--phi-grid", type=_grid_spec, metavar="START:STOP:COUNT",
+                             help="default 0:2pi:241; a negative START needs the = form, "
+                                  "--phi-grid=-1:1:5")
+        p_sweep.add_argument("--out", type=Path, help="output file (default stdout)")
+        p_sweep.add_argument("--format", choices=("csv", "json"),
+                             help="output format (default csv, json for .json outputs)")
+        p_sweep.add_argument("--summary", action="store_true",
+                             help="also print an extrema summary to stderr")
 
-    p_extrema = sub.add_parser("extrema", help="extrema report for a sweep file")
-    p_extrema.add_argument("--in", dest="infile", type=Path, required=True)
-    p_extrema.add_argument("--merge-radius", type=_merge_radius,
-                           help="cluster radius in grid steps")
+    if "extrema" in wanted:
+        p_extrema = sub.add_parser("extrema", help="extrema report for a sweep file")
+        p_extrema.add_argument("--in", dest="infile", type=Path, required=True)
+        p_extrema.add_argument("--merge-radius", type=_merge_radius,
+                               help="cluster radius in grid steps")
 
-    p_check = sub.add_parser("check", help="run the self-check suite")
-    p_check.add_argument("--json", action="store_true", dest="as_json")
+    if "check" in wanted:
+        p_check = sub.add_parser("check", help="run the self-check suite")
+        p_check.add_argument("--json", action="store_true", dest="as_json")
 
     return parser
 
@@ -238,6 +246,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     report = check_suite()
     if args.as_json:
+        import json
+
         print(json.dumps(report.to_dict(), indent=2))
     else:
         for result in report.results:
@@ -267,7 +277,9 @@ def main(argv: list[str] | None = None) -> int:
     # before any command loads numpy; a thread count the user sets wins
     if not any(name in os.environ for name in _BLAS_THREADS):
         os.environ["OMP_NUM_THREADS"] = "1"
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
@@ -285,5 +297,25 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """The `spinboost` command: main on the process's arguments, then the process ends.
+
+    Every file a command opens is closed when main returns, so the exit skips
+    interpreter teardown. The flush comes first: output that cannot be written
+    is a runtime failure, exit 2, reported once.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        # with code 2 the command has printed its error already, as a write that failed
+        # before this flush makes it do
+        if code != 2:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -14,7 +14,7 @@ measure is defined as the literal sum over listed parts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .kinematics import d1
@@ -36,21 +36,20 @@ _PA, _PB, _SA, _SB = (
 )
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(namedtuple("Partition", "name parts")):
     """Named list of disjoint subsystem-label subsets."""
 
-    name: str
-    parts: tuple[frozenset[SubsystemLabel], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, name: str, parts: tuple[frozenset[SubsystemLabel], ...]) -> Partition:
         seen: set[SubsystemLabel] = set()
-        for part in self.parts:
+        for part in parts:
             if not part:
                 raise ValueError("partition parts must be nonempty")
             if seen & part:
                 raise ValueError("partition parts must be pairwise disjoint")
             seen |= part
+        return super().__new__(cls, name, parts)
 
     def max_entropy(self) -> float:
         """Upper bound sum over parts of (1 - 1/dim)."""
@@ -199,13 +198,10 @@ def _entropies(family, alpha, omega, partition, theta_factors, phi_factors):
     return entropy(before), entropy(after)
 
 
-@dataclass(frozen=True)
-class DeltaEResult:
+class DeltaEResult(namedtuple("DeltaEResult", "e_before e_after delta")):
     """Entanglement before and after a boost, and their difference."""
 
-    e_before: float
-    e_after: float
-    delta: float
+    __slots__ = ()
 
 
 def delta_e(spin: SpinParams, alpha: float, omega: float, partition: Partition) -> DeltaEResult:

@@ -9,66 +9,28 @@ holds the dense surface and never loads numpy.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import IO, Callable, Iterator
 
-COLLECT_TOL = 1e-9
-DEFAULT_MERGE_RADIUS = 3.0
+# DEFAULT_MERGE_RADIUS is read here by the CLI when `extrema` runs
+from .grid import COLLECT_TOL, DEFAULT_MERGE_RADIUS, GridSpec  # noqa: F401
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Inclusive linspace specification for one sweep axis."""
-
-    start: float
-    stop: float
-    count: int
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError("grid endpoints must be finite")
-        if not math.isfinite(self.stop - self.start):
-            raise ValueError("grid span stop - start must be finite")
-        if self.start == self.stop:
-            raise ValueError("grid endpoints must differ")
-        if self.count < 2:
-            raise ValueError("grid count must be at least 2")
-
-    @property
-    def points(self) -> list[float]:
-        """The points of np.linspace(start, stop, count), bit for bit.
-
-        The list is allocated whole before any point is computed, so a count
-        too large to hold is a MemoryError up front.
-        """
-        start, stop = float(self.start), float(self.stop)
-        div, span = self.count - 1, stop - start
-        step = span / div
-        points = [stop] * self.count
-        for k in range(div):
-            # numpy scales the index by the span where the step underflows to zero
-            points[k] = (k * step if step else k / div * span) + start
-        return points
-
-
-@dataclass(frozen=True)
-class ExtremaReport:
+class ExtremaReport(
+    namedtuple("ExtremaReport", "maxima minima merge_radius flat", defaults=(False,))
+):
     """Clustered global extrema of a sweep surface.
 
     Grid points within COLLECT_TOL of the global extreme value are clustered
     by index distance; each cluster is reported through one representative
     point. A surface whose full range is below the collection tolerance is
     flagged flat and carries no extrema entries (every point would qualify
-    as both).
+    as both). `maxima` and `minima` are tuples of (theta, phi, value).
     """
 
-    maxima: tuple[tuple[float, float, float], ...]
-    minima: tuple[tuple[float, float, float], ...]
-    merge_radius: float
-    flat: bool = False
+    __slots__ = ()
 
 
 def _cluster(cells: list[tuple[int, int]], radius: float) -> list[int]:
@@ -305,6 +267,8 @@ def read_csv(stream: IO[str], add_row: Callable[[list[float]], None]) -> tuple[l
 def read_json(stream: IO[str], add_row: Callable[[list[float]], None]) -> tuple[list[float], list[float]]:
     """Hand a JSON envelope's values to add_row one theta row at a time, after checking
     its keys, value types and shape; return its axes."""
+    import json
+
     envelope = json.load(stream)
     try:
         config = envelope["config"]

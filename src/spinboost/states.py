@@ -13,7 +13,7 @@ particle; spin indices run |1> = 0, |0> = 1, |-1> = 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 
@@ -43,15 +43,13 @@ class SpinFamily(Enum):
     S2 = "s2"
 
 
-@dataclass(frozen=True)
-class SpinParams:
-    family: SpinFamily
-    theta: float
-    phi: float
+class SpinParams(namedtuple("SpinParams", "family theta phi")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError(f"theta and phi must be finite, got {self.theta} and {self.phi}")
+    def __new__(cls, family: SpinFamily, theta: float, phi: float) -> SpinParams:
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise ValueError(f"theta and phi must be finite, got {theta} and {phi}")
+        return super().__new__(cls, family, theta, phi)
 
 
 # basis positions of the three amplitudes of each family within the 9-dim spin space

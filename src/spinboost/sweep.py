@@ -9,35 +9,39 @@ batched.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from typing import IO
+from collections import namedtuple
+from typing import IO, TYPE_CHECKING
 
 import numpy as np
 
 from .entanglement import Partition, _entropies
 # COLLECT_TOL stays importable here for the callers that read a report beside its band
-from .extrema import COLLECT_TOL, DEFAULT_MERGE_RADIUS, ExtremaReport, GridSpec, HitCollector  # noqa: F401
+from .grid import COLLECT_TOL, DEFAULT_MERGE_RADIUS, GridSpec  # noqa: F401
 from .states import SpinFamily, _phi_factors, _theta_factors
+
+if TYPE_CHECKING:
+    from .extrema import ExtremaReport
 
 DEFAULT_THETA_GRID = GridSpec(0.0, math.pi, 121)
 DEFAULT_PHI_GRID = GridSpec(0.0, 2 * math.pi, 241)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Dense grid of entanglement changes, row-major with theta outer."""
+class SweepResult(
+    namedtuple(
+        "SweepResult",
+        "thetas phis values family alpha omega partition_name theta_grid phi_grid",
+        defaults=(None,) * 6,
+    )
+):
+    """Dense grid of entanglement changes, row-major with theta outer.
 
-    thetas: np.ndarray
-    phis: np.ndarray
-    values: np.ndarray
-    family: SpinFamily | None = None
-    alpha: float | None = None
-    omega: float | None = None
-    partition_name: str | None = None
-    theta_grid: GridSpec | None = None
-    phi_grid: GridSpec | None = None
+    `thetas` (n,), `phis` (m,) and `values` (n, m) are arrays; the config
+    fields (family, alpha, omega, partition name and the two GridSpecs) are
+    None unless the surface came from `run_sweep`.
+    """
+
+    __slots__ = ()
 
 
 def delta_e_grid(
@@ -94,6 +98,8 @@ def run_sweep(
 def find_extrema(result: SweepResult, merge_radius: float = DEFAULT_MERGE_RADIUS) -> ExtremaReport:
     """The extrema report of an in-memory surface, through the collector that
     `spinboost extrema` streams a file's rows into."""
+    from .extrema import HitCollector
+
     hits = HitCollector()
     for row in result.values.tolist():
         hits.add(row)
@@ -112,6 +118,8 @@ def write_csv(result: SweepResult, stream: IO[str]) -> None:
 
 def write_json(result: SweepResult, stream: IO[str]) -> None:
     """Emit the grid as a JSON envelope: config metadata, shape, flat values."""
+    import json
+
     def grid_dict(grid: GridSpec | None, points: np.ndarray) -> dict:
         if grid is not None:
             return {"start": grid.start, "stop": grid.stop, "count": grid.count}

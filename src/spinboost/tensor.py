@@ -12,7 +12,7 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 import numpy as np
@@ -25,15 +25,15 @@ HERMITICITY_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class FactorOrder:
+class FactorOrder(namedtuple("FactorOrder", "labels")):
     """Ordered subsystem labels fixing the composite index convention."""
 
-    labels: tuple[SubsystemLabel, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
+    def __new__(cls, labels: tuple[SubsystemLabel, ...]) -> FactorOrder:
+        if len(set(labels)) != len(labels):
             raise ValueError("factor labels must be unique")
+        return super().__new__(cls, labels)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -59,35 +59,30 @@ CANONICAL_ORDER = FactorOrder(
 )
 
 
-@dataclass(frozen=True)
-class PureState:
+class PureState(namedtuple("PureState", "amplitudes order")):
     """Unit-norm complex amplitude vector over a factor order."""
 
-    amplitudes: np.ndarray
-    order: FactorOrder = CANONICAL_ORDER
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (self.order.total_dim,):
+    def __new__(cls, amplitudes: np.ndarray, order: FactorOrder = CANONICAL_ORDER) -> PureState:
+        amps = np.asarray(amplitudes, dtype=complex)
+        if amps.shape != (order.total_dim,):
             raise ValueError(
-                f"amplitude vector has length {amps.shape}, expected {self.order.total_dim}"
+                f"amplitude vector has length {amps.shape}, expected {order.total_dim}"
             )
         if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
             raise ValueError("state vector is not normalized")
+        return super().__new__(cls, amps, order)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(namedtuple("DensityMatrix", "entries order")):
     """Hermitian, positive semidefinite, unit-trace matrix over a factor order."""
 
-    entries: np.ndarray
-    order: FactorOrder
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        rho = np.asarray(self.entries, dtype=complex)
-        object.__setattr__(self, "entries", rho)
-        n = self.order.total_dim
+    def __new__(cls, entries: np.ndarray, order: FactorOrder) -> DensityMatrix:
+        rho = np.asarray(entries, dtype=complex)
+        n = order.total_dim
         if rho.shape != (n, n):
             raise ValueError(f"density matrix has shape {rho.shape}, expected ({n}, {n})")
         if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
@@ -96,6 +91,7 @@ class DensityMatrix:
             raise ValueError("density matrix trace is not 1")
         if np.min(np.linalg.eigvalsh(rho)) < -EIGENVALUE_TOL:
             raise ValueError("density matrix has a significantly negative eigenvalue")
+        return super().__new__(cls, rho, order)
 
 
 def kron_all(*mats: np.ndarray) -> np.ndarray:

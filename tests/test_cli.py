@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import spinboost
-from spinboost.cli import main
+from spinboost.cli import build_parser, main
 from spinboost.entanglement import PARTITIONS, delta_e
 from spinboost.states import SpinFamily
 from spinboost.extrema import read_csv
@@ -20,6 +20,8 @@ from spinboost.sweep import GridSpec, run_sweep
 from helpers import read_surface
 
 SMALL_GRID = ["--theta-grid", "0:3.141592653589793:7", "--phi-grid", "0:6.283185307179586:9"]
+# a 2x2 surface for `extrema`
+STORED_CSV = "theta,phi,delta_e\n0,0,0.5\n0,1,0.25\n1,0,0\n1,1,1\n"
 
 
 def test_package_top_level_is_lean():
@@ -42,41 +44,132 @@ def test_package_top_level_is_lean():
 
 
 def test_no_command_loads_numpy_random(tmp_path):
-    """No command draws from numpy.random, so none pays the memory of loading it; and
-    each command loads only the modules it runs, so the numpy-free ones never load numpy.
+    """No command draws from numpy.random or loads dataclasses, and each command loads only
+    the modules it runs: numpy for `sweep` and `check` alone, json only to read or write
+    JSON, the extrema reader only for `extrema` and `sweep --summary`, and no inspect (which
+    numpy loads) where numpy stays unloaded.
 
-    One interpreter runs the commands in order of their footprint, so the modules a
-    command reports are the ones it and the lighter commands before it loaded."""
-    out, stored = tmp_path / "s.csv", tmp_path / "stored.csv"
-    stored.write_text("theta,phi,delta_e\n0,0,0.5\n0,1,0.25\n1,0,0\n1,1,1\n")
-    sweep, checks = "spinboost.sweep", "spinboost.checks"
+    Each command runs in a fresh interpreter that imports nothing else, and the modules
+    loaded before the CLI is imported do not count."""
+    csv, json_out = tmp_path / "s.csv", tmp_path / "s.json"
+    stored = tmp_path / "stored.csv"
+    stored.write_text(STORED_CSV)
+    sweep = ["sweep", "--family", "s1", "--alpha", "0.7", "--omega", "0.3", "--partition", "svp",
+             *SMALL_GRID]
+    extrema, checks, sweep_module = "spinboost.extrema", "spinboost.checks", "spinboost.sweep"
     expected = [
         (["wigner-angle", "--xi", "1", "--eta", "1"], 0, []),
         (["--help"], 0, []),
+        (["sweep", "--help"], 0, []),
         (["wigner-angle", "--xi", "1"], 1, []),  # a usage error: --eta is missing
         (["delta-e", "--state", "s00", "--alpha", "0.7", "--omega", "0.3", "--partition", "1v3"],
          0, []),
-        (["extrema", "--in", str(stored)], 0, []),
-        (["sweep", "--family", "s1", "--alpha", "0.7", "--omega", "0.3", "--partition", "svp",
-          *SMALL_GRID, "--out", str(out)], 0, ["numpy", sweep]),
-        (["check"], 0, ["numpy", checks, sweep]),
+        (["extrema", "--in", str(stored)], 0, [extrema]),
+        ([*sweep, "--out", str(csv)], 0, ["numpy", sweep_module]),
+        ([*sweep, "--out", str(json_out)], 0, ["json", "numpy", sweep_module]),
+        (["extrema", "--in", str(json_out)], 0, ["json", extrema]),
+        ([*sweep, "--out", str(csv), "--summary"], 0, ["numpy", extrema, sweep_module]),
+        (["check"], 0, ["numpy", checks, sweep_module]),
+        (["check", "--json"], 0, ["json", "numpy", checks, sweep_module]),
     ]
     code = (
-        "import contextlib, io, json, sys\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
         "from spinboost.cli import main\n"
-        "watched = ('numpy', 'numpy.random', 'spinboost.checks', 'spinboost.sweep')\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()), "
-        "contextlib.redirect_stderr(io.StringIO()):\n"
-        "        rc = main(argv)\n"
-        "    print(json.dumps([argv, rc, [m for m in watched if m in sys.modules]]))\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(rc, *sorted(set(sys.modules) - before), file=sys.stderr)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(spinboost.__file__).resolve().parents[1])}
-    commands = [argv for argv, _, _ in expected]
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
-                          capture_output=True, text=True, env=env, check=True)
-    reports = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert reports == [[argv, rc, loaded] for argv, rc, loaded in expected]
+    watched = {"dataclasses", "json", "numpy", "numpy.random", checks, extrema, sweep_module}
+    reports = []
+    for argv, _, loads in expected:
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, text=True, env=env, check=True)
+        rc, *loaded = proc.stderr.splitlines()[-1].split()
+        shown = watched if "numpy" in loads else watched | {"inspect"}
+        reports.append((argv, int(rc), sorted(shown.intersection(loaded))))
+    assert reports == [(argv, rc, sorted(loads)) for argv, rc, loads in expected]
+
+
+# one call of each command, a usage error and two help texts
+CHILD_ARGVS = [
+    ["wigner-angle", "--xi", "1", "--eta", "2"],
+    ["delta-e", "--family", "s2", "--theta", "1", "--phi", "2", "--alpha", "0.7",
+     "--xi", "1", "--eta", "2", "--partition", "svp"],
+    ["sweep", "--family", "s1", "--alpha", "0.7", "--xi", "1", "--eta", "2", "--partition", "1v3",
+     *SMALL_GRID, "--summary"],
+    ["extrema", "--in", "{stored}"],
+    ["check"],
+    ["delta-e", "--state", "s00", "--alpha", "0.7", "--partition", "avb"],
+    ["--help"],
+    ["sweep", "--help"],
+]
+
+
+@pytest.mark.parametrize("argv", CHILD_ARGVS, ids=lambda argv: "-".join(argv[:2]))
+def test_child_matches_in_process_main(argv, tmp_path, capsysbinary, monkeypatch):
+    """`python -m spinboost.cli` writes the bytes and exits with the code that main returns."""
+    stored = tmp_path / "stored.csv"
+    stored.write_text(STORED_CSV)
+    argv = [arg.format(stored=stored) for arg in argv]
+    # argparse wraps help text to the terminal width, which COLUMNS fixes
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(Path(spinboost.__file__).resolve().parents[1])}
+    child = subprocess.run([sys.executable, "-m", "spinboost.cli", *argv],
+                           capture_output=True, env=env)
+    code = main(argv)
+    captured = capsysbinary.readouterr()
+    assert (child.returncode, child.stdout, child.stderr) == (code, captured.out, captured.err)
+
+
+@pytest.mark.parametrize("command", ["wigner-angle", "delta-e", "sweep", "extrema", "check"])
+def test_command_help_is_the_full_parsers(command, capsys, monkeypatch):
+    """A command's parser, built alone for its own argv, prints the help that it prints
+    among all five."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    full = capsys.readouterr().out
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out == full
+    assert full.startswith(f"usage: spinboost {command} [-h]")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full (Linux)")
+@pytest.mark.parametrize("sink", ["full", "closed-pipe"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wigner-angle", "--xi", "1", "--eta", "1"],
+        ["delta-e", "--state", "s00", "--alpha", "0.7", "--omega", "0.3", "--partition", "1v3"],
+        # the default grid's CSV outgrows the buffer, so the write fails inside the command
+        ["sweep", "--family", "s1", "--alpha", "0.7", "--omega", "0.3", "--partition", "svp"],
+        ["extrema", "--in", "{stored}"],
+        ["check"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_failed_stdout_write_exits_two(argv, sink, tmp_path):
+    """Output that cannot be written is a runtime failure: one error line and exit 2, whether
+    the write fails inside the command or at the final flush of buffered stdout."""
+    stored = tmp_path / "stored.csv"
+    stored.write_text(STORED_CSV)
+    argv = [arg.format(stored=stored) for arg in argv]
+    # without PYTHONUNBUFFERED, stdout to a file or a pipe is block-buffered
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(spinboost.__file__).resolve().parents[1])
+    if sink == "full":
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "spinboost.cli", *argv],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_wigner_angle_command(capsys):

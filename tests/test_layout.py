@@ -122,7 +122,7 @@ def test_cli_loads_only_stdlib_and_kinematics():
 
 
 # the modules that `spinboost delta-e` and `spinboost extrema` load besides cli.py
-NUMPY_FREE = ("kinematics", "states", "entanglement", "extrema")
+NUMPY_FREE = ("kinematics", "states", "entanglement", "grid", "extrema")
 
 
 def test_numpy_free_layer_imports_only_stdlib_and_itself():
