@@ -282,38 +282,36 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        code = _COMMANDS[args.command](args)
+        # buffered output that cannot be written fails here, as a runtime error
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:  # --help paths
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        code, line = 1, f"usage error: {exc}"
     except (OSError, ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, line = 2, f"error: {exc}"
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass  # a line that stderr cannot take is lost, not the exit code
+    return code
 
 
 def run() -> None:
     """The `spinboost` command: main on the process's arguments, then the process ends.
 
     Every file a command opens is closed when main returns, so the exit skips
-    interpreter teardown. The flush comes first: output that cannot be written
-    is a runtime failure, exit 2, reported once.
+    interpreter teardown. main has flushed stdout already: output that cannot
+    be written is a runtime failure, exit 2, reported once.
     """
     code = main()
     try:
         sys.stdout.flush()
-    except OSError as exc:
-        # with code 2 the command has printed its error already, as a write that failed
-        # before this flush makes it do
-        if code != 2:
-            print(f"error: {exc}", file=sys.stderr)
-            code = 2
-    sys.stderr.flush()
+        sys.stderr.flush()
+    except OSError:
+        pass  # main has reported the failed write, or stderr cannot take the report
     os._exit(code)
 
 

@@ -42,9 +42,6 @@ def _cluster(cells: list[tuple[int, int]], radius: float) -> list[int]:
     cells are, and compares only buckets near enough to hold a linked pair.
     """
     r2 = radius * radius
-    if r2 < 1.0:
-        # no two cells are within one step
-        return list(range(len(cells)))
     if r2 == math.inf:
         return [0] * len(cells)
     side = math.isqrt(int(r2 / 2)) + 1
@@ -204,7 +201,7 @@ def read_csv(stream: IO[str], add_row: Callable[[list[float]], None]) -> tuple[l
             raise ValueError(f"CSV cell {bad.strip()!r} is not a number")
         if any(char in text for char in "\r\x1c\x1d\x1e\x1f"):
             text = text.translate(_CSV_SPACE)
-        if "\n\n" in f"\n{text}\n":
+        if "\n\n" in text or text.startswith("\n") or text.endswith("\n"):
             # empty lines are skipped
             text = "\n".join(filter(None, text.split("\n")))
         if not text:

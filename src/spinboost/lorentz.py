@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from .kinematics import d1
-from .tensor import kron_all
 
 
 def jy_matrix() -> np.ndarray:
@@ -33,10 +32,6 @@ def jy_matrix() -> np.ndarray:
 def wigner_d(beta: float) -> np.ndarray:
     """The closed-form spin-1 rotation `kinematics.d1` as a complex 3x3 array."""
     return np.array(d1(beta), dtype=complex)
-
-
-_P_PLUS = np.diag([1.0, 0.0]).astype(complex)
-_P_MINUS = np.diag([0.0, 1.0]).astype(complex)
 
 
 def boost_operator(omega: float) -> np.ndarray:
@@ -61,11 +56,3 @@ def boost_operator(omega: float) -> np.ndarray:
             u[2 * a + b, :, 2 * a + b] += block
     return u.reshape(36, 36)
 
-
-def single_particle_boost(omega: float) -> np.ndarray:
-    """Controlled rotation on one particle's (momentum, spin) pair, 6x6.
-
-    The composite boost factors as the product of one copy per particle
-    after reordering factors to [pA, sA, pB, sB].
-    """
-    return kron_all(_P_PLUS, wigner_d(omega)) + kron_all(_P_MINUS, wigner_d(-omega))

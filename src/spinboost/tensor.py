@@ -94,14 +94,6 @@ class DensityMatrix(namedtuple("DensityMatrix", "entries order")):
         return super().__new__(cls, rho, order)
 
 
-def kron_all(*mats: np.ndarray) -> np.ndarray:
-    """Kronecker product of several matrices, left to right."""
-    out = np.asarray(mats[0])
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 def outer(psi: PureState) -> DensityMatrix:
     """Rank-1 projector |psi><psi| as a DensityMatrix."""
     v = psi.amplitudes
@@ -151,15 +143,3 @@ def purity(rho: DensityMatrix) -> float:
     r = rho.entries
     return float(np.trace(r @ r).real)
 
-
-def permute_operator(matrix: np.ndarray, order: FactorOrder, new_order: FactorOrder) -> np.ndarray:
-    """Reindex an operator's rows and columns into a different factor order."""
-    if set(new_order.labels) != set(order.labels):
-        raise ValueError("new order must be a permutation of the operator's factor order")
-    n = len(order.labels)
-    perm = [order.axis(label) for label in new_order.labels]
-    dims = order.dims
-    tens = np.asarray(matrix).reshape(dims + dims)
-    tens = np.transpose(tens, perm + [n + ax for ax in perm])
-    total = order.total_dim
-    return tens.reshape(total, total)

@@ -172,6 +172,34 @@ def test_failed_stdout_write_exits_two(argv, sink, tmp_path):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full (Linux)")
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["wigner-angle", "--xi", "nan", "--eta", "1"], 2),
+        (["delta-e", "--state", "s00", "--alpha", "0.7", "--omega", "nan", "--partition", "1v3"], 2),
+        # a usage error from the parser, and one from the command
+        (["wigner-angle", "--xi", "1"], 1),
+        (["delta-e", "--state", "s00", "--alpha", "0.7", "--omega", "0.3", "--xi", "1",
+          "--partition", "1v3"], 1),
+    ],
+)
+def test_unwritable_stderr_keeps_the_exit_code(argv, code):
+    """An error line that stderr cannot take is lost, but a runtime error still exits 2 and
+    a usage error 1, also when the lost line stays in stderr's buffer for the final flush."""
+    # without PYTHONUNBUFFERED, stderr keeps the line it could not write
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(spinboost.__file__).resolve().parents[1])
+    stderr = os.open("/dev/full", os.O_WRONLY)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "spinboost.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=stderr, env=env)
+    finally:
+        os.close(stderr)
+    assert proc.returncode == code
+    assert proc.stdout == b""
+
+
 def test_wigner_angle_command(capsys):
     assert main(["wigner-angle", "--xi", "1", "--eta", "1"]) == 0
     out = capsys.readouterr().out.strip()

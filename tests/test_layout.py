@@ -1,7 +1,8 @@
 """Layout rules: every public top-level name in src/ has a user outside the tests, src/
 leaves numpy.random unloaded, the checks share no kernel with the evaluator, the evaluator
-uses no part of the dense oracle, the CLI module loads no numpy, and the modules that
-`delta-e` and `extrema` run import nothing beyond the standard library and each other."""
+uses no part of the dense oracle, only the checks read `tensor` and only its factor order,
+the CLI module loads no numpy, and the modules that `delta-e` and `extrema` run import
+nothing beyond the standard library and each other."""
 
 import ast
 import sys
@@ -89,6 +90,24 @@ def test_evaluator_uses_no_dense_oracle():
             elif isinstance(node, ast.Attribute) and node.attr in oracle:
                 borrowed.append(f"{name}: .{node.attr}")
     assert not borrowed, f"the evaluator uses the dense oracle: {borrowed}"
+
+
+def test_only_checks_reads_tensor_and_only_the_factor_order():
+    """`tensor` holds the factor order and the dense oracle that the tests and the benchmark
+    gate use; in src/, only the checks import from it, and only CANONICAL_ORDER. The checks
+    build the per-particle boost of their factorization check themselves."""
+    imported = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "tensor":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("tensor", "spinboost.tensor"):
+                imported += [(path.stem, alias.name) for alias in node.names]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                # `from . import tensor` and `import spinboost.tensor` take the whole module
+                imported += [(path.stem, "tensor") for alias in node.names
+                             if alias.name in ("tensor", "spinboost.tensor")]
+    assert imported == [("checks", "CANONICAL_ORDER")], imported
 
 
 def _module_level_imports(path: Path) -> list[str]:

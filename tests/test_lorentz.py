@@ -6,17 +6,7 @@ import numpy as np
 import pytest
 
 from spinboost.kinematics import wigner_angle
-from spinboost.lorentz import boost_operator, jy_matrix, single_particle_boost, wigner_d
-from spinboost.tensor import CANONICAL_ORDER, FactorOrder, SubsystemLabel, kron_all, permute_operator
-
-PA, PB, SA, SB = (
-    SubsystemLabel.PA,
-    SubsystemLabel.PB,
-    SubsystemLabel.SA,
-    SubsystemLabel.SB,
-)
-
-PARTICLE_ORDER = FactorOrder((PA, SA, PB, SB))
+from spinboost.lorentz import boost_operator, jy_matrix, wigner_d
 
 # frozen reference values, computed independently at 40-digit precision from
 # arctan(sinh(xi) sinh(eta) / (cosh(xi) + cosh(eta)))
@@ -185,10 +175,14 @@ def test_boost_operator_zero_angle_is_identity():
 
 
 def test_boost_factorizes_into_single_particle_copies():
+    """Reordered to (pA, sA, pB, sB), the boost is one controlled rotation per particle."""
+    p_plus, p_minus = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     for omega in (0.2, math.pi / 8, 1.0, math.pi / 2):
-        u = permute_operator(boost_operator(omega), CANONICAL_ORDER, PARTICLE_ORDER)
-        sp = single_particle_boost(omega)
-        assert np.max(np.abs(u - kron_all(sp, sp))) < 1e-13
+        single = np.kron(p_plus, wigner_d(omega)) + np.kron(p_minus, wigner_d(-omega))
+        # axes (pA, pB, sA, sB) of the rows, then of the columns
+        u = boost_operator(omega).reshape(2, 2, 3, 3, 2, 2, 3, 3)
+        u = np.transpose(u, (0, 2, 1, 3, 4, 6, 5, 7)).reshape(36, 36)
+        assert np.max(np.abs(u - np.kron(single, single))) < 1e-13
 
 
 def test_boost_sector_action_on_basis_states():
@@ -206,11 +200,6 @@ def test_boost_sector_action_on_basis_states():
         mom = np.zeros(4, dtype=complex)
         mom[pa * 2 + pb] = 1.0
         vec = np.kron(mom, spin)
-        expected = np.kron(mom, kron_all(da, db) @ spin)
+        expected = np.kron(mom, np.kron(da, db) @ spin)
         assert np.max(np.abs(u @ vec - expected)) < 1e-13
 
-
-def test_single_particle_boost_unitary():
-    for omega in (0.0, 0.4, math.pi / 2):
-        sp = single_particle_boost(omega)
-        assert np.max(np.abs(sp.conj().T @ sp - np.eye(6))) < 1e-13

@@ -363,13 +363,22 @@ def test_csv_rejects_malformed_rows(edit):
 
 def test_csv_reader_block_size_does_not_change_the_arrays(monkeypatch):
     """Chunks of 7 characters, shorter than a line and the last one short, give the default
-    arrays."""
-    text = "\n".join(_small_csv_lines()) + "\n"
+    arrays, also with blank lines at the start, in the middle and at the end of the data.
+    So do one chunk with a blank line inside it, and chunks that end on the second row's
+    newline with a blank line starting the next."""
+    header, *rows = _small_csv_lines()
+    text = "\n".join([header, *rows]) + "\n"
     plain = read_surface(read_csv, io.StringIO(text))
-    monkeypatch.setattr(extrema, "_CSV_CHUNK", 7)
-    blocked = read_surface(read_csv, io.StringIO(text))
-    for name in ("thetas", "phis", "values"):
-        assert getattr(blocked, name).tobytes() == getattr(plain, name).tobytes()
+    blank = "\n".join([header, "", "", *rows[:20], "", *rows[20:], "", ""]) + "\n"
+    middle = "\n".join([header, *rows[:20], "", *rows[20:]]) + "\n"
+    after_second = "\n".join([header, *rows[:2], "", *rows[2:]]) + "\n"
+    two_rows = len(rows[0]) + len(rows[1]) + 2
+    cases = ((7, text), (7, blank), (extrema._CSV_CHUNK, middle), (two_rows, after_second))
+    for chunk, source in cases:
+        monkeypatch.setattr(extrema, "_CSV_CHUNK", chunk)
+        blocked = read_surface(read_csv, io.StringIO(source))
+        for name in ("thetas", "phis", "values"):
+            assert getattr(blocked, name).tobytes() == getattr(plain, name).tobytes()
 
 
 # np.loadtxt reads the first seven and 1.5\x1c; float() alone reads the last three too,

@@ -10,10 +10,8 @@ from spinboost.tensor import (
     FactorOrder,
     PureState,
     SubsystemLabel,
-    kron_all,
     outer,
     partial_trace,
-    permute_operator,
     purity,
 )
 
@@ -90,14 +88,6 @@ def test_density_matrix_validation():
         DensityMatrix(rho * 2.0, CANONICAL_ORDER)
 
 
-def test_kron_all_matches_chained_kron():
-    rng = np.random.default_rng(7)
-    mats = [rng.standard_normal((d, d)) for d in (2, 2, 3, 3)]
-    chained = np.kron(np.kron(np.kron(mats[0], mats[1]), mats[2]), mats[3])
-    assert np.array_equal(kron_all(*mats), chained)
-    assert np.array_equal(kron_all(mats[0], mats[2]), np.kron(mats[0], mats[2]))
-
-
 @pytest.mark.parametrize(
     "keep",
     [
@@ -147,29 +137,3 @@ def test_permute_factors_basis_index_mapping():
     back = permute_factors(moved, CANONICAL_ORDER)
     assert np.array_equal(back.amplitudes, vec)
 
-
-def test_permute_operator_reorders_product_operators():
-    rng = np.random.default_rng(29)
-    a2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    c3 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    d3 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    canonical = kron_all(a2, b2, c3, d3)
-    particle_order = FactorOrder((PA, SA, PB, SB))
-    moved = permute_operator(canonical, CANONICAL_ORDER, particle_order)
-    assert np.max(np.abs(moved - kron_all(a2, c3, b2, d3))) < 1e-13
-
-
-def test_permute_operator_consistent_with_state_permutation():
-    rng = np.random.default_rng(31)
-    vec = random_state(rng)
-    op = rng.standard_normal((36, 36)) + 1j * rng.standard_normal((36, 36))
-    particle_order = FactorOrder((PA, SA, PB, SB))
-    lhs = permute_operator(op, CANONICAL_ORDER, particle_order) @ permute_factors(
-        PureState(vec), particle_order
-    ).amplitudes
-    rhs_state = op @ vec
-    rhs_state = rhs_state / np.linalg.norm(rhs_state)
-    lhs = lhs / np.linalg.norm(lhs)
-    rhs = permute_factors(PureState(rhs_state), particle_order).amplitudes
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
