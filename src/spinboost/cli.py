@@ -188,14 +188,7 @@ def _print_extrema(report, stream) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .sweep import (
-        DEFAULT_PHI_GRID,
-        DEFAULT_THETA_GRID,
-        find_extrema,
-        run_sweep,
-        write_csv,
-        write_json,
-    )
+    from .sweep import DEFAULT_PHI_GRID, DEFAULT_THETA_GRID, surface_rows, write_csv, write_json
 
     omega = _omega(args)
     fmt = args.format
@@ -203,25 +196,44 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         fmt = "json" if args.out is not None and args.out.suffix == ".json" else "csv"
     theta_grid = DEFAULT_THETA_GRID if args.theta_grid is None else args.theta_grid
     phi_grid = DEFAULT_PHI_GRID if args.phi_grid is None else args.phi_grid
-    result = run_sweep(args.family, args.alpha, omega, args.partition, theta_grid, phi_grid)
+    thetas, phis = theta_grid.points, phi_grid.points
+    # the rows are evaluated as the writer asks for them, a block at a time
+    rows = surface_rows(args.family, args.alpha, omega, args.partition, thetas, phis)
+    if args.summary:
+        from .extrema import DEFAULT_MERGE_RADIUS, HitCollector
+
+        hits = HitCollector()
+
+        def collected(row: list[float]) -> list[float]:
+            hits.add(row)
+            return row
+
+        rows = map(collected, rows)
     if args.omega is None:
         print(f"omega = {omega:.17g}", file=sys.stderr)
-    writer = write_csv if fmt == "csv" else write_json
+
+    def write(stream) -> None:
+        if fmt == "csv":
+            write_csv(thetas, phis, rows, stream)
+        else:
+            write_json(args.family, args.alpha, omega, args.partition, theta_grid, phi_grid,
+                       rows, stream)
+
     if args.out is None:
-        writer(result, sys.stdout)
+        write(sys.stdout)
     else:
         # write beside the target and rename, so a failure leaves no partial
         # file and an existing one stays as it was
         tmp = args.out.with_name(f".{args.out.name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
-                writer(result, handle)
+                write(handle)
             os.replace(tmp, args.out)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
     if args.summary:
-        _print_extrema(find_extrema(result), sys.stderr)
+        _print_extrema(hits.report(thetas, phis, DEFAULT_MERGE_RADIUS), sys.stderr)
     return 0
 
 

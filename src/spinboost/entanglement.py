@@ -173,8 +173,9 @@ def _monomial_factors(factors):
     return [powers[a][0] * powers[b][1] * powers[c][2] for a, b, c in _QUARTICS]
 
 
-def _entropies(family, alpha, omega, partition, theta_factors, phi_factors):
-    """Entropy before and after the boost of angle omega, from each axis's amplitude factors.
+def _entropies(partition, quartics, theta_factors, phi_factors):
+    """Entropy before and after a boost, from the partition's two purity quartics (of
+    `_purity_quartics` for the boosts by zero and by omega) and each axis's amplitude factors.
 
     The partition's total purity is a quartic form in the amplitudes x, and
     each monomial splits into a theta factor times a phi factor, so an
@@ -194,7 +195,7 @@ def _entropies(family, alpha, omega, partition, theta_factors, phi_factors):
             purity += coefficient * theta_part * phi_part
         return len(partition.parts) - purity
 
-    before, after = _purity_quartics(family, alpha, (0.0, omega), partition)
+    before, after = quartics
     return entropy(before), entropy(after)
 
 
@@ -208,11 +209,12 @@ def delta_e(spin: SpinParams, alpha: float, omega: float, partition: Partition) 
     """Linear-entropy change produced by the boost of angle omega.
 
     `spin` holds the family parameters; `alpha` is the momentum parameter.
-    The entropies come from the sum that `sweep.delta_e_grid` runs on a
-    grid, so a point's change has the bits of its grid cell, and at
-    omega = 0 it is +0.0.
+    The entropies come from the sum that `sweep` runs on a grid's blocks,
+    so a point's change has the bits of its grid cell, and at omega = 0 it
+    is +0.0.
     """
+    quartics = _purity_quartics(spin.family, alpha, (0.0, omega), partition)
     e_before, e_after = _entropies(
-        spin.family, alpha, omega, partition, _theta_factors(spin.theta), _phi_factors(spin.phi)
+        partition, quartics, _theta_factors(spin.theta), _phi_factors(spin.phi)
     )
     return DeltaEResult(e_before=e_before, e_after=e_after, delta=e_after - e_before)

@@ -34,12 +34,15 @@ class GridSpec(namedtuple("GridSpec", "start stop count")):
         """The points of np.linspace(start, stop, count), bit for bit.
 
         The list is allocated whole before any point is computed, so a count
-        too large to hold is a MemoryError up front.
+        too large to hold, past sys.maxsize included, is a MemoryError up front.
         """
         start, stop = float(self.start), float(self.stop)
         div, span = self.count - 1, stop - start
         step = span / div
-        points = [stop] * self.count
+        try:
+            points = [stop] * self.count
+        except (MemoryError, OverflowError):
+            raise MemoryError(f"a grid of {self.count} points does not fit in memory") from None
         for k in range(div):
             # numpy scales the index by the span where the step underflows to zero
             points[k] = (k * step if step else k / div * span) + start

@@ -1,10 +1,13 @@
 """Builders that only the tests use: product states, factor reordering, one-state entropy,
-and a stored surface read back whole."""
+and whole surfaces: swept, read back from a file, and reported on."""
+
+from collections import namedtuple
 
 import numpy as np
 
 from spinboost.entanglement import Partition
-from spinboost.sweep import SweepResult
+from spinboost.extrema import DEFAULT_MERGE_RADIUS, HitCollector
+from spinboost.sweep import surface_rows
 from spinboost.tensor import NORM_TOL, FactorOrder, PureState, outer, partial_trace, purity
 
 
@@ -34,9 +37,29 @@ def entropy(vec: np.ndarray, partition: Partition) -> float:
     return sum(1.0 - purity(partial_trace(rho, part)) for part in partition.parts)
 
 
-def read_surface(reader, stream) -> SweepResult:
+# a dense surface: `thetas` (n,), `phis` (m,) and `values` (n, m), theta outer
+Surface = namedtuple("Surface", "thetas phis values")
+
+
+def run_sweep(family, alpha, omega, partition, theta_grid, phi_grid) -> Surface:
+    """A sweep's surface whole: the rows that `spinboost sweep` streams, stacked."""
+    thetas, phis = theta_grid.points, phi_grid.points
+    rows = list(surface_rows(family, alpha, omega, partition, thetas, phis))
+    return Surface(np.array(thetas), np.array(phis), np.array(rows))
+
+
+def find_extrema(surface: Surface, merge_radius: float = DEFAULT_MERGE_RADIUS):
+    """The extrema report of a whole surface, through the collector that `spinboost extrema`
+    and `sweep --summary` feed one row at a time."""
+    hits = HitCollector()
+    for row in surface.values.tolist():
+        hits.add(row)
+    return hits.report(surface.thetas.tolist(), surface.phis.tolist(), merge_radius)
+
+
+def read_surface(reader, stream) -> Surface:
     """A stored surface read back whole: the rows a reader hands over, stacked under its axes."""
     rows = []
     thetas, phis = reader(stream, rows.append)
     values = np.array(rows, dtype=float).reshape(len(thetas), len(phis))
-    return SweepResult(thetas=np.array(thetas), phis=np.array(phis), values=values)
+    return Surface(np.array(thetas), np.array(phis), values)

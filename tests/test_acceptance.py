@@ -10,7 +10,7 @@ failure message. See the repository README for the full discussion.
 import math
 
 import numpy as np
-from helpers import assemble, entropy
+from helpers import assemble, entropy, find_extrema, run_sweep
 
 from spinboost.entanglement import PARTITIONS, delta_e
 from spinboost.kinematics import wigner_angle
@@ -23,7 +23,7 @@ from spinboost.states import (
     momentum_state,
     spin_state,
 )
-from spinboost.sweep import COLLECT_TOL, GridSpec, delta_e_grid, find_extrema, run_sweep
+from spinboost.sweep import COLLECT_TOL, GridSpec, delta_e_grid
 from spinboost.tensor import PureState, SubsystemLabel, outer, partial_trace
 
 PA, PB = SubsystemLabel.PA, SubsystemLabel.PB

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,9 @@ from spinboost.cli import build_parser, main
 from spinboost.entanglement import PARTITIONS, delta_e
 from spinboost.states import SpinFamily
 from spinboost.extrema import read_csv
-from spinboost.sweep import GridSpec, run_sweep
+from spinboost.sweep import GridSpec
 
-from helpers import read_surface
+from helpers import read_surface, run_sweep
 
 SMALL_GRID = ["--theta-grid", "0:3.141592653589793:7", "--phi-grid", "0:6.283185307179586:9"]
 # a 2x2 surface for `extrema`
@@ -430,16 +431,18 @@ def test_sweep_json_format_inference(tmp_path, capsys):
 
 
 def test_sweep_oversized_grid_count_exits_two(tmp_path, capsys):
-    # numpy refuses an array of 10^15 floats up front, without allocating any of it
+    # the axis's list of 10^15 floats is refused up front, without allocating any of it, and
+    # so is one of 10^20, a count past sys.maxsize
     out = tmp_path / "s.csv"
-    code = main(["sweep", "--family", "s1", "--alpha", "0.785", "--omega", "0.3",
-                 "--partition", "svp", "--theta-grid", "0:1:1000000000000000",
-                 "--out", str(out)])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert list(tmp_path.iterdir()) == []
+    for count in ("1000000000000000", "100000000000000000000"):
+        code = main(["sweep", "--family", "s1", "--alpha", "0.785", "--omega", "0.3",
+                     "--partition", "svp", "--theta-grid", f"0:1:{count}",
+                     "--out", str(out)])
+        assert code == 2, count
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: a grid of {count} points does not fit in memory\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_extrema_reads_csv_whatever_its_suffix(tmp_path, capsys):
@@ -469,15 +472,19 @@ def test_sweep_rapidity_route_reports_omega(tmp_path, capsys):
 
 
 def test_sweep_summary_flag(tmp_path, capsys):
-    out = tmp_path / "s.csv"
-    code = main(
-        ["sweep", "--family", "s1", "--alpha", str(math.pi / 4), "--omega",
-         str(math.pi / 8), "--partition", "1v3", *SMALL_GRID, "--out", str(out),
-         "--summary"]
-    )
-    assert code == 0
-    err = capsys.readouterr().err
-    assert "maxima" in err and "minima" in err
+    """The --summary report is, byte for byte, what `extrema` reports on the written file."""
+    for name in ("s.csv", "s.json"):
+        out = tmp_path / name
+        code = main(
+            ["sweep", "--family", "s1", "--alpha", str(math.pi / 4), "--omega",
+             str(math.pi / 8), "--partition", "1v3", "--theta-grid", "0:3.141592653589793:25",
+             "--phi-grid", "0:6.283185307179586:49", "--out", str(out), "--summary"]
+        )
+        assert code == 0
+        summary = capsys.readouterr().err
+        assert "maxima (2 clusters):" in summary and "minima" in summary
+        assert main(["extrema", "--in", str(out)]) == 0
+        assert capsys.readouterr().out == summary
 
 
 def test_extrema_command_flat_and_peaked(tmp_path, capsys):
@@ -628,10 +635,15 @@ SWEEP_BASE = ["sweep", "--family", "s1", "--omega", "0.3", "--partition", "svp"]
 )
 def test_non_finite_inputs_rejected(argv, code, tmp_path, capsys):
     out = tmp_path / "s.csv"
-    argv = [*argv, "--out", str(out)] if argv[0] == "sweep" else argv
-    assert main(argv) == code
+    assert main([*argv, "--out", str(out)] if argv[0] == "sweep" else argv) == code
     assert capsys.readouterr().out == ""
     assert not out.exists()
+    if argv[0] == "sweep" and code == 2:
+        # the rows stream into the writer, yet a failed sweep to stdout writes no CSV
+        # header and no JSON head before its error
+        for fmt in ("csv", "json"):
+            assert main([*argv, "--format", fmt]) == 2
+            assert capsys.readouterr().out == ""
 
 
 def test_wigner_angle_large_rapidities(capsys):
@@ -783,7 +795,7 @@ def test_extrema_infinite_merge_radius_merges_everything(tmp_path, capsys):
 def test_sweep_writer_failure_leaves_no_partial_file(existing, tmp_path, capsys, monkeypatch):
     import spinboost.sweep as sweep
 
-    def failing_writer(result, stream):
+    def failing_writer(thetas, phis, rows, stream):
         stream.write("theta,phi,delta_e\n")
         raise OSError("disk full")
 
@@ -801,3 +813,57 @@ def test_sweep_writer_failure_leaves_no_partial_file(existing, tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == (["s.csv"] if existing else [])
     if existing:
         assert out.read_bytes() == before
+
+
+def test_sweep_runs_one_coefficient_pass_over_its_blocks(tmp_path, capsys, monkeypatch):
+    """With blocks of three theta rows, a 13-row sweep is five blocks of the 15-term sum and
+    one coefficient pass, and it writes the bytes of the sweep in one block."""
+    import spinboost.sweep as sweep
+
+    argv = ["sweep", "--family", "s2", "--alpha", "0.7", "--omega", "1.2", "--partition", "1v3",
+            "--theta-grid", "0:3.141592653589793:13", "--phi-grid", "0:6.283185307179586:25"]
+    assert main([*argv, "--out", str(tmp_path / "one.csv")]) == 0
+    calls = {"_purity_quartics": 0, "_entropies": 0}
+
+    def counted(name):
+        kernel = getattr(sweep, name)
+
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(sweep, name, call)
+
+    counted("_purity_quartics")
+    counted("_entropies")
+    monkeypatch.setattr(sweep, "_BLOCK_CELLS", 3 * 25)
+    assert main([*argv, "--out", str(tmp_path / "five.csv")]) == 0
+    assert calls == {"_purity_quartics": 1, "_entropies": 5}
+    assert (tmp_path / "five.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("extra", [[], ["--format", "json"], ["--summary"]],
+                         ids=["csv", "json", "summary"])
+def test_sweep_memory_does_not_grow_with_the_grid(extra, tmp_path, capsys):
+    """A sweep holds a block of rows, not its surface: the traced peak of an in-process
+    sweep stays under one bound, 3 MiB, at 201x401 and at 401x801 (321,201 cells, 2.5 MiB
+    as a dense float64 surface)."""
+    out = tmp_path / "s.out"
+
+    def sweep(shape):
+        return main(["sweep", "--family", "s1", "--alpha", "0.7", "--omega", "0.39269908169872414",
+                     "--partition", "1v3", "--theta-grid", f"0:3.141592653589793:{shape[0]}",
+                     "--phi-grid", f"0:6.283185307179586:{shape[1]}", "--out", str(out), *extra])
+
+    # the modules a sweep loads are loaded before the trace starts
+    assert sweep((3, 3)) == 0
+    for shape in ((201, 401), (401, 801)):
+        tracemalloc.start()
+        try:
+            assert sweep(shape) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, (shape, peak)
+    capsys.readouterr()

@@ -10,7 +10,7 @@ from spinboost.checks import CheckReport, CheckResult
 from spinboost.entanglement import DeltaEResult, Partition
 from spinboost.extrema import ExtremaReport
 from spinboost.states import SpinFamily, SpinParams, SubsystemLabel
-from spinboost.sweep import GridSpec, SweepResult
+from spinboost.grid import GridSpec
 from spinboost.tensor import DensityMatrix, FactorOrder, PureState
 
 PA, PB, SB = SubsystemLabel.PA, SubsystemLabel.PB, SubsystemLabel.SB
@@ -30,10 +30,6 @@ RECORDS = [
     (ExtremaReport, dict(maxima=((0.0, 1.0, 0.5),), minima=(), merge_radius=3.0),
      "ExtremaReport(maxima=((0.0, 1.0, 0.5),), minima=(), merge_radius=3.0, flat=False)",
      dict(flat=True), []),
-    (SweepResult, dict(thetas=np.array([0.0, 1.0]), phis=np.array([2.0]), values=np.ones((2, 1))),
-     "SweepResult(thetas=array([0., 1.]), phis=array([2.]), values=array([[1.],\n       [1.]]),"
-     " family=None, alpha=None, omega=None, partition_name=None, theta_grid=None, phi_grid=None)",
-     dict(alpha=0.5), []),
     (SpinParams, dict(family=SpinFamily.S1, theta=0.5, phi=1.0),
      "SpinParams(family=<SpinFamily.S1: 's1'>, theta=0.5, phi=1.0)", dict(phi=2.0), [
          (dict(family=SpinFamily.S1, theta=math.nan, phi=1.0),

@@ -12,21 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import read_surface
+from helpers import Surface, find_extrema, read_surface, run_sweep
 
 from spinboost import extrema, sweep
 from spinboost.entanglement import PARTITIONS, delta_e
 from spinboost.extrema import HitCollector, _cluster, read_csv, read_json
 from spinboost.states import SpinFamily, SpinParams
-from spinboost.sweep import (
-    GridSpec,
-    SweepResult,
-    delta_e_grid,
-    find_extrema,
-    run_sweep,
-    write_csv,
-    write_json,
-)
+from spinboost.sweep import GridSpec, delta_e_grid, surface_rows, write_csv, write_json
 
 
 def small_config(omega=math.pi / 8, partition="1vs3", nt=13, np_=25, family=SpinFamily.S1):
@@ -38,6 +30,24 @@ def small_config(omega=math.pi / 8, partition="1vs3", nt=13, np_=25, family=Spin
         theta_grid=GridSpec(0.0, math.pi, nt),
         phi_grid=GridSpec(0.0, 2 * math.pi, np_),
     )
+
+
+def csv_text(surface: Surface) -> str:
+    """The CSV file of a whole surface."""
+    buf = io.StringIO()
+    write_csv(surface.thetas.tolist(), surface.phis.tolist(), surface.values.tolist(), buf)
+    return buf.getvalue()
+
+
+def streamed_files(config: dict) -> tuple[str, str]:
+    """The CSV and JSON files of a sweep, each written from the rows that `surface_rows`
+    streams, as `spinboost sweep` writes them."""
+    args = [config[name] for name in ("family", "alpha", "omega", "partition")]
+    thetas, phis = config["theta_grid"].points, config["phi_grid"].points
+    csv, envelope = io.StringIO(), io.StringIO()
+    write_csv(thetas, phis, surface_rows(*args, thetas, phis), csv)
+    write_json(**config, rows=surface_rows(*args, thetas, phis), stream=envelope)
+    return csv.getvalue(), envelope.getvalue()
 
 
 def test_grid_points_match_np_linspace_bit_for_bit():
@@ -118,12 +128,6 @@ def test_grid_cells_evaluated_alone_match_full_grid(family, partition):
     """A grid of one cell gives the same bits as that cell inside the full sweep, and so the
     same CSV bytes, which also tell -0.0 from 0.0."""
     config = dict(small_config(partition=partition, nt=9, np_=17, family=family), alpha=0.7)
-
-    def csv_text(result):
-        buf = io.StringIO()
-        write_csv(result, buf)
-        return buf.getvalue()
-
     result = run_sweep(**config)
     args = (family, config["alpha"], config["omega"], config["partition"])
     alone = np.array([
@@ -132,21 +136,16 @@ def test_grid_cells_evaluated_alone_match_full_grid(family, partition):
         for i in range(result.thetas.size)
     ])
     assert np.array_equal(result.values, alone)
-    assert csv_text(result) == csv_text(SweepResult(result.thetas, result.phis, alone))
+    assert csv_text(result) == csv_text(Surface(result.thetas, result.phis, alone))
 
 
 @pytest.mark.parametrize("family", list(SpinFamily))
 @pytest.mark.parametrize("partition", list(PARTITIONS))
-def test_chunk_size_does_not_change_any_cell(family, partition):
+def test_chunk_size_does_not_change_any_cell(family, partition, monkeypatch):
     """Tiling the grid into blocks of any size, ragged edges included, gives the sweep's
-    surface and CSV bytes."""
+    surface and CSV bytes; so does the streamed sweep with a block of one theta row, whose
+    CSV and JSON files are those of the grid as one block."""
     config = small_config(partition=partition, nt=9, np_=17, family=family)
-
-    def csv_text(result):
-        buf = io.StringIO()
-        write_csv(result, buf)
-        return buf.getvalue()
-
     result = run_sweep(**config)
     args = (family, config["alpha"], config["omega"], config["partition"])
     for rows, cols in ((2, 3), (4, 5), (9, 7), (5, 17)):
@@ -156,7 +155,11 @@ def test_chunk_size_does_not_change_any_cell(family, partition):
             for i in range(0, result.thetas.size, rows)
         ])
         assert np.array_equal(result.values, tiled), (rows, cols)
-        assert csv_text(result) == csv_text(SweepResult(result.thetas, result.phis, tiled))
+        assert csv_text(result) == csv_text(Surface(result.thetas, result.phis, tiled))
+    one_block = streamed_files(config)
+    assert one_block[0] == csv_text(result)
+    monkeypatch.setattr(sweep, "_BLOCK_CELLS", 1)
+    assert streamed_files(config) == one_block
 
 
 def test_delta_e_grid_memory_is_bounded():
@@ -183,23 +186,25 @@ def test_delta_e_grid_is_real():
 
 
 def test_run_sweep_metadata_and_shape():
+    """A sweep streams one row per theta, each of one cell per phi, and its JSON file
+    carries its config and shape."""
     config = small_config()
-    result = run_sweep(**config)
-    assert result.values.shape == (13, 25)
-    assert result.family is SpinFamily.S1
-    assert result.partition_name == "1vs3"
-    assert result.omega == math.pi / 8
-    assert result.alpha == math.pi / 4
+    thetas, phis = config["theta_grid"].points, config["phi_grid"].points
+    rows = list(surface_rows(SpinFamily.S1, math.pi / 4, math.pi / 8, PARTITIONS["1vs3"],
+                             thetas, phis))
+    assert [len(row) for row in rows] == [25] * 13
+    envelope = json.loads(streamed_files(config)[1])
+    assert envelope["shape"] == [13, 25]
+    assert envelope["config"] == {
+        "family": "s1", "alpha": math.pi / 4, "omega": math.pi / 8, "partition": "1vs3",
+        "theta_grid": {"start": 0.0, "stop": math.pi, "count": 13},
+        "phi_grid": {"start": 0.0, "stop": 2 * math.pi, "count": 25},
+    }
 
 
 def test_run_sweep_deterministic_bytes():
     config = small_config(partition="SvsP")
-    streams = []
-    for _ in range(2):
-        buf = io.StringIO()
-        write_csv(run_sweep(**config), buf)
-        streams.append(buf.getvalue())
-    assert streams[0] == streams[1]
+    assert streamed_files(config) == streamed_files(config)
 
 
 # prints the spins' frozenset order under this hash seed and a digest of eight surfaces
@@ -234,9 +239,7 @@ def test_surfaces_do_not_depend_on_the_hash_seed():
 
 def test_csv_round_trip_exact():
     result = run_sweep(**small_config())
-    buf = io.StringIO()
-    write_csv(result, buf)
-    text = buf.getvalue()
+    text = csv_text(result)
     assert text.startswith("theta,phi,delta_e\n")
     assert len(text.strip().splitlines()) == 1 + 13 * 25
     back = read_surface(read_csv, io.StringIO(text))
@@ -246,7 +249,7 @@ def test_csv_round_trip_exact():
 
 
 def _edge_result():
-    """A surface of edge values, without sweep metadata."""
+    """A 5x5 surface of edge values, on axes that are no linspace."""
     thetas = np.array([-0.0, 5e-324, 1.0, 1e300, 2.5])
     phis = np.array([0.0, -2.5, 1e-300, 3.141592653589793, 7.0])
     values = np.array(
@@ -258,49 +261,46 @@ def _edge_result():
             [math.nan, math.inf, -math.inf, 1.0, -1.0],
         ]
     )
-    return SweepResult(thetas=thetas, phis=phis, values=values)
+    return Surface(thetas=thetas, phis=phis, values=values)
 
 
 def test_write_csv_matches_per_cell_reference():
     result = _edge_result()
     thetas, phis, values = result.thetas, result.phis, result.values
-    buf = io.StringIO()
-    write_csv(result, buf)
     reference = "theta,phi,delta_e\n" + "".join(
         f"{theta:.17g},{phi:.17g},{values[i, j]:.17g}\n"
         for i, theta in enumerate(thetas)
         for j, phi in enumerate(phis)
     )
-    assert buf.getvalue() == reference
+    assert csv_text(result) == reference
 
 
 @pytest.mark.parametrize("case", ["edge-values", "2x2-sweep"])
 def test_write_json_matches_json_dump_reference(case):
     """The row-by-row writer gives the bytes of one json.dump(envelope, indent=2)."""
-    result = _edge_result() if case == "edge-values" else run_sweep(**small_config(nt=2, np_=2))
+    config = small_config(nt=5, np_=5) if case == "edge-values" else small_config(nt=2, np_=2)
+    values = (_edge_result() if case == "edge-values" else run_sweep(**config)).values
 
-    def grid_dict(grid, points):
-        if grid is not None:
-            return {"start": grid.start, "stop": grid.stop, "count": grid.count}
-        return {"start": float(points[0]), "stop": float(points[-1]), "count": int(points.size)}
+    def grid_dict(grid):
+        return {"start": grid.start, "stop": grid.stop, "count": grid.count}
 
     envelope = {
         "config": {
-            "family": result.family.value if result.family else None,
-            "alpha": result.alpha,
-            "omega": result.omega,
-            "partition": result.partition_name,
-            "theta_grid": grid_dict(result.theta_grid, result.thetas),
-            "phi_grid": grid_dict(result.phi_grid, result.phis),
+            "family": config["family"].value,
+            "alpha": config["alpha"],
+            "omega": config["omega"],
+            "partition": config["partition"].name,
+            "theta_grid": grid_dict(config["theta_grid"]),
+            "phi_grid": grid_dict(config["phi_grid"]),
         },
-        "shape": list(result.values.shape),
-        "values": [float(v) for v in result.values.ravel()],
+        "shape": list(values.shape),
+        "values": [float(v) for v in values.ravel()],
     }
     reference = io.StringIO()
     json.dump(envelope, reference, indent=2)
     reference.write("\n")
     buf = io.StringIO()
-    write_json(result, buf)
+    write_json(**config, rows=values.tolist(), stream=buf)
     assert buf.getvalue() == reference.getvalue()
 
 
@@ -312,10 +312,7 @@ def test_csv_header_validation():
 
 
 def test_csv_rows_must_form_theta_outer_product():
-    result = run_sweep(**small_config(nt=5, np_=9))
-    buf = io.StringIO()
-    write_csv(result, buf)
-    header, *rows = buf.getvalue().splitlines()
+    header, *rows = csv_text(run_sweep(**small_config(nt=5, np_=9))).splitlines()
     phi_outer = [rows[i * 9 + j] for j in range(9) for i in range(5)]
     repeated_block = rows[:9] * 5
     ragged = rows[:8] + rows[9:] + rows[8:9]
@@ -325,9 +322,7 @@ def test_csv_rows_must_form_theta_outer_product():
 
 
 def _small_csv_lines():
-    buf = io.StringIO()
-    write_csv(run_sweep(**small_config(nt=5, np_=9)), buf)
-    return buf.getvalue().splitlines()
+    return csv_text(run_sweep(**small_config(nt=5, np_=9))).splitlines()
 
 
 @pytest.mark.parametrize("edit", ["non-numeric", "two-columns", "four-columns", "hash-in-cell",
@@ -412,7 +407,7 @@ def _spelled_csv(spell):
         for k, (i, j) in enumerate(np.ndindex(3, 4))
         for t, p in [(float(thetas[i]), float(phis[j]))]
     ]
-    return "theta,phi,delta_e\n" + "\n".join(rows) + "\n", SweepResult(thetas, phis, values)
+    return "theta,phi,delta_e\n" + "\n".join(rows) + "\n", Surface(thetas, phis, values)
 
 
 @pytest.mark.parametrize("case", ["zero-spellings", "pi-spellings", "long-texts"])
@@ -461,7 +456,7 @@ def test_read_csv_memory_is_bounded(tmp_path):
         values = np.random.default_rng(41).uniform(-1.0, 1.0, shape)
         path = tmp_path / "large.csv"
         with open(path, "w", encoding="utf-8") as handle:
-            write_csv(SweepResult(thetas, phis, values), handle)
+            write_csv(thetas.tolist(), phis.tolist(), values.tolist(), handle)
         expected, mismatched = iter(values.tolist()), []
         hits = HitCollector()
 
@@ -479,7 +474,7 @@ def test_read_csv_memory_is_bounded(tmp_path):
             finally:
                 tracemalloc.stop()
         assert mismatched == [] and next(expected, None) is None
-        assert report == find_extrema(SweepResult(thetas, phis, values), merge_radius=3.0)
+        assert report == find_extrema(Surface(thetas, phis, values), merge_radius=3.0)
         assert peak < bound, (shape, peak)
 
 
@@ -493,30 +488,29 @@ def test_csv_trailing_blank_lines_accepted():
 
 
 def test_json_round_trip_exact():
-    result = run_sweep(**small_config(partition="SvsP", family=SpinFamily.S2))
-    buf = io.StringIO()
-    write_json(result, buf)
-    back = read_surface(read_json, io.StringIO(buf.getvalue()))
+    config = small_config(partition="SvsP", family=SpinFamily.S2)
+    result = run_sweep(**config)
+    text = streamed_files(config)[1]
+    back = read_surface(read_json, io.StringIO(text))
     assert np.array_equal(back.values, result.values)
     assert np.array_equal(back.thetas, result.thetas)
     # the reader hands over the surface alone; the config is the envelope's
-    config = json.loads(buf.getvalue())["config"]
-    assert SpinFamily(config["family"]) is SpinFamily.S2
-    assert config["partition"] == "SvsP"
-    assert config["omega"] == result.omega
-    assert config["alpha"] == result.alpha
-    assert GridSpec(**config["theta_grid"]) == result.theta_grid
-    assert GridSpec(**config["phi_grid"]) == result.phi_grid
+    stored = json.loads(text)["config"]
+    assert SpinFamily(stored["family"]) is SpinFamily.S2
+    assert stored["partition"] == "SvsP"
+    assert stored["omega"] == config["omega"]
+    assert stored["alpha"] == config["alpha"]
+    assert GridSpec(**stored["theta_grid"]) == config["theta_grid"]
+    assert GridSpec(**stored["phi_grid"]) == config["phi_grid"]
 
 
 def test_file_round_trip(tmp_path):
-    result = run_sweep(**small_config(nt=5, np_=7))
+    config = small_config(nt=5, np_=7)
+    result = run_sweep(**config)
     csv_path = tmp_path / "surface.csv"
     json_path = tmp_path / "surface.json"
-    with open(csv_path, "w", encoding="utf-8") as handle:
-        write_csv(result, handle)
-    with open(json_path, "w", encoding="utf-8") as handle:
-        write_json(result, handle)
+    for path, text in zip((csv_path, json_path), streamed_files(config)):
+        path.write_text(text, encoding="utf-8")
     with open(csv_path, encoding="utf-8") as handle:
         assert np.array_equal(read_surface(read_csv, handle).values, result.values)
     with open(json_path, encoding="utf-8") as handle:
@@ -537,7 +531,7 @@ def test_find_extrema_single_peak():
     values = np.zeros((11, 11))
     values[4, 7] = 1.0
     values[0, 0] = -1.0
-    result = SweepResult(thetas=thetas, phis=phis, values=values)
+    result = Surface(thetas=thetas, phis=phis, values=values)
     report = find_extrema(result)
     assert not report.flat
     assert report.maxima == ((thetas[4], phis[7], 1.0),)
@@ -551,7 +545,7 @@ def test_find_extrema_clusters_nearby_points():
     # two plateaus of equal height: one pair of adjacent cells, one far cell
     values[3, 3] = values[3, 4] = 1.0
     values[15, 15] = 1.0
-    result = SweepResult(thetas=thetas, phis=phis, values=values)
+    result = Surface(thetas=thetas, phis=phis, values=values)
     report = find_extrema(result, merge_radius=3.0)
     assert len(report.maxima) == 2
     # representative of the adjacent pair is the lexicographically smaller cell
@@ -564,7 +558,7 @@ def test_find_extrema_clusters_nearby_points():
     # cluster once the radius spans a link, though its ends are 4 apart
     chain = np.zeros((21, 21))
     chain[10, 4] = chain[10, 6] = chain[10, 8] = 1.0
-    chained = SweepResult(thetas=thetas, phis=phis, values=chain)
+    chained = Surface(thetas=thetas, phis=phis, values=chain)
     assert find_extrema(chained, merge_radius=2.5).maxima == ((thetas[10], phis[4], 1.0),)
     assert len(find_extrema(chained, merge_radius=1.5).maxima) == 3
 
@@ -575,7 +569,7 @@ def test_find_extrema_collects_within_tolerance():
     values = np.zeros((5, 5))
     values[1, 1] = 1.0
     values[3, 3] = 1.0 - 1e-10  # inside the collection tolerance
-    result = SweepResult(thetas=thetas, phis=phis, values=values)
+    result = Surface(thetas=thetas, phis=phis, values=values)
     report = find_extrema(result, merge_radius=1.0)
     assert len(report.maxima) == 2
     assert report.maxima[0][2] == 1.0
@@ -600,7 +594,7 @@ def test_find_extrema_merge_radius_validation():
     values = np.zeros((21, 21))
     values[2, 2] = values[18, 18] = 1.0
     values[5, 5] = values[15, 3] = -1.0
-    result = SweepResult(thetas=thetas, phis=phis, values=values)
+    result = Surface(thetas=thetas, phis=phis, values=values)
     for bad in (-1.0, -math.inf, math.nan):
         with pytest.raises(ValueError):
             find_extrema(result, merge_radius=bad)
@@ -612,9 +606,7 @@ def test_find_extrema_merge_radius_validation():
 
 
 def test_find_extrema_empty_grid_rejected():
-    result = SweepResult(
-        thetas=np.array([]), phis=np.array([]), values=np.zeros((0, 0))
-    )
+    result = Surface(thetas=np.array([]), phis=np.array([]), values=np.zeros((0, 0)))
     with pytest.raises(ValueError):
         find_extrema(result)
 
@@ -663,7 +655,7 @@ def test_find_extrema_representatives_match_per_cluster_min(radius):
         bottom = ~top & (rng.random(values.shape) < 0.06)
         values[top] = 1.0 - rng.choice(levels, top.sum())
         values[bottom] = -1.0 + rng.choice(levels, bottom.sum())
-        report = find_extrema(SweepResult(thetas, phis, values), merge_radius=radius)
+        report = find_extrema(Surface(thetas, phis, values), merge_radius=radius)
         for sign, mask, entries in ((1.0, top, report.maxima), (-1.0, bottom, report.minima)):
             hits = np.argwhere(mask)
             labels = _all_pairs_single_linkage(hits, radius).tolist()
