@@ -188,7 +188,7 @@ def _print_extrema(report, stream) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .sweep import DEFAULT_PHI_GRID, DEFAULT_THETA_GRID, surface_rows, write_csv, write_json
+    from .sweep import DEFAULT_PHI_GRID, DEFAULT_THETA_GRID, surface_rows, write_sweep
 
     omega = _omega(args)
     fmt = args.format
@@ -197,30 +197,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     theta_grid = DEFAULT_THETA_GRID if args.theta_grid is None else args.theta_grid
     phi_grid = DEFAULT_PHI_GRID if args.phi_grid is None else args.phi_grid
     thetas, phis = theta_grid.points, phi_grid.points
-    # the rows are evaluated as the writer asks for them, a block at a time
-    rows = surface_rows(args.family, args.alpha, omega, args.partition, thetas, phis)
+    hits = add_row = None
     if args.summary:
         from .extrema import DEFAULT_MERGE_RADIUS, HitCollector
 
         hits = HitCollector()
-
-        def collected(row: list[float]) -> list[float]:
-            hits.add(row)
-            return row
-
-        rows = map(collected, rows)
+        add_row = hits.add
+    # the rows are evaluated as the writer asks for them, a block at a time
+    rows = surface_rows(args.family, args.alpha, omega, args.partition, thetas, phis, add_row)
     if args.omega is None:
         print(f"omega = {omega:.17g}", file=sys.stderr)
 
     def write(stream) -> None:
-        if fmt == "csv":
-            write_csv(thetas, phis, rows, stream)
-        else:
-            write_json(args.family, args.alpha, omega, args.partition, theta_grid, phi_grid,
-                       rows, stream)
+        # this process runs no other thread, so the writer may fork a worker
+        write_sweep(args.family, args.alpha, omega, args.partition, theta_grid, phi_grid, rows,
+                    stream, fmt == "json")
 
     if args.out is None:
         write(sys.stdout)
+    elif args.out.exists() and not args.out.is_file():
+        # a FIFO or a device is written into; renaming a file over it would replace it
+        with open(args.out, "w", encoding="utf-8") as handle:
+            write(handle)
     else:
         # write beside the target and rename, so a failure leaves no partial
         # file and an existing one stays as it was
@@ -238,7 +236,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_extrema(args: argparse.Namespace) -> int:
-    from .extrema import DEFAULT_MERGE_RADIUS, HitCollector, read_csv, read_json
+    from .extrema import DEFAULT_MERGE_RADIUS, HitCollector, read_csv, read_csv_in_halves, read_json
 
     hits = HitCollector()
     with open(args.infile, "r", encoding="utf-8") as handle:
@@ -247,7 +245,12 @@ def _cmd_extrema(args: argparse.Namespace) -> int:
         while head.isspace():
             head = handle.read(1)
         handle.seek(0)
-        thetas, phis = (read_json if head == "{" else read_csv)(handle, hits.add)
+        if head == "{":
+            thetas, phis = read_json(handle, hits.add)
+        elif (halves := read_csv_in_halves(args.infile)) is not None:
+            thetas, phis, hits = halves
+        else:
+            thetas, phis = read_csv(handle, hits.add)
     radius = DEFAULT_MERGE_RADIUS if args.merge_radius is None else args.merge_radius
     _print_extrema(hits.report(thetas, phis, radius), sys.stdout)
     return 0

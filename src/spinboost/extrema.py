@@ -8,8 +8,11 @@ holds the dense surface and never loads numpy.
 
 from __future__ import annotations
 
+import io
 import itertools
+import marshal
 import math
+import os
 import re
 from collections import namedtuple
 from typing import IO, Callable, Iterator
@@ -114,6 +117,22 @@ class HitCollector:
         if lo - bottom < COLLECT_TOL:
             self.minima += [(i, j, v) for j, v in enumerate(row) if v - bottom < COLLECT_TOL]
 
+    def merge(self, other: HitCollector) -> None:
+        """Take in `other`, a collector fed the rows that follow this one's: this one then
+        holds what one collector fed every row of both, in order, would hold."""
+        top, bottom = max(self.top, other.top), min(self.bottom, other.bottom)
+        # a hit stays while it is within COLLECT_TOL of the extreme of every row so far
+        self.maxima = [hit for hit in self.maxima if top - hit[2] < COLLECT_TOL] + [
+            (i + self.rows, j, v) for i, j, v in other.maxima if top - v < COLLECT_TOL
+        ]
+        self.minima = [hit for hit in self.minima if hit[2] - bottom < COLLECT_TOL] + [
+            (i + self.rows, j, v) for i, j, v in other.minima if v - bottom < COLLECT_TOL
+        ]
+        self.top, self.bottom = top, bottom
+        self.rows += other.rows
+        self.cells += other.cells
+        self.finite = self.finite and other.finite
+
     def report(self, thetas: list[float], phis: list[float], merge_radius: float) -> ExtremaReport:
         """Cluster the hits within merge_radius grid steps, nonnegative and possibly infinite
         (one cluster per extreme). Representatives are the best-valued point of each
@@ -145,6 +164,8 @@ class HitCollector:
 # characters of text read per chunk by read_csv; a chunk's fields and the cells of a
 # row not yet handed over are the reader's only memory besides the axes and the hits
 _CSV_CHUNK = 1 << 18
+# bytes from the middle of a CSV file on that are searched for the start of a theta row
+_SEAM_WINDOW = 1 << 20
 # np.loadtxt ends a line at '\r' and strips \x1c-\x1f around a number, float() neither
 _CSV_SPACE = str.maketrans("\r\x1c\x1d\x1e\x1f", "\n    ")
 
@@ -259,6 +280,103 @@ def read_csv(stream: IO[str], add_row: Callable[[list[float]], None]) -> tuple[l
     ):
         raise ValueError("CSV rows do not form a theta x phi grid with theta outer")
     return thetas, phis
+
+
+class _Span(io.RawIOBase):
+    """A CSV file's bytes from `start` to `stop` behind a header line, as a raw stream that
+    io.TextIOWrapper decodes as open(path, encoding="utf-8") decodes the whole file."""
+
+    def __init__(self, handle: IO[bytes], header: bytes, start: int, stop: int) -> None:
+        super().__init__()
+        handle.seek(start)
+        self.handle, self.header, self.left = handle, header, stop - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        if self.header:
+            data, self.header = self.header[: len(buffer)], self.header[len(buffer) :]
+        else:
+            data = self.handle.read(min(len(buffer), self.left))
+            self.left -= len(data)
+        buffer[: len(data)] = data
+        return len(data)
+
+
+def _read_span(path, header: bytes, start: int, stop: int, add_row) -> tuple[list[float], list[float]]:
+    """read_csv on the bytes from `start` to `stop` of a CSV file behind `header`."""
+    with open(path, "rb") as handle, io.TextIOWrapper(
+        _Span(handle, header, start, stop), encoding="utf-8"
+    ) as text:
+        return read_csv(text, add_row)
+
+
+def _seam(window: bytes) -> int | None:
+    """The offset in `window`, bytes from within a CSV file's body, of the first line after
+    the one the window starts in whose theta differs in number from the line's before it;
+    None where no such line ends in the window, or a theta before it is not a number."""
+    # the rest of the line that the window starts in
+    offset = window.find(b"\n") + 1
+    last = None
+    while (end := window.find(b"\n", offset)) >= 0:
+        line = window[offset:end]
+        # empty lines are skipped
+        if line.strip(b"\r"):
+            try:
+                theta = float(line.split(b",", 1)[0])
+            except ValueError:
+                return None
+            if last is not None and theta != last:
+                return offset
+            last = theta
+        offset = end + 1
+    return None
+
+
+def read_csv_in_halves(path) -> tuple[list[float], list[float], HitCollector] | None:
+    """A CSV surface file read as read_csv reads it, in two halves at once: this process
+    reads the rows before a theta row near the middle, a forked worker the rest.
+
+    Returns the axes and a collector fed every row. Returns None where
+    `worker.usable` does not hold for the cells of the worker's half, either
+    half fails, or the halves do not join into one grid (a different phi
+    axis, or a theta in both): the caller then reads the whole file in one
+    process, so every message and report is the one that a read in one
+    process gives. It forks the calling process, so it is for a caller that
+    knows its process's threads, as the CLI.
+    """
+    from .worker import forked, usable
+
+    with open(path, "rb") as handle:
+        header = handle.readline()
+        size = handle.seek(0, os.SEEK_END)
+        middle = handle.seek(max(size // 2, len(header)))
+        window = handle.read(_SEAM_WINDOW)
+    # the worker's half has about as many cells, one a line, as lines of the window's length
+    cells = (size - middle) * window.count(b"\n") // max(len(window), 1)
+    if not usable(cells) or (offset := _seam(window)) is None:
+        return None
+    seam = middle + offset
+
+    def job(send) -> None:
+        later = HitCollector()
+        axes = _read_span(path, header, seam, size, later.add)
+        send(marshal.dumps((axes, vars(later))))
+
+    hits = HitCollector()
+    try:
+        with forked(job) as receive:
+            thetas, phis = _read_span(path, b"", 0, seam, hits.add)
+            (later_thetas, later_phis), state = marshal.loads(b"".join(receive()))
+    except (OSError, ValueError, MemoryError):
+        return None
+    if later_phis != phis or not set(thetas).isdisjoint(later_thetas):
+        return None
+    later = HitCollector()
+    vars(later).update(state)
+    hits.merge(later)
+    return thetas + later_thetas, phis, hits
 
 
 def read_json(stream: IO[str], add_row: Callable[[list[float]], None]) -> tuple[list[float], list[float]]:

@@ -1,9 +1,11 @@
 """Builders that only the tests use: product states, factor reordering, one-state entropy,
-and whole surfaces: swept, read back from a file, and reported on."""
+and whole surfaces: swept, read back from a file, and reported on; and a worker forced on."""
 
+import os
 from collections import namedtuple
 
 import numpy as np
+import pytest
 
 from spinboost.entanglement import Partition
 from spinboost.extrema import DEFAULT_MERGE_RADIUS, HitCollector
@@ -63,3 +65,14 @@ def read_surface(reader, stream) -> Surface:
     thetas, phis = reader(stream, rows.append)
     values = np.array(rows, dtype=float).reshape(len(thetas), len(phis))
     return Surface(np.array(thetas), np.array(phis), values)
+
+
+def force_worker(monkeypatch) -> None:
+    """Give a worker every share of one cell or more, however busy the machine, so that the
+    two-process paths run where the platform forks."""
+    from spinboost import worker
+
+    if not hasattr(os, "fork"):
+        pytest.skip("a worker needs os.fork")
+    monkeypatch.setattr(worker, "MIN_CELLS", 1)
+    monkeypatch.setattr(worker, "_free_cpu", lambda: True)

@@ -1,11 +1,16 @@
 """Command-line interface tests: subcommands, formats, exit codes."""
 
+import itertools
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +23,11 @@ from spinboost.states import SpinFamily
 from spinboost.extrema import read_csv
 from spinboost.sweep import GridSpec
 
-from helpers import read_surface, run_sweep
+from helpers import force_worker, read_surface, run_sweep
 
 SMALL_GRID = ["--theta-grid", "0:3.141592653589793:7", "--phi-grid", "0:6.283185307179586:9"]
+# 137x241 cells, two blocks of theta rows (135 and 2), the second too small for a worker
+TWO_BLOCKS = ["--theta-grid", "0:3.141592653589793:137", "--phi-grid", "0:6.283185307179586:241"]
 # a 2x2 surface for `extrema`
 STORED_CSV = "theta,phi,delta_e\n0,0,0.5\n0,1,0.25\n1,0,0\n1,1,1\n"
 
@@ -47,8 +54,9 @@ def test_package_top_level_is_lean():
 def test_no_command_loads_numpy_random(tmp_path):
     """No command draws from numpy.random or loads dataclasses, and each command loads only
     the modules it runs: numpy for `sweep` and `check` alone, json only to read or write
-    JSON, the extrema reader only for `extrema` and `sweep --summary`, and no inspect (which
-    numpy loads) where numpy stays unloaded.
+    JSON, the extrema reader only for `extrema` and `sweep --summary`, the worker only for
+    `sweep` and CSV `extrema`, which ask it whether to fork, and no inspect (which numpy
+    loads) where numpy stays unloaded.
 
     Each command runs in a fresh interpreter that imports nothing else, and the modules
     loaded before the CLI is imported do not count."""
@@ -58,6 +66,7 @@ def test_no_command_loads_numpy_random(tmp_path):
     sweep = ["sweep", "--family", "s1", "--alpha", "0.7", "--omega", "0.3", "--partition", "svp",
              *SMALL_GRID]
     extrema, checks, sweep_module = "spinboost.extrema", "spinboost.checks", "spinboost.sweep"
+    worker = "spinboost.worker"
     expected = [
         (["wigner-angle", "--xi", "1", "--eta", "1"], 0, []),
         (["--help"], 0, []),
@@ -65,11 +74,11 @@ def test_no_command_loads_numpy_random(tmp_path):
         (["wigner-angle", "--xi", "1"], 1, []),  # a usage error: --eta is missing
         (["delta-e", "--state", "s00", "--alpha", "0.7", "--omega", "0.3", "--partition", "1v3"],
          0, []),
-        (["extrema", "--in", str(stored)], 0, [extrema]),
-        ([*sweep, "--out", str(csv)], 0, ["numpy", sweep_module]),
-        ([*sweep, "--out", str(json_out)], 0, ["json", "numpy", sweep_module]),
+        (["extrema", "--in", str(stored)], 0, [extrema, worker]),
+        ([*sweep, "--out", str(csv)], 0, ["numpy", sweep_module, worker]),
+        ([*sweep, "--out", str(json_out)], 0, ["json", "numpy", sweep_module, worker]),
         (["extrema", "--in", str(json_out)], 0, ["json", extrema]),
-        ([*sweep, "--out", str(csv), "--summary"], 0, ["numpy", extrema, sweep_module]),
+        ([*sweep, "--out", str(csv), "--summary"], 0, ["numpy", extrema, sweep_module, worker]),
         (["check"], 0, ["numpy", checks, sweep_module]),
         (["check", "--json"], 0, ["json", "numpy", checks, sweep_module]),
     ]
@@ -81,7 +90,7 @@ def test_no_command_loads_numpy_random(tmp_path):
         "print(rc, *sorted(set(sys.modules) - before), file=sys.stderr)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(spinboost.__file__).resolve().parents[1])}
-    watched = {"dataclasses", "json", "numpy", "numpy.random", checks, extrema, sweep_module}
+    watched = {"dataclasses", "json", "numpy", "numpy.random", checks, extrema, sweep_module, worker}
     reports = []
     for argv, _, loads in expected:
         proc = subprocess.run([sys.executable, "-c", code, *argv],
@@ -471,9 +480,14 @@ def test_sweep_rapidity_route_reports_omega(tmp_path, capsys):
     assert "omega = 0.42078396163807286" in err
 
 
-def test_sweep_summary_flag(tmp_path, capsys):
-    """The --summary report is, byte for byte, what `extrema` reports on the written file."""
-    for name in ("s.csv", "s.json"):
+def test_sweep_summary_flag(tmp_path, capsys, monkeypatch):
+    """The --summary report is, byte for byte, what `extrema` reports on the written file,
+    also from blocks of three theta rows, whose odd blocks a worker writes."""
+    import spinboost.sweep as sweep
+
+    force_worker(monkeypatch)
+    for cells, name in itertools.product((sweep._BLOCK_CELLS, 3 * 49), ("s.csv", "s.json")):
+        monkeypatch.setattr(sweep, "_BLOCK_CELLS", cells)
         out = tmp_path / name
         code = main(
             ["sweep", "--family", "s1", "--alpha", str(math.pi / 4), "--omega",
@@ -791,45 +805,241 @@ def test_extrema_infinite_merge_radius_merges_everything(tmp_path, capsys):
     assert "minima (1 cluster):" in out
 
 
+def _no_child_left() -> None:
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("existing", [False, True])
 def test_sweep_writer_failure_leaves_no_partial_file(existing, tmp_path, capsys, monkeypatch):
+    """A write that fails after the first row, in one process and in a sweep of two blocks
+    whose worker is running, exits 2 with one error line; it leaves no partial file, an
+    existing one as it was, and no process."""
     import spinboost.sweep as sweep
 
-    def failing_writer(thetas, phis, rows, stream):
-        stream.write("theta,phi,delta_e\n")
-        raise OSError("disk full")
+    write_sweep = sweep.write_sweep
+
+    class FullDisk:
+        """A stream that takes the header and the first theta row, then fails."""
+
+        def __init__(self, stream):
+            self.stream, self.writes = stream, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 2:
+                raise OSError("disk full")
+            return self.stream.write(text)
+
+    def failing_writer(*args):
+        *config, rows, stream, as_json = args
+        write_sweep(*config, rows, FullDisk(stream), as_json)
 
     out = tmp_path / "s.csv"
-    argv = ["sweep", "--family", "s1", "--alpha", "0.785", "--omega", "0.3",
-            "--partition", "svp", *SMALL_GRID, "--out", str(out)]
-    if existing:
-        assert main(argv) == 0
-        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
-    before = out.read_bytes() if existing else None
-    # the command looks its writer up in sweep when it runs
-    monkeypatch.setattr(sweep, "write_csv", failing_writer)
-    assert main(argv) == 2
-    assert "disk full" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == (["s.csv"] if existing else [])
-    if existing:
-        assert out.read_bytes() == before
+    for grid in (SMALL_GRID, TWO_BLOCKS):
+        argv = ["sweep", "--family", "s1", "--alpha", "0.785", "--omega", "0.3",
+                "--partition", "svp", *grid, "--out", str(out)]
+        if existing:
+            assert main(argv) == 0
+            assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+        before = out.read_bytes() if existing else None
+        # the command looks its writer up in sweep when it runs
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep, "write_sweep", failing_writer)
+            if grid is TWO_BLOCKS:
+                force_worker(patch)
+            assert main(argv) == 2
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["s.csv"] if existing else [])
+        if existing:
+            assert out.read_bytes() == before
+        _no_child_left()
+
+
+def test_sweep_worker_that_dies_fails_the_sweep(tmp_path, capsys, monkeypatch):
+    """A worker that ends part-way, without its rows, fails the sweep: exit 2, one error
+    line, no temp file and no process left."""
+    import spinboost.sweep as sweep
+
+    force_worker(monkeypatch)
+    entropies, caller = sweep._entropies, os.getpid()
+
+    def dying(*args):
+        if os.getpid() != caller:
+            os._exit(1)
+        return entropies(*args)
+
+    monkeypatch.setattr(sweep, "_entropies", dying)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--family", "s1", "--alpha", "0.785", "--omega", "0.3",
+                 "--partition", "svp", *TWO_BLOCKS, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: a worker process ended before sending its result\n")
+    assert list(tmp_path.iterdir()) == []
+    _no_child_left()
+
+
+def test_extrema_worker_failures_give_the_one_process_read(tmp_path, capsys, monkeypatch):
+    """A CSV read in two processes whose worker dies, or whose second half is malformed,
+    gives what the read in one process gives: the same exit code, report or error line,
+    and no process left."""
+    from spinboost import extrema, worker
+
+    path = tmp_path / "s.csv"
+    assert main(["sweep", "--family", "s1", "--alpha", "0.785", "--omega", "0.3",
+                 "--partition", "svp", *TWO_BLOCKS, "--out", str(path)]) == 0
+    # the 1.8 MB file is seven chunks of the reader's text; read it in two processes
+    force_worker(monkeypatch)
+    assert os.path.getsize(path) > 4 * extrema._CSV_CHUNK
+    lines = path.read_text().splitlines()
+
+    def outcome():
+        code = main(["extrema", "--in", str(path)])
+        _no_child_left()
+        return code, *capsys.readouterr()
+
+    capsys.readouterr()
+    one_process = {}
+    read_span, caller = extrema._read_span, os.getpid()
+
+    def dying(*args):
+        if os.getpid() != caller:
+            os._exit(1)
+        return read_span(*args)
+
+    for case in ("valid", "worker-dies", "malformed-second-half"):
+        if case == "malformed-second-half":
+            t, p, _ = lines[-100].split(",")
+            lines[-100] = f"{t},{p},high"
+            path.write_text("\n".join(lines) + "\n")
+        with monkeypatch.context() as patch:
+            patch.setattr(worker, "usable", lambda cells: False)
+            one_process[case] = outcome()
+        with monkeypatch.context() as patch:
+            if case == "worker-dies":
+                patch.setattr(extrema, "_read_span", dying)
+            assert outcome() == one_process[case], case
+    assert one_process["worker-dies"] == one_process["valid"]
+    assert one_process["valid"][0] == 0
+    assert one_process["malformed-second-half"] == (2, "", "error: CSV cell 'high' is not a number\n")
+
+
+# a caller that takes one piece of its worker's first result and then waits to be killed;
+# the worker prints its pid and sends until its pipe is full
+_KILLED_CALLER = """
+import os, time
+from spinboost.worker import forked
+
+def job(send):
+    print(os.getpid(), flush=True)
+    while True:
+        send(bytes(1 << 16))
+
+with forked(job) as receive:
+    next(receive())
+    time.sleep(600)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
+def test_worker_ends_on_a_broken_pipe_when_its_caller_is_killed():
+    """A worker whose caller is killed ends by itself at its next send."""
+    env = {**os.environ, "PYTHONPATH": str(Path(spinboost.__file__).resolve().parents[1])}
+    caller = subprocess.Popen([sys.executable, "-c", _KILLED_CALLER], env=env,
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        pid = int(caller.stdout.readline())
+    finally:
+        caller.kill()
+        caller.wait(timeout=60)
+        caller.stdout.close()
+
+    def running() -> bool:
+        # gone, or a zombie that its new parent has not reaped, is not running
+        try:
+            return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    for _ in range(1000):
+        if not running():
+            break
+        time.sleep(0.01)
+    else:
+        pytest.fail(f"worker {pid} still runs 10 s after its caller was killed")
+
+
+@pytest.mark.parametrize("grid", [[], TWO_BLOCKS], ids=["default-grid", "two-blocks"])
+def test_sweep_writes_into_a_fifo(grid, tmp_path, capsys):
+    """`--out` naming a FIFO writes into it, read by a thread, the bytes that a sweep to a
+    regular file writes, and the FIFO stays a FIFO."""
+    argv = ["sweep", "--family", "s2", "--alpha", "0.7", "--omega", "1.2", "--partition", "1v3",
+            *grid]
+    regular, fifo = tmp_path / "s.csv", tmp_path / "fifo"
+    assert main([*argv, "--out", str(regular)]) == 0
+    os.mkfifo(fifo)
+    # held open for writing too, so that the reader sees the end of the data when this
+    # descriptor closes, whether or not the sweep ever opens the FIFO
+    keeper = os.open(fifo, os.O_RDWR)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        code = main([*argv, "--out", str(fifo)])
+    finally:
+        os.close(keeper)
+        reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert code == 0
+    assert received == [regular.read_bytes()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "s.csv"]
+    _no_child_left()
+    capsys.readouterr()
+
+
+def test_default_sweep_and_small_extrema_never_fork(tmp_path, capsys, monkeypatch):
+    """Shares below worker.MIN_CELLS stay in one process, even with a CPU free: the default
+    121x241 grid is one block, a 137x241 grid's second block is two rows, and half of
+    their CSV files (1.7 and 1.8 MB) and of a one-chunk one is too few cells. None of them
+    forks."""
+    from spinboost import worker
+
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(worker, "_free_cpu", lambda: True)
+    sweep = ["sweep", "--family", "s1", "--alpha", "0.785", "--omega", "0.3", "--partition",
+             "svp"]
+    for out, grid in (("default.csv", []), ("default.json", []), ("two-blocks.csv", TWO_BLOCKS),
+                      ("small.csv", SMALL_GRID)):
+        assert main([*sweep, *grid, "--out", str(tmp_path / out)]) == 0
+        assert main(["extrema", "--in", str(tmp_path / out)]) == 0
+    assert main([*sweep, "--summary"]) == 0
+    capsys.readouterr()
 
 
 def test_sweep_runs_one_coefficient_pass_over_its_blocks(tmp_path, capsys, monkeypatch):
     """With blocks of three theta rows, a 13-row sweep is five blocks of the 15-term sum and
-    one coefficient pass, and it writes the bytes of the sweep in one block."""
+    one coefficient pass, and it writes the bytes of the sweep in one block. A worker
+    evaluates the odd blocks, two of the five."""
     import spinboost.sweep as sweep
 
+    force_worker(monkeypatch)
     argv = ["sweep", "--family", "s2", "--alpha", "0.7", "--omega", "1.2", "--partition", "1v3",
             "--theta-grid", "0:3.141592653589793:13", "--phi-grid", "0:6.283185307179586:25"]
     assert main([*argv, "--out", str(tmp_path / "one.csv")]) == 0
-    calls = {"_purity_quartics": 0, "_entropies": 0}
+    # each call is logged with its process, the worker's included
+    log = tmp_path / "calls.log"
 
     def counted(name):
         kernel = getattr(sweep, name)
 
         def call(*args):
-            calls[name] += 1
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()} {name}\n")
             return kernel(*args)
 
         monkeypatch.setattr(sweep, name, call)
@@ -838,7 +1048,10 @@ def test_sweep_runs_one_coefficient_pass_over_its_blocks(tmp_path, capsys, monke
     counted("_entropies")
     monkeypatch.setattr(sweep, "_BLOCK_CELLS", 3 * 25)
     assert main([*argv, "--out", str(tmp_path / "five.csv")]) == 0
-    assert calls == {"_purity_quartics": 1, "_entropies": 5}
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert Counter(name for _, name in calls) == {"_purity_quartics": 1, "_entropies": 5}
+    here = Counter(name for pid, name in calls if pid == str(os.getpid()))
+    assert here == {"_purity_quartics": 1, "_entropies": 3}
     assert (tmp_path / "five.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
     capsys.readouterr()
 

@@ -1,8 +1,9 @@
 """Layout rules: every public top-level name in src/ has a user outside the tests, src/
 leaves numpy.random unloaded, the checks share no kernel with the evaluator, the evaluator
 uses no part of the dense oracle, only the checks read `tensor` and only its factor order,
-the CLI module loads no numpy, and the modules that `delta-e` and `extrema` run import
-nothing beyond the standard library and each other."""
+the CLI module loads no numpy, the modules that `delta-e` and `extrema` run import
+nothing beyond the standard library and each other, and one function forks, its child
+ending through os._exit."""
 
 import ast
 import sys
@@ -141,7 +142,7 @@ def test_cli_loads_only_stdlib_and_kinematics():
 
 
 # the modules that `spinboost delta-e` and `spinboost extrema` load besides cli.py
-NUMPY_FREE = ("kinematics", "states", "entanglement", "grid", "extrema")
+NUMPY_FREE = ("kinematics", "states", "entanglement", "grid", "extrema", "worker")
 
 
 def test_numpy_free_layer_imports_only_stdlib_and_itself():
@@ -162,3 +163,36 @@ def test_numpy_free_layer_imports_only_stdlib_and_itself():
             outside += [f"{name}.py: {module}" for module in modules
                         if not (_stdlib(module) or module in allowed)]
     assert not outside, f"the numpy-free layer imports: {outside}"
+
+
+def _is_call(node: ast.AST, module: str, name: str) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == module)
+
+
+def test_one_function_forks_and_its_child_ends_in_os_exit():
+    """`os.fork` is called in exactly one function under src/. Its child branch, the `if`
+    on the fork's result being 0, is a try whose `finally` ends in `os._exit`, so no
+    exception, handler or buffered output of the caller's runs in the child."""
+    forking = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = [node for node in ast.walk(function) if _is_call(node, "os", "fork")]
+                forking += [(path.stem, function.name, function)] * len(calls)
+        # no fork outside a function either
+        assert sum(_is_call(node, "os", "fork") for node in ast.walk(tree)) == sum(
+            stem == path.stem for stem, _, _ in forking
+        ), path.name
+    assert [(stem, name) for stem, name, _ in forking] == [("worker", "forked")], forking
+    function = forking[0][2]
+    pid = next(node.targets[0].id for node in ast.walk(function)
+               if isinstance(node, ast.Assign) and _is_call(node.value, "os", "fork"))
+    children = [node for node in ast.walk(function) if isinstance(node, ast.If)
+                and ast.dump(node.test) == ast.dump(ast.parse(f"{pid} == 0", mode="eval").body)]
+    assert len(children) == 1
+    *_, last = children[0].body
+    assert isinstance(last, ast.Try) and last.finalbody, ast.dump(last)
+    assert _is_call(getattr(last.finalbody[-1], "value", None), "os", "_exit")

@@ -1,5 +1,6 @@
 """Sweep-engine tests: grid kernel, extrema clustering, CSV/JSON round-trips."""
 
+import functools
 import io
 import itertools
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import Surface, find_extrema, read_surface, run_sweep
+from helpers import Surface, find_extrema, force_worker, read_surface, run_sweep
 
 from spinboost import extrema, sweep
 from spinboost.entanglement import PARTITIONS, delta_e
@@ -476,6 +477,130 @@ def test_read_csv_memory_is_bounded(tmp_path):
         assert mismatched == [] and next(expected, None) is None
         assert report == find_extrema(Surface(thetas, phis, values), merge_radius=3.0)
         assert peak < bound, (shape, peak)
+
+
+def test_merged_collectors_equal_one_collector_of_every_row():
+    """Two collectors fed the rows before and after any split, merged, hold what one
+    collector fed every row holds: the hits and their order, top, bottom, finiteness and
+    counts. The values sit on steps of half the band, so many tie or lie at a band's edge,
+    and every fourth surface has a non-finite cell."""
+    rng = np.random.default_rng(28)
+    for trial in range(60):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        offset = float(rng.choice([0.0, 1.0, -1.0]))
+        values = (rng.integers(-6, 7, (n, m)) * extrema.COLLECT_TOL / 2 + offset).tolist()
+        if trial % 4 == 0:
+            values[rng.integers(n)][rng.integers(m)] = float(rng.choice([math.inf, math.nan]))
+        whole = HitCollector()
+        for row in values:
+            whole.add(row)
+        for split in range(n + 1):
+            first, later = HitCollector(), HitCollector()
+            for row in values[:split]:
+                first.add(row)
+            for row in values[split:]:
+                later.add(row)
+            first.merge(later)
+            assert vars(first) == vars(whole), (trial, split)
+
+
+@functools.lru_cache(maxsize=None)
+def _surface_csv(shape: tuple[int, int]) -> str:
+    config = small_config(nt=shape[0], np_=shape[1])
+    return csv_text(run_sweep(**config))
+
+
+def _edited(lines: list[str], k: int, edit: str, seam: int) -> list[str]:
+    """The body lines of a CSV surface with `edit` made at line k; `seam` is the line
+    that the second half starts with."""
+    lines = list(lines)
+    t, p, v = lines[k].split(",")
+    if edit in ("non-number", "underscore", "non-ascii-digit", "non-finite"):
+        cell = {"non-number": "high", "underscore": "1_0", "non-ascii-digit": "\uff11",
+                "non-finite": "inf"}[edit]
+        lines[k] = f"{t},{p},{cell}"
+    elif edit == "two-columns":
+        lines[k] = f"{t},{p}"
+    elif edit == "four-columns":
+        lines[k] = f"{t},{p},{v},{v}"
+    elif edit == "theta-repeat":
+        # the row of line k takes the theta of a row on the other side of the seam
+        other = lines[-1 if k < seam else 0].split(",")[0]
+        lines = [f"{other},{line.split(',', 1)[1]}" if line.split(",")[0] == t else line
+                 for line in lines]
+    elif edit == "phi-column":
+        # the phi of line k's column moves in its row and every row after it
+        row_length = next(j for j in range(1, len(lines)) if lines[j].split(",")[1] == "0")
+        for j in range(k, len(lines), row_length):
+            t, p, v = lines[j].split(",")
+            lines[j] = f"{t},{float(p) + 1e-3!r},{v}"
+    elif edit == "phi-zero-spelling":
+        # the first phi of the row of line k, written 0 by the writer
+        start = next(j for j in range(k, -1, -1) if lines[j].split(",")[1] == "0")
+        t, _, v = lines[start].split(",")
+        lines[start] = f"{t},0.0,{v}"
+    elif edit == "blank-lines":
+        lines[k:k] = ["", ""]
+    elif edit == "short-last-row":
+        del lines[-1]
+    return lines
+
+
+_SEAM_EDITS = ("non-number", "two-columns", "four-columns", "underscore", "non-ascii-digit",
+               "theta-repeat", "phi-column", "phi-zero-spelling", "non-finite", "blank-lines")
+# edits after which the file is still a surface that both reads accept
+_VALID_EDITS = ("valid", "phi-zero-spelling", "blank-lines", "non-finite")
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (121, 241), (401, 801)], ids=lambda s: "x".join(map(str, s)))
+def test_csv_read_in_two_processes_is_the_read_in_one(shape, tmp_path, capsys, monkeypatch):
+    """A CSV surface read in two halves at once gives what the read in one process gives:
+    the axes and the collector when both accept it, else no result, so that `extrema`
+    reads it again in one process. The files are valid surfaces and surfaces with each
+    edit at a line of the first half, at the first line of the second half and in the
+    second half; a phi column moved from the seam on makes two valid halves that do not
+    join. `extrema` prints the same bytes and exits with the same code either way."""
+    from spinboost import worker
+    from spinboost.cli import main
+
+    # the small surfaces are read in two processes too
+    force_worker(monkeypatch)
+    path = tmp_path / "s.csv"
+    header, *lines = _surface_csv(shape).splitlines()
+    data = _surface_csv(shape).encode()
+    middle = max(len(data) // 2, len(header) + 1)
+    seam_offset = middle + extrema._seam(data[middle : middle + extrema._SEAM_WINDOW])
+    seam = _surface_csv(shape)[:seam_offset].count("\n") - 1
+    positions = {"first-half": seam // 2, "seam-row": seam,
+                 "second-half": (seam + len(lines)) // 2}
+    cases = [("valid", 0), ("short-last-row", 0)] + [
+        (edit, k) for edit in _SEAM_EDITS for k in positions.values()]
+    if shape == (401, 801):
+        cases = [("valid", 0), ("theta-repeat", seam), ("phi-column", seam),
+                 ("phi-zero-spelling", seam), ("non-number", positions["second-half"])]
+    for edit, k in cases:
+        path.write_text("\n".join([header, *_edited(lines, k, edit, seam)]) + "\n")
+        hits = HitCollector()
+        try:
+            with open(path, encoding="utf-8") as handle:
+                one = (*read_csv(handle, hits.add), vars(hits))
+        except ValueError as exc:
+            one = str(exc)
+        two = extrema.read_csv_in_halves(path)
+        if two is not None:
+            two = (two[0], two[1], vars(two[2]))
+        if isinstance(one, str):
+            assert two is None, (edit, k, one)
+        else:
+            assert two in (None, one), (edit, k)
+            if shape != (3, 3):
+                assert edit in _VALID_EDITS and two is not None, (edit, k)
+        outcomes = []
+        for usable in (worker.usable, lambda cells: False):
+            with monkeypatch.context() as patch:
+                patch.setattr(worker, "usable", usable)
+                outcomes.append((main(["extrema", "--in", str(path)]), *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1], (edit, k)
 
 
 def test_csv_trailing_blank_lines_accepted():
