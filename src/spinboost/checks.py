@@ -25,11 +25,11 @@ from .states import (
     NAMED_STATES,
     SpinFamily,
     SpinParams,
+    SubsystemLabel,
     momentum_state,
     spin_state,
 )
 from .sweep import delta_e_grid
-from .tensor import CANONICAL_ORDER
 
 MATRIX_TOL = 1e-12
 CONSERVATION_TOL = 1e-10
@@ -166,12 +166,14 @@ def _linear_entropy(rows: np.ndarray, partition: Partition) -> np.ndarray:
     reduced state is G = M M^dag on the kept side. This shares no kernel
     with the evaluator, which sums Gram entries over the smaller side of a cut.
     """
-    tens = np.asarray(rows).reshape((-1,) + CANONICAL_ORDER.dims)
+    # the labels' member order is the rows' factor order
+    labels = list(SubsystemLabel)
+    tens = np.asarray(rows).reshape((-1, *(label.dim for label in labels)))
     entropy = np.zeros(len(tens))
     for part in partition.parts:
         # sorted: a frozenset's iteration order follows the string hash seed, so unsorted
         # axes could change the summation order, and a detail's last digits, between runs
-        kept = sorted(CANONICAL_ORDER.axis(label) + 1 for label in part)
+        kept = sorted(labels.index(label) + 1 for label in part)
         m = np.moveaxis(tens, kept, range(1, len(kept) + 1))
         m = m.reshape(len(tens), math.prod(label.dim for label in part), -1)
         gram = m @ m.conj().transpose(0, 2, 1)

@@ -188,7 +188,7 @@ def _print_extrema(report, stream) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .sweep import DEFAULT_PHI_GRID, DEFAULT_THETA_GRID, surface_rows, write_sweep
+    from .sweep import DEFAULT_PHI_GRID, DEFAULT_THETA_GRID, writer
 
     omega = _omega(args)
     fmt = args.format
@@ -196,23 +196,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         fmt = "json" if args.out is not None and args.out.suffix == ".json" else "csv"
     theta_grid = DEFAULT_THETA_GRID if args.theta_grid is None else args.theta_grid
     phi_grid = DEFAULT_PHI_GRID if args.phi_grid is None else args.phi_grid
-    thetas, phis = theta_grid.points, phi_grid.points
     hits = add_row = None
     if args.summary:
         from .extrema import DEFAULT_MERGE_RADIUS, HitCollector
 
         hits = HitCollector()
         add_row = hits.add
-    # the rows are evaluated as the writer asks for them, a block at a time
-    rows = surface_rows(args.family, args.alpha, omega, args.partition, thetas, phis, add_row)
+    # a bad alpha or grid raises here; the rows are evaluated as write writes them, a block
+    # at a time, and this process runs no other thread, so write may fork a worker
+    write = writer(args.family, args.alpha, omega, args.partition, theta_grid, phi_grid,
+                   fmt == "json", add_row)
     if args.omega is None:
         print(f"omega = {omega:.17g}", file=sys.stderr)
-
-    def write(stream) -> None:
-        # this process runs no other thread, so the writer may fork a worker
-        write_sweep(args.family, args.alpha, omega, args.partition, theta_grid, phi_grid, rows,
-                    stream, fmt == "json")
-
     if args.out is None:
         write(sys.stdout)
     elif args.out.exists() and not args.out.is_file():
@@ -231,7 +226,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             tmp.unlink(missing_ok=True)
             raise
     if args.summary:
-        _print_extrema(hits.report(thetas, phis, DEFAULT_MERGE_RADIUS), sys.stderr)
+        report = hits.report(theta_grid.points, phi_grid.points, DEFAULT_MERGE_RADIUS)
+        _print_extrema(report, sys.stderr)
     return 0
 
 

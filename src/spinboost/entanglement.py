@@ -86,7 +86,7 @@ def parse_partition(text: str) -> Partition:
 
 
 # canonical axis of each subsystem in a (pA, pB, sA, sB) row index
-_AXES = {_PA: 0, _PB: 1, _SA: 2, _SB: 3}
+_AXES = {label: axis for axis, label in enumerate(SubsystemLabel)}
 
 # exponents (a, b, c) of the quartic monomials x0^a x1^b x2^c in the amplitudes
 _QUARTICS = tuple((a, b, 4 - a - b) for a in range(5) for b in range(5 - a))

@@ -166,6 +166,8 @@ class HitCollector:
 _CSV_CHUNK = 1 << 18
 # bytes from the middle of a CSV file on that are searched for the start of a theta row
 _SEAM_WINDOW = 1 << 20
+# the first bytes of that window, read first to estimate the cells of the file's later half
+_SEAM_PROBE = 1 << 16
 # np.loadtxt ends a line at '\r' and strips \x1c-\x1f around a number, float() neither
 _CSV_SPACE = str.maketrans("\r\x1c\x1d\x1e\x1f", "\n    ")
 
@@ -352,10 +354,13 @@ def read_csv_in_halves(path) -> tuple[list[float], list[float], HitCollector] | 
         header = handle.readline()
         size = handle.seek(0, os.SEEK_END)
         middle = handle.seek(max(size // 2, len(header)))
+        window = handle.read(_SEAM_PROBE)
+        # the worker's half has about as many cells, one a line, as lines of the probe's length
+        if not usable((size - middle) * window.count(b"\n") // max(len(window), 1)):
+            return None
+        handle.seek(middle)
         window = handle.read(_SEAM_WINDOW)
-    # the worker's half has about as many cells, one a line, as lines of the window's length
-    cells = (size - middle) * window.count(b"\n") // max(len(window), 1)
-    if not usable(cells) or (offset := _seam(window)) is None:
+    if (offset := _seam(window)) is None:
         return None
     seam = middle + offset
 

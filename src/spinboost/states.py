@@ -18,7 +18,8 @@ from enum import Enum
 
 
 class SubsystemLabel(Enum):
-    """The four physical subsystems: momenta and spins of particles A and B."""
+    """The four physical subsystems: momenta and spins of particles A and B. The members'
+    order is the canonical factor order of a state's amplitudes, (pA, pB, sA, sB)."""
 
     PA = "pA"
     PB = "pB"

@@ -6,14 +6,15 @@ Cells are independent pure evaluations with no cross-cell reductions, so
 the emitted grid is deterministic and identical however the cells are
 batched. A surface is evaluated in blocks of whole theta rows and handed on
 row by row, so a sweep's memory does not grow with its grid. The command's
-`write_sweep` has a forked worker evaluate and format every odd block where
+`writer` has a forked worker evaluate and format every odd block where
 `worker.usable` holds for their cells.
 """
 
 from __future__ import annotations
 
 import math
-from typing import IO, Callable, Iterable, Iterator
+from contextlib import nullcontext
+from typing import IO, Callable
 
 import numpy as np
 
@@ -64,83 +65,15 @@ def delta_e_grid(
     thetas: np.ndarray,
     phis: np.ndarray,
 ) -> np.ndarray:
-    """Entanglement-change surface over a (theta, phi) grid, theta outer: the blocks whose
-    rows `surface_rows` hands on, stacked."""
+    """Entanglement-change surface over a (theta, phi) grid, theta outer: the blocks that
+    a sweep's `writer` evaluates, stacked."""
     axes = (np.asarray(axis, dtype=float).tolist() for axis in (thetas, phis))
     starts, block = _blocks(family, alpha, omega, partition, *axes)
     return np.concatenate([block(start) for start in starts])
 
 
-class _Rows:
-    """A surface's theta rows over its axes, evaluated a block at a time as they are asked for."""
-
-    def __init__(self, thetas: list[float], phis: list[float], starts: range, block,
-                 add_row: Callable[[list[float]], None] | None):
-        self.thetas, self.phis, self.starts, self.block = thetas, phis, starts, block
-        self.add_row = add_row
-
-    def values(self, start: int) -> Iterator[list[float]]:
-        """The rows of the block from theta row `start`, each handed to add_row if one is given."""
-        for row in self.block(start):
-            row = row.tolist()
-            if self.add_row is not None:
-                self.add_row(row)
-            yield row
-
-    def __iter__(self) -> Iterator[list[float]]:
-        return (row for start in self.starts for row in self.values(start))
-
-
-def surface_rows(
-    family: SpinFamily, alpha: float, omega: float, partition: Partition,
-    thetas: list[float], phis: list[float],
-    add_row: Callable[[list[float]], None] | None = None,
-) -> _Rows:
-    """The surface's theta rows as lists of floats, a block evaluated as its first row is
-    asked for, and each handed to add_row, if one is given, in order. A bad alpha raises in
-    this call, before any row is written."""
-    return _Rows(thetas, phis, *_blocks(family, alpha, omega, partition, thetas, phis), add_row)
-
-
 # a file's text in three parts: its head, the text of theta row k, and its tail
 _Form = tuple[str, Callable[[int, list[float]], str], str]
-
-
-def _write(stream: IO[str], form: _Form, rows: Iterable[list[float]]) -> None:
-    head, text, tail = form
-    stream.write(head)
-    for k, row in enumerate(rows):
-        stream.write(text(k, row))
-    stream.write(tail)
-
-
-def _write_alternate(stream: IO[str], form: _Form, rows: _Rows) -> None:
-    """Write the text of a surface's even blocks, and copy in turn that of its odd blocks,
-    which a forked worker evaluates and formats meanwhile. This process holds a block of
-    rows and one piece of the worker's text; the worker holds one block's text."""
-    from .worker import forked
-
-    head, text, tail = form
-
-    def job(send: Callable[[bytes], None]) -> None:
-        for start in rows.starts[1::2]:
-            block = enumerate(rows.block(start), start)
-            send("".join(text(k, row.tolist()) for k, row in block).encode())
-
-    stream.write(head)
-    with forked(job) as receive:
-        for n, start in enumerate(rows.starts):
-            if n % 2 == 0:
-                for k, row in enumerate(rows.values(start), start):
-                    stream.write(text(k, row))
-                continue
-            if rows.add_row is not None:
-                # the rows go to add_row in order, so this process evaluates the block too
-                for row in rows.block(start):
-                    rows.add_row(row.tolist())
-            for piece in receive():
-                stream.write(piece.decode("ascii"))
-    stream.write(tail)
 
 
 def _csv_form(thetas: list[float], phis: list[float]) -> _Form:
@@ -184,55 +117,62 @@ def _json_form(family: SpinFamily, alpha: float, omega: float, partition: Partit
     return head[: -len("]\n}")] + "\n    ", text, "\n  ]\n}\n"
 
 
-def write_csv(
-    thetas: list[float], phis: list[float], rows: Iterable[list[float]], stream: IO[str]
-) -> None:
-    """Emit the grid as CSV with header theta,phi,delta_e, theta outer: one line a cell,
-    one theta row of `rows` for each of `thetas`."""
-    _write(stream, _csv_form(thetas, phis), rows)
-
-
-def write_json(
+def writer(
     family: SpinFamily,
     alpha: float,
     omega: float,
     partition: Partition,
     theta_grid: GridSpec,
     phi_grid: GridSpec,
-    rows: Iterable[list[float]],
-    stream: IO[str],
-) -> None:
-    """Emit the grid as a JSON envelope: the sweep's config, shape, and the theta rows of
-    `rows` as one flat list of values."""
-    _write(stream, _json_form(family, alpha, omega, partition, theta_grid, phi_grid), rows)
-
-
-def write_sweep(
-    family: SpinFamily,
-    alpha: float,
-    omega: float,
-    partition: Partition,
-    theta_grid: GridSpec,
-    phi_grid: GridSpec,
-    rows: _Rows,
-    stream: IO[str],
     as_json: bool,
-) -> None:
-    """Write `rows`, the surface_rows of the grids' points, as write_json (as_json) or
-    write_csv writes them. Where `worker.usable` holds for the cells of the odd blocks, a
-    forked worker evaluates and formats those meanwhile; so this forks the calling process,
-    and is for a caller that knows its process's threads, as the CLI."""
-    from .worker import usable
+    add_row: Callable[[list[float]], None] | None = None,
+) -> Callable[[IO[str]], None]:
+    """The sweep's file writer: write(stream) writes the surface over the grids' points as a
+    JSON envelope of the config, shape and values (as_json), or as CSV with header
+    theta,phi,delta_e, one line a cell, theta outer; and hands each theta row to add_row,
+    if one is given, in order.
 
-    starts = rows.starts
-    odd_rows = sum(min(starts.step, starts.stop - start) for start in starts[1::2])
-    if usable(odd_rows * len(rows.phis)):
-        if as_json:
-            form = _json_form(family, alpha, omega, partition, theta_grid, phi_grid)
-        else:
-            form = _csv_form(rows.thetas, rows.phis)
-        _write_alternate(stream, form, rows)
-    elif as_json:
-        write_json(family, alpha, omega, partition, theta_grid, phi_grid, rows, stream)
+    The grid points and the coefficient pass are made in this call, so a bad alpha or grid
+    raises before any stream is opened. write evaluates a block of theta rows at a time.
+    Where `worker.usable` holds for the cells of the odd blocks, a forked worker evaluates
+    and formats those meanwhile; so write forks the calling process, and is for a caller
+    that knows its process's threads, as the CLI.
+    """
+    thetas, phis = theta_grid.points, phi_grid.points
+    starts, block = _blocks(family, alpha, omega, partition, thetas, phis)
+    if as_json:
+        head, text, tail = _json_form(family, alpha, omega, partition, theta_grid, phi_grid)
     else:
-        write_csv(rows.thetas, rows.phis, rows, stream)
+        head, text, tail = _csv_form(thetas, phis)
+    odd = starts[1::2]
+    odd_cells = sum(min(starts.step, len(thetas) - start) for start in odd) * len(phis)
+
+    def job(send: Callable[[bytes], None]) -> None:
+        for start in odd:
+            rows = enumerate(block(start), start)
+            send("".join(text(k, row.tolist()) for k, row in rows).encode())
+
+    def write(stream: IO[str]) -> None:
+        from .worker import forked, usable
+
+        stream.write(head)
+        # this process holds a block of rows and one piece of the worker's text; the
+        # worker holds one block's text
+        with forked(job) if usable(odd_cells) else nullcontext() as receive:
+            for n, start in enumerate(starts):
+                local = receive is None or n % 2 == 0
+                # the rows go to add_row in order, so this process evaluates a worker's
+                # block too where there is one
+                if local or add_row is not None:
+                    for k, row in enumerate(block(start), start):
+                        row = row.tolist()
+                        if add_row is not None:
+                            add_row(row)
+                        if local:
+                            stream.write(text(k, row))
+                if not local:
+                    for piece in receive():
+                        stream.write(piece.decode("ascii"))
+        stream.write(tail)
+
+    return write

@@ -54,9 +54,7 @@ class FactorOrder(namedtuple("FactorOrder", "labels")):
             raise ValueError(f"label {label.value} not present in factor order") from None
 
 
-CANONICAL_ORDER = FactorOrder(
-    (SubsystemLabel.PA, SubsystemLabel.PB, SubsystemLabel.SA, SubsystemLabel.SB)
-)
+CANONICAL_ORDER = FactorOrder(tuple(SubsystemLabel))
 
 
 class PureState(namedtuple("PureState", "amplitudes order")):

@@ -1,6 +1,8 @@
 """Builders that only the tests use: product states, factor reordering, one-state entropy,
-and whole surfaces: swept, read back from a file, and reported on; and a worker forced on."""
+and whole surfaces: swept, written to and read back from a file, and reported on; and a
+worker forced on."""
 
+import io
 import os
 from collections import namedtuple
 
@@ -9,7 +11,7 @@ import pytest
 
 from spinboost.entanglement import Partition
 from spinboost.extrema import DEFAULT_MERGE_RADIUS, HitCollector
-from spinboost.sweep import surface_rows
+from spinboost.sweep import _csv_form, _json_form, writer
 from spinboost.tensor import NORM_TOL, FactorOrder, PureState, outer, partial_trace, purity
 
 
@@ -45,9 +47,28 @@ Surface = namedtuple("Surface", "thetas phis values")
 
 def run_sweep(family, alpha, omega, partition, theta_grid, phi_grid) -> Surface:
     """A sweep's surface whole: the rows that `spinboost sweep` streams, stacked."""
-    thetas, phis = theta_grid.points, phi_grid.points
-    rows = list(surface_rows(family, alpha, omega, partition, thetas, phis))
-    return Surface(np.array(thetas), np.array(phis), np.array(rows))
+    rows = []
+    writer(family, alpha, omega, partition, theta_grid, phi_grid, False, rows.append)(io.StringIO())
+    return Surface(np.array(theta_grid.points), np.array(phi_grid.points), np.array(rows))
+
+
+def _write(form, rows, stream) -> None:
+    head, text, tail = form
+    stream.write(head)
+    for k, row in enumerate(rows):
+        stream.write(text(k, row))
+    stream.write(tail)
+
+
+def write_csv(thetas, phis, rows, stream) -> None:
+    """Any theta rows over any axes as CSV, in the form a sweep writes its surface in."""
+    _write(_csv_form(thetas, phis), rows, stream)
+
+
+def write_json(family, alpha, omega, partition, theta_grid, phi_grid, rows, stream) -> None:
+    """Any theta rows as a JSON envelope of the given config, in the form a sweep writes its
+    surface in."""
+    _write(_json_form(family, alpha, omega, partition, theta_grid, phi_grid), rows, stream)
 
 
 def find_extrema(surface: Surface, merge_radius: float = DEFAULT_MERGE_RADIUS):

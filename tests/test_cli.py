@@ -818,7 +818,7 @@ def test_sweep_writer_failure_leaves_no_partial_file(existing, tmp_path, capsys,
     existing one as it was, and no process."""
     import spinboost.sweep as sweep
 
-    write_sweep = sweep.write_sweep
+    writer = sweep.writer
 
     class FullDisk:
         """A stream that takes the header and the first theta row, then fails."""
@@ -833,8 +833,8 @@ def test_sweep_writer_failure_leaves_no_partial_file(existing, tmp_path, capsys,
             return self.stream.write(text)
 
     def failing_writer(*args):
-        *config, rows, stream, as_json = args
-        write_sweep(*config, rows, FullDisk(stream), as_json)
+        write = writer(*args)
+        return lambda stream: write(FullDisk(stream))
 
     out = tmp_path / "s.csv"
     for grid in (SMALL_GRID, TWO_BLOCKS):
@@ -846,7 +846,7 @@ def test_sweep_writer_failure_leaves_no_partial_file(existing, tmp_path, capsys,
         before = out.read_bytes() if existing else None
         # the command looks its writer up in sweep when it runs
         with monkeypatch.context() as patch:
-            patch.setattr(sweep, "write_sweep", failing_writer)
+            patch.setattr(sweep, "writer", failing_writer)
             if grid is TWO_BLOCKS:
                 force_worker(patch)
             assert main(argv) == 2
@@ -997,6 +997,32 @@ def test_sweep_writes_into_a_fifo(grid, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "s.csv"]
     _no_child_left()
     capsys.readouterr()
+
+
+def test_sweep_bad_alpha_fails_before_the_omega_line(tmp_path, capsys):
+    """On the rapidity route a bad alpha is the one line on stderr: the sweep checks it
+    before it prints omega."""
+    argv = ["sweep", "--family", "s1", "--alpha", "nan", "--xi", "0.8", "--eta", "1.5",
+            "--partition", "svp", *SMALL_GRID]
+    for out in ([], ["--out", str(tmp_path / "s.csv")]):
+        assert main([*argv, *out]) == 2
+        assert capsys.readouterr() == ("", "error: alpha must be finite, got nan\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_bad_alpha_fails_before_opening_a_fifo(tmp_path):
+    """A bad alpha with `--out` naming a FIFO that no one reads exits 2 at once: the sweep
+    checks it before it opens the FIFO, which would wait for a reader."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    env = {**os.environ, "PYTHONPATH": str(Path(spinboost.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinboost.cli", "sweep", "--family", "s1", "--alpha", "nan",
+         "--omega", "0.3", "--partition", "svp", *SMALL_GRID, "--out", str(fifo)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: alpha must be finite, got nan\n")
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 def test_default_sweep_and_small_extrema_never_fork(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,8 @@
 """Layout rules: every public top-level name in src/ has a user outside the tests, src/
 leaves numpy.random unloaded, the checks share no kernel with the evaluator, the evaluator
-uses no part of the dense oracle, only the checks read `tensor` and only its factor order,
-the CLI module loads no numpy, the modules that `delta-e` and `extrema` run import
-nothing beyond the standard library and each other, and one function forks, its child
-ending through os._exit."""
+uses no part of the dense oracle, no other module reads `tensor`, the CLI module loads no
+numpy, the modules that `delta-e` and `extrema` run import nothing beyond the standard
+library and each other, and one function forks, its child ending through os._exit."""
 
 import ast
 import sys
@@ -94,9 +93,9 @@ def test_evaluator_uses_no_dense_oracle():
 
 
 def test_only_checks_reads_tensor_and_only_the_factor_order():
-    """`tensor` holds the factor order and the dense oracle that the tests and the benchmark
-    gate use; in src/, only the checks import from it, and only CANONICAL_ORDER. The checks
-    build the per-particle boost of their factorization check themselves."""
+    """`tensor` holds the dense oracle that the tests and the benchmark gate use; no other
+    module in src/ imports from it. The canonical factor order is SubsystemLabel's member
+    order, which the checks read from `states` as the evaluator does."""
     imported = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "tensor":
@@ -108,7 +107,7 @@ def test_only_checks_reads_tensor_and_only_the_factor_order():
                 # `from . import tensor` and `import spinboost.tensor` take the whole module
                 imported += [(path.stem, "tensor") for alias in node.names
                              if alias.name in ("tensor", "spinboost.tensor")]
-    assert imported == [("checks", "CANONICAL_ORDER")], imported
+    assert imported == [], imported
 
 
 def _module_level_imports(path: Path) -> list[str]:

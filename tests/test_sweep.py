@@ -13,13 +13,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import Surface, find_extrema, force_worker, read_surface, run_sweep
+from helpers import (
+    Surface,
+    find_extrema,
+    force_worker,
+    read_surface,
+    run_sweep,
+    write_csv,
+    write_json,
+)
 
 from spinboost import extrema, sweep
 from spinboost.entanglement import PARTITIONS, delta_e
 from spinboost.extrema import HitCollector, _cluster, read_csv, read_json
 from spinboost.states import SpinFamily, SpinParams
-from spinboost.sweep import GridSpec, delta_e_grid, surface_rows, write_csv, write_json
+from spinboost.sweep import GridSpec, delta_e_grid, writer
 
 
 def small_config(omega=math.pi / 8, partition="1vs3", nt=13, np_=25, family=SpinFamily.S1):
@@ -41,13 +49,10 @@ def csv_text(surface: Surface) -> str:
 
 
 def streamed_files(config: dict) -> tuple[str, str]:
-    """The CSV and JSON files of a sweep, each written from the rows that `surface_rows`
-    streams, as `spinboost sweep` writes them."""
-    args = [config[name] for name in ("family", "alpha", "omega", "partition")]
-    thetas, phis = config["theta_grid"].points, config["phi_grid"].points
+    """The CSV and JSON files of a sweep, as `spinboost sweep` writes them."""
     csv, envelope = io.StringIO(), io.StringIO()
-    write_csv(thetas, phis, surface_rows(*args, thetas, phis), csv)
-    write_json(**config, rows=surface_rows(*args, thetas, phis), stream=envelope)
+    writer(**config, as_json=False)(csv)
+    writer(**config, as_json=True)(envelope)
     return csv.getvalue(), envelope.getvalue()
 
 
@@ -190,9 +195,8 @@ def test_run_sweep_metadata_and_shape():
     """A sweep streams one row per theta, each of one cell per phi, and its JSON file
     carries its config and shape."""
     config = small_config()
-    thetas, phis = config["theta_grid"].points, config["phi_grid"].points
-    rows = list(surface_rows(SpinFamily.S1, math.pi / 4, math.pi / 8, PARTITIONS["1vs3"],
-                             thetas, phis))
+    rows = []
+    writer(**config, as_json=False, add_row=rows.append)(io.StringIO())
     assert [len(row) for row in rows] == [25] * 13
     envelope = json.loads(streamed_files(config)[1])
     assert envelope["shape"] == [13, 25]
@@ -601,6 +605,36 @@ def test_csv_read_in_two_processes_is_the_read_in_one(shape, tmp_path, capsys, m
                 patch.setattr(worker, "usable", usable)
                 outcomes.append((main(["extrema", "--in", str(path)]), *capsys.readouterr()))
         assert outcomes[0] == outcomes[1], (edit, k)
+
+
+def test_csv_read_in_halves_turned_down_reads_only_a_probe(tmp_path, monkeypatch):
+    """Where `worker.usable` turns the worker's share down, the read in halves takes the
+    header line and _SEAM_PROBE bytes at the file's middle, not the whole seam window; the
+    share it asks about is the cells, one a line, of the file's later half, within 1%."""
+    from spinboost import worker
+
+    path = tmp_path / "s.csv"
+    path.write_text(_surface_csv((401, 801)), encoding="utf-8")
+    asked, reads = [], []
+
+    def counting_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        read = handle.read
+
+        def counted(size=-1):
+            data = read(size)
+            reads.append(len(data))
+            return data
+
+        handle.read = counted
+        return handle
+
+    monkeypatch.setattr(worker, "usable", lambda cells: asked.append(cells) or False)
+    monkeypatch.setattr(extrema, "open", counting_open, raising=False)
+    assert extrema.read_csv_in_halves(path) is None
+    assert reads == [extrema._SEAM_PROBE]
+    later = path.read_bytes()[path.stat().st_size // 2 :].count(b"\n")
+    assert abs(asked[0] - later) <= later // 100, (asked, later)
 
 
 def test_csv_trailing_blank_lines_accepted():

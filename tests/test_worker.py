@@ -5,6 +5,7 @@ import math
 import os
 
 import pytest
+from helpers import write_csv
 
 from spinboost import sweep, worker
 from spinboost.cli import main
@@ -115,9 +116,9 @@ def test_busy_or_one_cpu_machine_sweeps_and_reads_in_one_process(machine, monkey
 
 
 def test_library_writers_and_reader_stay_in_one_process(monkeypatch):
-    """write_csv, write_json and read_csv run in the caller's process alone, on surface_rows
-    of many blocks and with every share worth a worker: only the command's writer and
-    reader fork, where the CLI knows its process's threads."""
+    """delta_e_grid and read_csv run in the caller's process alone, on a surface of many
+    blocks and with every share worth a worker: only the command's writer and reader fork,
+    where the CLI knows its process's threads."""
     def no_fork():
         raise AssertionError("os.fork called")
 
@@ -125,12 +126,11 @@ def test_library_writers_and_reader_stay_in_one_process(monkeypatch):
     monkeypatch.setattr(worker, "_free_cpu", lambda: True)
     monkeypatch.setattr(sweep, "_BLOCK_CELLS", 3 * 25)
     monkeypatch.setattr(os, "fork", no_fork)
-    theta_grid, phi_grid = sweep.GridSpec(0.0, math.pi, 13), sweep.GridSpec(0.0, 2 * math.pi, 25)
     config = (SpinFamily.S2, 0.7, 1.2, PARTITIONS["1vs3"])
-    thetas, phis = theta_grid.points, phi_grid.points
-    csv, envelope = io.StringIO(), io.StringIO()
-    sweep.write_csv(thetas, phis, sweep.surface_rows(*config, thetas, phis), csv)
-    sweep.write_json(*config, theta_grid, phi_grid, sweep.surface_rows(*config, thetas, phis),
-                     envelope)
+    thetas = sweep.GridSpec(0.0, math.pi, 13).points
+    phis = sweep.GridSpec(0.0, 2 * math.pi, 25).points
+    values = sweep.delta_e_grid(*config, thetas, phis)
+    assert values.shape == (13, 25)
+    csv = io.StringIO()
+    write_csv(thetas, phis, values.tolist(), csv)
     assert read_csv(io.StringIO(csv.getvalue()), HitCollector().add) == (thetas, phis)
-    assert envelope.getvalue().endswith("\n  ]\n}\n")
