@@ -8,6 +8,7 @@ so emitted files round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -21,6 +22,15 @@ from .kinematics import wigner_angle
 
 class _UsageError(Exception):
     pass
+
+
+class _Closed(io.TextIOBase):
+    """sys.stdout or sys.stderr where its descriptor is not open, which Python leaves None,
+    so that print() drops the output and a flush raises AttributeError: here a write fails
+    as a runtime error. A closed stderr shows no error line, so the message names stdout."""
+
+    def write(self, text: str) -> int:
+        raise OSError("stdout is not open")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -232,21 +242,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_extrema(args: argparse.Namespace) -> int:
-    from .extrema import DEFAULT_MERGE_RADIUS, HitCollector, read_csv, read_csv_in_halves, read_json
+    from .extrema import DEFAULT_MERGE_RADIUS, read
 
-    hits = HitCollector()
-    with open(args.infile, "r", encoding="utf-8") as handle:
-        # JSON if the first non-blank character is `{`, else CSV
-        head = handle.read(1)
-        while head.isspace():
-            head = handle.read(1)
-        handle.seek(0)
-        if head == "{":
-            thetas, phis = read_json(handle, hits.add)
-        elif (halves := read_csv_in_halves(args.infile)) is not None:
-            thetas, phis, hits = halves
-        else:
-            thetas, phis = read_csv(handle, hits.add)
+    # this process runs no other thread, so read may fork a worker
+    thetas, phis, hits = read(args.infile)
     radius = DEFAULT_MERGE_RADIUS if args.merge_radius is None else args.merge_radius
     _print_extrema(hits.report(thetas, phis, radius), sys.stdout)
     return 0
@@ -290,6 +289,7 @@ def main(argv: list[str] | None = None) -> int:
         os.environ["OMP_NUM_THREADS"] = "1"
     if argv is None:
         argv = sys.argv[1:]
+    sys.stdout, sys.stderr = sys.stdout or _Closed(), sys.stderr or _Closed()
     parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)

@@ -8,12 +8,12 @@ holds the dense surface and never loads numpy.
 
 from __future__ import annotations
 
-import io
 import itertools
 import marshal
 import math
 import os
 import re
+import stat
 from collections import namedtuple
 from typing import IO, Callable, Iterator
 
@@ -161,7 +161,7 @@ class HitCollector:
         return ExtremaReport(maxima=maxima, minima=minima, merge_radius=merge_radius, flat=False)
 
 
-# characters of text read per chunk by read_csv; a chunk's fields and the cells of a
+# characters of text read per chunk from a CSV file; a chunk's fields and the cells of a
 # row not yet handed over are the reader's only memory besides the axes and the hits
 _CSV_CHUNK = 1 << 18
 # bytes from the middle of a CSV file on that are searched for the start of a theta row
@@ -170,6 +170,30 @@ _SEAM_WINDOW = 1 << 20
 _SEAM_PROBE = 1 << 16
 # np.loadtxt ends a line at '\r' and strips \x1c-\x1f around a number, float() neither
 _CSV_SPACE = str.maketrans("\r\x1c\x1d\x1e\x1f", "\n    ")
+
+
+def read(path) -> tuple[list[float], list[float], HitCollector]:
+    """A stored surface's axes and a collector fed its every theta row: JSON if the file's
+    first non-blank character is `{`, else CSV.
+
+    The file is opened once and read front to back, so `path` may name a FIFO
+    or a pipe such as /dev/stdin. Where a regular CSV file's read in two
+    processes (_read_in_halves) fails, the read in one goes on from the same
+    handle. It may fork, so it is for a caller that knows its threads, as the CLI.
+    """
+    hits = HitCollector()
+    with open(path, encoding="utf-8") as handle:
+        # the blank lines, then the first that is not; "" is the end of the file
+        lines = [handle.readline()]
+        while lines[-1].isspace():
+            lines.append(handle.readline())
+        if lines[-1].lstrip().startswith("{"):
+            thetas, phis = _read_json("".join(lines) + handle.read(), hits.add)
+        elif (halves := _read_in_halves(path, handle, lines[0])) is not None:
+            return halves
+        else:
+            thetas, phis = _read_csv(lines[0], _csv_texts(handle), hits.add)
+    return thetas, phis, hits
 
 
 def _numbers(texts: list[str]) -> list[float]:
@@ -183,10 +207,11 @@ def _numbers(texts: list[str]) -> list[float]:
                 raise ValueError(f"CSV cell {text.strip()!r} is not a number") from None
 
 
-def _csv_texts(stream: IO[str]) -> Iterator[str]:
-    """The rest of the stream in chunks of whole lines."""
+def _csv_texts(stream: IO[str], size: float = math.inf) -> Iterator[str]:
+    """The rest of the stream, or its next `size` characters, in chunks of whole lines."""
     tail = ""
-    while chunk := stream.read(_CSV_CHUNK):
+    while chunk := stream.read(min(_CSV_CHUNK, size)):
+        size -= len(chunk)
         tail += chunk
         if "\n" in chunk:
             text, _, tail = tail.rpartition("\n")
@@ -194,20 +219,20 @@ def _csv_texts(stream: IO[str]) -> Iterator[str]:
     yield tail
 
 
-def read_csv(stream: IO[str], add_row: Callable[[list[float]], None]) -> tuple[list[float], list[float]]:
+def _read_csv(header: str, chunks: Iterator[str], add_row) -> tuple[list[float], list[float]]:
     """Hand a CSV surface's values to add_row one theta row at a time; return its axes.
 
-    Every data row must hold three numbers as np.loadtxt reads them; empty
-    lines are skipped. Any other text, a `#`, a `_` or a non-ASCII character
-    included, is a ValueError. The text is read in chunks of _CSV_CHUNK
-    characters. A cell's theta text is checked against the cell before it
-    and its phi text against the first row's; only a text that differs, and
-    the first row's phis, are parsed as numbers. The checks that need the
-    whole grid (rectangular, finite coordinates, theta outer, distinct axis
-    points) raise after the last row is handed over, so a caller reports
-    nothing until this returns.
+    `header` is the file's first line and `chunks` the rest in chunks of whole
+    lines. Every data row must hold three numbers as np.loadtxt reads them;
+    empty lines are skipped. Any other text, a `#`, a `_` or a non-ASCII
+    character included, is a ValueError. A cell's theta text is checked
+    against the cell before it and its phi text against the first row's;
+    only a text that differs, and the first row's phis, are parsed as
+    numbers. The checks that need the whole grid (rectangular, finite
+    coordinates, theta outer, distinct axis points) raise after the last row
+    is handed over, so a caller reports nothing until this returns.
     """
-    header = stream.readline().strip()
+    header = header.strip()
     if header != "theta,phi,delta_e":
         raise ValueError(f"unexpected CSV header {header!r}")
     cells, n_phi, on_grid = 0, None, True
@@ -217,7 +242,7 @@ def read_csv(stream: IO[str], add_row: Callable[[list[float]], None]) -> tuple[l
     phi_texts, phis = None, []
     # the cells not yet handed over in a full row
     pending_phis, pending_values = [], []
-    for text in _csv_texts(stream):
+    for text in chunks:
         # float() reads '_' between digits and non-ASCII digits, np.loadtxt neither
         if "_" in text or not text.isascii():
             bad = next(cell for cell in re.split("[,\n]", text) if "_" in cell or not cell.isascii())
@@ -284,36 +309,6 @@ def read_csv(stream: IO[str], add_row: Callable[[list[float]], None]) -> tuple[l
     return thetas, phis
 
 
-class _Span(io.RawIOBase):
-    """A CSV file's bytes from `start` to `stop` behind a header line, as a raw stream that
-    io.TextIOWrapper decodes as open(path, encoding="utf-8") decodes the whole file."""
-
-    def __init__(self, handle: IO[bytes], header: bytes, start: int, stop: int) -> None:
-        super().__init__()
-        handle.seek(start)
-        self.handle, self.header, self.left = handle, header, stop - start
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        if self.header:
-            data, self.header = self.header[: len(buffer)], self.header[len(buffer) :]
-        else:
-            data = self.handle.read(min(len(buffer), self.left))
-            self.left -= len(data)
-        buffer[: len(data)] = data
-        return len(data)
-
-
-def _read_span(path, header: bytes, start: int, stop: int, add_row) -> tuple[list[float], list[float]]:
-    """read_csv on the bytes from `start` to `stop` of a CSV file behind `header`."""
-    with open(path, "rb") as handle, io.TextIOWrapper(
-        _Span(handle, header, start, stop), encoding="utf-8"
-    ) as text:
-        return read_csv(text, add_row)
-
-
 def _seam(window: bytes) -> int | None:
     """The offset in `window`, bytes from within a CSV file's body, of the first line after
     the one the window starts in whose theta differs in number from the line's before it;
@@ -336,43 +331,46 @@ def _seam(window: bytes) -> int | None:
     return None
 
 
-def read_csv_in_halves(path) -> tuple[list[float], list[float], HitCollector] | None:
-    """A CSV surface file read as read_csv reads it, in two halves at once: this process
-    reads the rows before a theta row near the middle, a forked worker the rest.
+def _read_in_halves(path, handle: IO[str], header: str):
+    """The axes and a collector fed every row of the CSV file of `handle`, past its first
+    line `header`, read in two halves at once, each through a handle of its own: this
+    process reads the rows before a theta row near the middle, a forked worker the rest.
 
-    Returns the axes and a collector fed every row. Returns None where
+    None, with `handle` unmoved, where the file is not a regular one,
     `worker.usable` does not hold for the cells of the worker's half, either
     half fails, or the halves do not join into one grid (a different phi
-    axis, or a theta in both): the caller then reads the whole file in one
-    process, so every message and report is the one that a read in one
-    process gives. It forks the calling process, so it is for a caller that
-    knows its process's threads, as the CLI.
+    axis, or a theta in both).
     """
     from .worker import forked, usable
 
-    with open(path, "rb") as handle:
-        header = handle.readline()
-        size = handle.seek(0, os.SEEK_END)
-        middle = handle.seek(max(size // 2, len(header)))
-        window = handle.read(_SEAM_PROBE)
-        # the worker's half has about as many cells, one a line, as lines of the probe's length
-        if not usable((size - middle) * window.count(b"\n") // max(len(window), 1)):
-            return None
-        handle.seek(middle)
-        window = handle.read(_SEAM_WINDOW)
-    if (offset := _seam(window)) is None:
+    fd, info = handle.fileno(), os.fstat(handle.fileno())
+    # a FIFO, a pipe or a device has no middle to read from
+    if not (hasattr(os, "pread") and stat.S_ISREG(info.st_mode)):
+        return None
+    size = info.st_size
+    middle = max(size // 2, len(header))
+    window = os.pread(fd, _SEAM_PROBE, middle)
+    # the worker's half has about as many cells, one a line, as lines of the probe's length
+    if not usable((size - middle) * window.count(b"\n") // max(len(window), 1)):
+        return None
+    if (offset := _seam(os.pread(fd, _SEAM_WINDOW, middle))) is None:
         return None
     seam = middle + offset
 
     def job(send) -> None:
         later = HitCollector()
-        axes = _read_span(path, header, seam, size, later.add)
+        with open(path, encoding="utf-8") as rest:
+            rest.buffer.seek(seam)
+            axes = _read_csv(header, _csv_texts(rest), later.add)
         send(marshal.dumps((axes, vars(later))))
 
     hits = HitCollector()
     try:
-        with forked(job) as receive:
-            thetas, phis = _read_span(path, b"", 0, seam, hits.add)
+        # newline="" leaves each "\r" in the text, so this half's characters are its bytes
+        # up to the seam, or one is not ASCII and the half fails
+        with forked(job) as receive, open(path, encoding="utf-8", newline="") as first:
+            left = seam - len(first.readline())
+            thetas, phis = _read_csv(header, _csv_texts(first, left), hits.add)
             (later_thetas, later_phis), state = marshal.loads(b"".join(receive()))
     except (OSError, ValueError, MemoryError):
         return None
@@ -384,12 +382,13 @@ def read_csv_in_halves(path) -> tuple[list[float], list[float], HitCollector] | 
     return thetas + later_thetas, phis, hits
 
 
-def read_json(stream: IO[str], add_row: Callable[[list[float]], None]) -> tuple[list[float], list[float]]:
-    """Hand a JSON envelope's values to add_row one theta row at a time, after checking
-    its keys, value types and shape; return its axes."""
+def _read_json(text: str, add_row: Callable[[list[float]], None]) -> tuple[list[float], list[float]]:
+    """Hand the values of a JSON envelope, the text of a whole file, to add_row one theta row
+    at a time, after checking its keys, value types and shape; return its axes."""
     import json
 
-    envelope = json.load(stream)
+    envelope = json.loads(text)
+    del text  # freed before the rows and their hits come, as json.load freed it
     try:
         config = envelope["config"]
         tg = GridSpec(**config["theta_grid"])

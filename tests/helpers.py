@@ -1,5 +1,5 @@
 """Builders that only the tests use: product states, factor reordering, one-state entropy,
-and whole surfaces: swept, written to and read back from a file, and reported on; and a
+and whole surfaces: swept, written to and read back from a stream, and reported on; and a
 worker forced on."""
 
 import io
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spinboost.entanglement import Partition
-from spinboost.extrema import DEFAULT_MERGE_RADIUS, HitCollector
+from spinboost.extrema import DEFAULT_MERGE_RADIUS, HitCollector, _csv_texts, _read_csv, _read_json
 from spinboost.sweep import _csv_form, _json_form, writer
 from spinboost.tensor import NORM_TOL, FactorOrder, PureState, outer, partial_trace, purity
 
@@ -78,6 +78,18 @@ def find_extrema(surface: Surface, merge_radius: float = DEFAULT_MERGE_RADIUS):
     for row in surface.values.tolist():
         hits.add(row)
     return hits.report(surface.thetas.tolist(), surface.phis.tolist(), merge_radius)
+
+
+def read_csv(stream, add_row):
+    """A CSV surface read from a text stream in one process, as `spinboost extrema` reads a
+    CSV file: the header line, then the rest in chunks; returns its axes."""
+    return _read_csv(stream.readline(), _csv_texts(stream), add_row)
+
+
+def read_json(stream, add_row):
+    """A JSON surface read from a text stream, as `spinboost extrema` reads a JSON file: the
+    whole text at once; returns its axes."""
+    return _read_json(stream.read(), add_row)
 
 
 def read_surface(reader, stream) -> Surface:

@@ -20,10 +20,9 @@ import spinboost
 from spinboost.cli import build_parser, main
 from spinboost.entanglement import PARTITIONS, delta_e
 from spinboost.states import SpinFamily
-from spinboost.extrema import read_csv
 from spinboost.sweep import GridSpec
 
-from helpers import force_worker, read_surface, run_sweep
+from helpers import force_worker, read_csv, read_surface, run_sweep
 
 SMALL_GRID = ["--theta-grid", "0:3.141592653589793:7", "--phi-grid", "0:6.283185307179586:9"]
 # 137x241 cells, two blocks of theta rows (135 and 2), the second too small for a worker
@@ -146,7 +145,7 @@ def test_command_help_is_the_full_parsers(command, capsys, monkeypatch):
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full (Linux)")
-@pytest.mark.parametrize("sink", ["full", "closed-pipe"])
+@pytest.mark.parametrize("sink", ["full", "closed-pipe", "closed"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -161,25 +160,63 @@ def test_command_help_is_the_full_parsers(command, capsys, monkeypatch):
 )
 def test_failed_stdout_write_exits_two(argv, sink, tmp_path):
     """Output that cannot be written is a runtime failure: one error line and exit 2, whether
-    the write fails inside the command or at the final flush of buffered stdout."""
+    the write fails inside the command or at the final flush of buffered stdout, or stdout
+    is not open at all."""
     stored = tmp_path / "stored.csv"
     stored.write_text(STORED_CSV)
     argv = [arg.format(stored=stored) for arg in argv]
     # without PYTHONUNBUFFERED, stdout to a file or a pipe is block-buffered
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(spinboost.__file__).resolve().parents[1])
+    command = [sys.executable, "-m", "spinboost.cli", *argv]
     if sink == "full":
         stdout = os.open("/dev/full", os.O_WRONLY)
-    else:
+    elif sink == "closed-pipe":
         read_end, stdout = os.pipe()
         os.close(read_end)
+    else:
+        stdout, command = None, _with_closed("stdout", command)
     try:
-        proc = subprocess.run([sys.executable, "-m", "spinboost.cli", *argv],
-                              stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+        proc = subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
     finally:
-        os.close(stdout)
+        if stdout is not None:
+            os.close(stdout)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def _with_closed(stream: str, command: list[str]) -> list[str]:
+    """`command` run by a shell that closes stdout (`>&-`) or stderr (`2>&-`) before it starts
+    it: Python then leaves sys.stdout or sys.stderr None."""
+    return ["/bin/sh", "-c", f'exec "$@" {">" if stream == "stdout" else "2>"}&-', "sh", *command]
+
+
+@pytest.mark.skipif(not Path("/bin/sh").exists(), reason="closes a descriptor with /bin/sh")
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_closed_stream_keeps_the_exit_code(stream, tmp_path):
+    """With stdout or stderr not open, `sweep --out` writes its file and exits 0, a usage
+    error exits 1 and a runtime error 2; a command whose output cannot be written exits 2,
+    and a line that a closed stderr cannot take is lost, not the code."""
+    env = {**os.environ, "PYTHONPATH": str(Path(spinboost.__file__).resolve().parents[1])}
+    sweep = ["sweep", "--family", "s1", "--alpha", "0.7", "--omega", "0.3", "--partition", "svp",
+             *SMALL_GRID, "--out"]
+    # each command's exit code and the other stream's text, with stdout and with stderr closed
+    cases = [
+        ([*sweep, str(tmp_path / "closed.csv")], (0, ""), (0, "")),
+        (["wigner-angle", "--xi", "1"],
+         (1, "usage error: the following arguments are required: --eta\n"), (1, "")),
+        (["wigner-angle", "--xi", "nan", "--eta", "1"],
+         (2, "error: rapidities must be finite\n"), (2, "")),
+        (["wigner-angle", "--xi", "1", "--eta", "1"],
+         (2, "error: stdout is not open\n"), (0, "0.42078396163807286\n")),
+    ]
+    for argv, *expected in cases:
+        proc = subprocess.run(_with_closed(stream, [sys.executable, "-m", "spinboost.cli", *argv]),
+                              capture_output=True, text=True, env=env)
+        other = proc.stderr if stream == "stdout" else proc.stdout
+        assert (proc.returncode, other) == expected[stream == "stderr"], (argv, proc)
+    assert main([*sweep, str(tmp_path / "open.csv")]) == 0
+    assert (tmp_path / "closed.csv").read_bytes() == (tmp_path / "open.csv").read_bytes()
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full (Linux)")
@@ -901,12 +938,12 @@ def test_extrema_worker_failures_give_the_one_process_read(tmp_path, capsys, mon
 
     capsys.readouterr()
     one_process = {}
-    read_span, caller = extrema._read_span, os.getpid()
+    read_core, caller = extrema._read_csv, os.getpid()
 
     def dying(*args):
         if os.getpid() != caller:
             os._exit(1)
-        return read_span(*args)
+        return read_core(*args)
 
     for case in ("valid", "worker-dies", "malformed-second-half"):
         if case == "malformed-second-half":
@@ -918,7 +955,7 @@ def test_extrema_worker_failures_give_the_one_process_read(tmp_path, capsys, mon
             one_process[case] = outcome()
         with monkeypatch.context() as patch:
             if case == "worker-dies":
-                patch.setattr(extrema, "_read_span", dying)
+                patch.setattr(extrema, "_read_csv", dying)
             assert outcome() == one_process[case], case
     assert one_process["worker-dies"] == one_process["valid"]
     assert one_process["valid"][0] == 0
@@ -997,6 +1034,57 @@ def test_sweep_writes_into_a_fifo(grid, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "s.csv"]
     _no_child_left()
     capsys.readouterr()
+
+
+# `spinboost` with every share worth a worker and a CPU taken as free, where os.fork fails
+_NO_FORK_CLI = """
+import os
+from spinboost import worker
+worker.MIN_CELLS, worker._free_cpu = 1, lambda: True
+
+def no_fork():
+    raise AssertionError("os.fork called")
+
+os.fork = no_fork
+from spinboost.cli import run
+run()
+"""
+
+
+@pytest.mark.skipif(not (hasattr(os, "mkfifo") and Path("/dev/stdin").exists()),
+                    reason="needs FIFOs and /dev/stdin")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_extrema_reads_a_fifo_and_a_pipe(fmt, tmp_path, capsys):
+    """`extrema --in` a FIFO that `sweep --out` writes, and `extrema --in /dev/stdin` fed by a
+    pipe, print the bytes, and exit with the code, that the regular file gives, on the
+    default grid. Neither forks, even with a worker taken as worth it, and no child is
+    left."""
+    sweep = ["sweep", "--family", "s1", "--alpha", "0.7", "--omega", "0.3", "--partition", "1v3",
+             "--format", fmt]
+    regular, fifo = tmp_path / "s", tmp_path / "fifo"
+    assert main([*sweep, "--out", str(regular)]) == 0
+    assert main(["extrema", "--in", str(regular)]) == 0
+    expected = (0, *capsys.readouterr())
+    assert expected[1].startswith("maxima (")
+    env = {**os.environ, "PYTHONPATH": str(Path(spinboost.__file__).resolve().parents[1])}
+    extrema = [sys.executable, "-c", _NO_FORK_CLI, "extrema", "--in"]
+    os.mkfifo(fifo)
+    writer = subprocess.Popen([sys.executable, "-m", "spinboost.cli", *sweep, "--out", str(fifo)],
+                              env=env)
+    try:
+        # a sweep that never opens the FIFO leaves this read waiting until the timeout
+        fed = subprocess.run([*extrema, str(fifo)], capture_output=True, text=True, env=env,
+                             timeout=60)
+        written = writer.wait(timeout=60)
+    finally:
+        writer.kill()
+        writer.wait()
+    piped = subprocess.run([*extrema, "/dev/stdin"], input=regular.read_text(),
+                           capture_output=True, text=True, env=env, timeout=60)
+    for proc in (fed, piped):
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    assert written == 0
+    _no_child_left()
 
 
 def test_sweep_bad_alpha_fails_before_the_omega_line(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Layout rules: every public top-level name in src/ has a user outside the tests, src/
 leaves numpy.random unloaded, the checks share no kernel with the evaluator, the evaluator
-uses no part of the dense oracle, no other module reads `tensor`, the CLI module loads no
-numpy, the modules that `delta-e` and `extrema` run import nothing beyond the standard
-library and each other, and one function forks, its child ending through os._exit."""
+uses no part of the dense oracle, no other module reads `tensor`, the CLI reads a stored
+surface only through `extrema.read`, the CLI module loads no numpy, the modules that
+`delta-e` and `extrema` run import nothing beyond the standard library and each other, and
+one function forks, its child ending through os._exit."""
 
 import ast
 import sys
@@ -108,6 +109,19 @@ def test_only_checks_reads_tensor_and_only_the_factor_order():
                 imported += [(path.stem, "tensor") for alias in node.names
                              if alias.name in ("tensor", "spinboost.tensor")]
     assert imported == [], imported
+
+
+def test_cli_reads_a_stored_surface_only_through_extrema_read():
+    """The format rule (JSON if the first non-blank character is `{`, else CSV) and the
+    choice of a read in two processes belong to `extrema.read`: cli.py imports from
+    `extrema` only `read`, and the collector and merge radius that `sweep --summary` uses."""
+    path = PACKAGE / "cli.py"
+    imported = {alias.name
+                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                if isinstance(node, ast.ImportFrom)
+                and node.module in ("extrema", "spinboost.extrema")
+                for alias in node.names}
+    assert imported == {"read", "HitCollector", "DEFAULT_MERGE_RADIUS"}, imported
 
 
 def _module_level_imports(path: Path) -> list[str]:

@@ -17,6 +17,8 @@ from helpers import (
     Surface,
     find_extrema,
     force_worker,
+    read_csv,
+    read_json,
     read_surface,
     run_sweep,
     write_csv,
@@ -25,7 +27,7 @@ from helpers import (
 
 from spinboost import extrema, sweep
 from spinboost.entanglement import PARTITIONS, delta_e
-from spinboost.extrema import HitCollector, _cluster, read_csv, read_json
+from spinboost.extrema import HitCollector, _cluster
 from spinboost.states import SpinFamily, SpinParams
 from spinboost.sweep import GridSpec, delta_e_grid, writer
 
@@ -553,22 +555,37 @@ def _edited(lines: list[str], k: int, edit: str, seam: int) -> list[str]:
 _SEAM_EDITS = ("non-number", "two-columns", "four-columns", "underscore", "non-ascii-digit",
                "theta-repeat", "phi-column", "phi-zero-spelling", "non-finite", "blank-lines")
 # edits after which the file is still a surface that both reads accept
-_VALID_EDITS = ("valid", "phi-zero-spelling", "blank-lines", "non-finite")
+_VALID_EDITS = ("valid", "crlf", "phi-zero-spelling", "blank-lines", "non-finite")
+
+
+def _read_or_error(path) -> tuple | str:
+    """extrema.read's axes and collector state, or its error message."""
+    try:
+        thetas, phis, hits = extrema.read(path)
+    except ValueError as exc:
+        return str(exc)
+    return thetas, phis, vars(hits)
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (121, 241), (401, 801)], ids=lambda s: "x".join(map(str, s)))
 def test_csv_read_in_two_processes_is_the_read_in_one(shape, tmp_path, capsys, monkeypatch):
-    """A CSV surface read in two halves at once gives what the read in one process gives:
-    the axes and the collector when both accept it, else no result, so that `extrema`
-    reads it again in one process. The files are valid surfaces and surfaces with each
-    edit at a line of the first half, at the first line of the second half and in the
-    second half; a phi column moved from the seam on makes two valid halves that do not
-    join. `extrema` prints the same bytes and exits with the same code either way."""
+    """A CSV surface that extrema.read reads in two halves at once gives what the read in one
+    process gives: the axes and the collector when both accept it, else the one-process
+    read's error, which it then makes itself. The files are valid surfaces, a copy with
+    CRLF line ends, and surfaces with each edit at a line of the first half, at the first
+    line of the second half and in the second half; a phi column moved from the seam on
+    makes two valid halves that do not join. Past the smallest shape every file that both
+    reads accept is read in two halves, the halves merged. `extrema` prints the same bytes
+    and exits with the same code either way."""
     from spinboost import worker
     from spinboost.cli import main
 
     # the small surfaces are read in two processes too
     force_worker(monkeypatch)
+    # HitCollector.merge runs only where the two halves were read and joined
+    merges, merge = [], HitCollector.merge
+    monkeypatch.setattr(HitCollector, "merge",
+                        lambda self, other: merges.append(1) or merge(self, other))
     path = tmp_path / "s.csv"
     header, *lines = _surface_csv(shape).splitlines()
     data = _surface_csv(shape).encode()
@@ -577,61 +594,56 @@ def test_csv_read_in_two_processes_is_the_read_in_one(shape, tmp_path, capsys, m
     seam = _surface_csv(shape)[:seam_offset].count("\n") - 1
     positions = {"first-half": seam // 2, "seam-row": seam,
                  "second-half": (seam + len(lines)) // 2}
-    cases = [("valid", 0), ("short-last-row", 0)] + [
+    cases = [("valid", 0), ("crlf", 0), ("short-last-row", 0)] + [
         (edit, k) for edit in _SEAM_EDITS for k in positions.values()]
     if shape == (401, 801):
         cases = [("valid", 0), ("theta-repeat", seam), ("phi-column", seam),
                  ("phi-zero-spelling", seam), ("non-number", positions["second-half"])]
     for edit, k in cases:
-        path.write_text("\n".join([header, *_edited(lines, k, edit, seam)]) + "\n")
-        hits = HitCollector()
-        try:
-            with open(path, encoding="utf-8") as handle:
-                one = (*read_csv(handle, hits.add), vars(hits))
-        except ValueError as exc:
-            one = str(exc)
-        two = extrema.read_csv_in_halves(path)
-        if two is not None:
-            two = (two[0], two[1], vars(two[2]))
+        end = "\r\n" if edit == "crlf" else "\n"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(end.join([header, *_edited(lines, k, edit, seam)]) + end)
+        with monkeypatch.context() as patch:
+            patch.setattr(worker, "usable", lambda cells: False)
+            one = _read_or_error(path)
+        assert not merges
+        two = _read_or_error(path)
+        assert two == one, (edit, k)
         if isinstance(one, str):
-            assert two is None, (edit, k, one)
-        else:
-            assert two in (None, one), (edit, k)
-            if shape != (3, 3):
-                assert edit in _VALID_EDITS and two is not None, (edit, k)
+            assert not merges, (edit, k, one)
+        elif shape != (3, 3):
+            assert edit in _VALID_EDITS and merges == [1], (edit, k)
+        merges.clear()
         outcomes = []
         for usable in (worker.usable, lambda cells: False):
             with monkeypatch.context() as patch:
                 patch.setattr(worker, "usable", usable)
                 outcomes.append((main(["extrema", "--in", str(path)]), *capsys.readouterr()))
         assert outcomes[0] == outcomes[1], (edit, k)
+        merges.clear()
 
 
 def test_csv_read_in_halves_turned_down_reads_only_a_probe(tmp_path, monkeypatch):
-    """Where `worker.usable` turns the worker's share down, the read in halves takes the
-    header line and _SEAM_PROBE bytes at the file's middle, not the whole seam window; the
-    share it asks about is the cells, one a line, of the file's later half, within 1%."""
+    """Where `worker.usable` turns the worker's share down, extrema.read reads _SEAM_PROBE
+    bytes at the file's middle, not the whole seam window, and then the file in one
+    process; the share it asks about is the cells, one a line, of the file's later half,
+    within 1%."""
     from spinboost import worker
 
     path = tmp_path / "s.csv"
     path.write_text(_surface_csv((401, 801)), encoding="utf-8")
     asked, reads = [], []
+    pread = os.pread
 
-    def counting_open(*args, **kwargs):
-        handle = open(*args, **kwargs)
-        read = handle.read
-
-        def counted(size=-1):
-            data = read(size)
-            reads.append(len(data))
-            return data
-
-        handle.read = counted
-        return handle
+    def counted(fd, size, offset):
+        data = pread(fd, size, offset)
+        reads.append(len(data))
+        return data
 
     monkeypatch.setattr(worker, "usable", lambda cells: asked.append(cells) or False)
-    monkeypatch.setattr(extrema, "open", counting_open, raising=False)
-    assert extrema.read_csv_in_halves(path) is None
+    monkeypatch.setattr(os, "pread", counted)
+    thetas, phis, hits = extrema.read(path)
+    assert (len(thetas), len(phis), hits.cells) == (401, 801, 401 * 801)
     assert reads == [extrema._SEAM_PROBE]
     later = path.read_bytes()[path.stat().st_size // 2 :].count(b"\n")
     assert abs(asked[0] - later) <= later // 100, (asked, later)

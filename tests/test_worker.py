@@ -5,12 +5,12 @@ import math
 import os
 
 import pytest
-from helpers import write_csv
+from helpers import read_csv, write_csv
 
 from spinboost import sweep, worker
 from spinboost.cli import main
 from spinboost.entanglement import PARTITIONS
-from spinboost.extrema import HitCollector, read_csv
+from spinboost.extrema import HitCollector
 from spinboost.states import SpinFamily
 
 linux = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
@@ -116,9 +116,9 @@ def test_busy_or_one_cpu_machine_sweeps_and_reads_in_one_process(machine, monkey
 
 
 def test_library_writers_and_reader_stay_in_one_process(monkeypatch):
-    """delta_e_grid and read_csv run in the caller's process alone, on a surface of many
-    blocks and with every share worth a worker: only the command's writer and reader fork,
-    where the CLI knows its process's threads."""
+    """delta_e_grid and the CSV read in one process run in the caller's process alone, on a
+    surface of many blocks and with every share worth a worker: only the command's writer
+    and `extrema.read` fork, where the CLI knows its process's threads."""
     def no_fork():
         raise AssertionError("os.fork called")
 
