@@ -34,10 +34,15 @@ class _Closed(io.TextIOBase):
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that signals usage problems instead of exiting with 2."""
+    """ArgumentParser that signals usage problems instead of exiting with 2, and lets a
+    failed write of its help through, as a runtime error, where argparse would drop it."""
 
     def error(self, message: str) -> None:
         raise _UsageError(message)
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            (file or sys.stderr).write(message)
 
 
 def _grid_spec(text: str):
@@ -198,12 +203,10 @@ def _print_extrema(report, stream) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .surface import writes_json
     from .sweep import DEFAULT_PHI_GRID, DEFAULT_THETA_GRID, writer
 
     omega = _omega(args)
-    fmt = args.format
-    if fmt is None:
-        fmt = "json" if args.out is not None and args.out.suffix == ".json" else "csv"
     theta_grid = DEFAULT_THETA_GRID if args.theta_grid is None else args.theta_grid
     phi_grid = DEFAULT_PHI_GRID if args.phi_grid is None else args.phi_grid
     hits = add_row = None
@@ -215,7 +218,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # a bad alpha or grid raises here; the rows are evaluated as write writes them, a block
     # at a time, and this process runs no other thread, so write may fork a worker
     write = writer(args.family, args.alpha, omega, args.partition, theta_grid, phi_grid,
-                   fmt == "json", add_row)
+                   writes_json(args.format, args.out), add_row)
     if args.omega is None:
         print(f"omega = {omega:.17g}", file=sys.stderr)
     if args.out is None:
@@ -242,7 +245,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_extrema(args: argparse.Namespace) -> int:
-    from .extrema import DEFAULT_MERGE_RADIUS, read
+    from .extrema import DEFAULT_MERGE_RADIUS
+    from .surface import read
 
     # this process runs no other thread, so read may fork a worker
     thetas, phis, hits = read(args.infile)
@@ -292,13 +296,15 @@ def main(argv: list[str] | None = None) -> int:
     sys.stdout, sys.stderr = sys.stdout or _Closed(), sys.stderr or _Closed()
     parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
-        code = _COMMANDS[args.command](args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help paths
+            code = int(exc.code or 0)
+        else:
+            code = _COMMANDS[args.command](args)
         # buffered output that cannot be written fails here, as a runtime error
         sys.stdout.flush()
         return code
-    except SystemExit as exc:  # --help paths
-        return int(exc.code or 0)
     except _UsageError as exc:
         code, line = 1, f"usage error: {exc}"
     except (OSError, ValueError, MemoryError) as exc:

@@ -97,6 +97,15 @@ _MONOMIALS = tuple(
 )
 
 
+def _dot(u, v) -> float:
+    """The sum of the products of u and v, added front to back: from Python 3.12 on, sum()
+    compensates its rounding, which would change the last bits of every surface."""
+    total = 0.0
+    for product in map(mul, u, v):
+        total += product
+    return total
+
+
 def _gram_forms(
     rows: dict[tuple[int, int, int, int], list[float]], part: frozenset[SubsystemLabel]
 ) -> list[list[float]]:
@@ -117,7 +126,7 @@ def _gram_forms(
     # each kept index's traced rows as three amplitude columns
     sides = [list(zip(*traced)) for traced in kept.values()]
     return [
-        [sum(map(mul, u, v)) for u in left for v in right] for left in sides for right in sides
+        [_dot(u, v) for u in left for v in right] for left in sides for right in sides
     ]
 
 
@@ -151,7 +160,7 @@ def _purity_quartics(
         quartic = [0.0] * len(_QUARTICS)
         for part in partition.parts:
             columns = list(zip(*_gram_forms(rows, part)))
-            products = (sum(map(mul, u, v)) for u in columns for v in columns)
+            products = (_dot(u, v) for u in columns for v in columns)
             for monomial, product in zip(_MONOMIALS, products):
                 quartic[monomial] += product
         quartics.append(quartic)

@@ -1,4 +1,4 @@
-"""Grid sweeps of the entanglement change over (theta, phi), and their CSV and JSON files.
+"""Grid sweeps of the entanglement change over (theta, phi), and the writer of their files.
 
 The sweep ranges over one spin family at fixed momentum parameter alpha and
 boost angle omega, evaluating the entanglement change for every grid cell.
@@ -72,51 +72,6 @@ def delta_e_grid(
     return np.concatenate([block(start) for start in starts])
 
 
-# a file's text in three parts: its head, the text of theta row k, and its tail
-_Form = tuple[str, Callable[[int, list[float]], str], str]
-
-
-def _csv_form(thetas: list[float], phis: list[float]) -> _Form:
-    # each coordinate is formatted once; each theta row is one %-template,
-    # the theta string joining the pre-formatted phi cells
-    phi_cells = ["", *(f",{phi:.17g},%.17g\n" for phi in phis)]
-
-    def text(k: int, row: list[float]) -> str:
-        return f"{thetas[k]:.17g}".join(phi_cells) % tuple(row)
-
-    return "theta,phi,delta_e\n", text, ""
-
-
-def _json_form(family: SpinFamily, alpha: float, omega: float, partition: Partition,
-               theta_grid: GridSpec, phi_grid: GridSpec) -> _Form:
-    import json
-
-    envelope = {
-        "config": {
-            "family": family.value,
-            "alpha": alpha,
-            "omega": omega,
-            "partition": partition.name,
-            "theta_grid": theta_grid._asdict(),
-            "phi_grid": phi_grid._asdict(),
-        },
-        "shape": [theta_grid.count, phi_grid.count],
-        "values": [],
-    }
-    # the bytes of json.dump(envelope, indent=2) with the values filled in:
-    # the head is the envelope up to its empty list, and each theta row of
-    # values is one call of the C encoder with the separator indent=2 puts
-    # between the items of a list at that depth
-    head = json.dumps(envelope, indent=2)
-    separator = ",\n    "
-    encode = json.JSONEncoder(separators=(separator, ": ")).encode
-
-    def text(k: int, row: list[float]) -> str:
-        return (separator if k else "") + encode(row)[1:-1]
-
-    return head[: -len("]\n}")] + "\n    ", text, "\n  ]\n}\n"
-
-
 def writer(
     family: SpinFamily,
     alpha: float,
@@ -127,10 +82,9 @@ def writer(
     as_json: bool,
     add_row: Callable[[list[float]], None] | None = None,
 ) -> Callable[[IO[str]], None]:
-    """The sweep's file writer: write(stream) writes the surface over the grids' points as a
-    JSON envelope of the config, shape and values (as_json), or as CSV with header
-    theta,phi,delta_e, one line a cell, theta outer; and hands each theta row to add_row,
-    if one is given, in order.
+    """The sweep's file writer: write(stream) writes the surface over the grids' points in
+    `surface`'s JSON form (as_json) or CSV form, and hands each theta row to add_row, if one
+    is given, in order.
 
     The grid points and the coefficient pass are made in this call, so a bad alpha or grid
     raises before any stream is opened. write evaluates a block of theta rows at a time.
@@ -138,12 +92,12 @@ def writer(
     and formats those meanwhile; so write forks the calling process, and is for a caller
     that knows its process's threads, as the CLI.
     """
+    from . import surface
+
     thetas, phis = theta_grid.points, phi_grid.points
     starts, block = _blocks(family, alpha, omega, partition, thetas, phis)
-    if as_json:
-        head, text, tail = _json_form(family, alpha, omega, partition, theta_grid, phi_grid)
-    else:
-        head, text, tail = _csv_form(thetas, phis)
+    head, text, tail = (surface.json_form(family, alpha, omega, partition, theta_grid, phi_grid)
+                        if as_json else surface.csv_form(thetas, phis))
     odd = starts[1::2]
     odd_cells = sum(min(starts.step, len(thetas) - start) for start in odd) * len(phis)
 

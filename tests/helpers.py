@@ -1,8 +1,9 @@
 """Builders that only the tests use: product states, factor reordering, one-state entropy,
-and whole surfaces: swept, written to and read back from a stream, and reported on; and a
-worker forced on."""
+and whole surfaces: swept, written to and read back from a stream, and reported on, also
+on a reference route; and a worker forced on."""
 
 import io
+import json
 import os
 from collections import namedtuple
 
@@ -10,8 +11,10 @@ import numpy as np
 import pytest
 
 from spinboost.entanglement import Partition
-from spinboost.extrema import DEFAULT_MERGE_RADIUS, HitCollector, _csv_texts, _read_csv, _read_json
-from spinboost.sweep import _csv_form, _json_form, writer
+from spinboost.extrema import DEFAULT_MERGE_RADIUS, HitCollector
+from spinboost.grid import GridSpec
+from spinboost.surface import _csv_texts, _read_csv, _read_json, csv_form, json_form
+from spinboost.sweep import writer
 from spinboost.tensor import NORM_TOL, FactorOrder, PureState, outer, partial_trace, purity
 
 
@@ -62,13 +65,13 @@ def _write(form, rows, stream) -> None:
 
 def write_csv(thetas, phis, rows, stream) -> None:
     """Any theta rows over any axes as CSV, in the form a sweep writes its surface in."""
-    _write(_csv_form(thetas, phis), rows, stream)
+    _write(csv_form(thetas, phis), rows, stream)
 
 
 def write_json(family, alpha, omega, partition, theta_grid, phi_grid, rows, stream) -> None:
     """Any theta rows as a JSON envelope of the given config, in the form a sweep writes its
     surface in."""
-    _write(_json_form(family, alpha, omega, partition, theta_grid, phi_grid), rows, stream)
+    _write(json_form(family, alpha, omega, partition, theta_grid, phi_grid), rows, stream)
 
 
 def find_extrema(surface: Surface, merge_radius: float = DEFAULT_MERGE_RADIUS):
@@ -98,6 +101,53 @@ def read_surface(reader, stream) -> Surface:
     thetas, phis = reader(stream, rows.append)
     values = np.array(rows, dtype=float).reshape(len(thetas), len(phis))
     return Surface(np.array(thetas), np.array(phis), values)
+
+
+def _reference_surface(text: str) -> Surface | None:
+    if text.lstrip().startswith("{"):
+        envelope = json.loads(text)
+        grids = [GridSpec(**envelope["config"][axis]) for axis in ("theta_grid", "phi_grid")]
+        values = envelope["values"]
+        if type(values) is not list or any(type(v) not in (int, float) for v in values):
+            return None
+        if list(envelope["shape"]) != [g.count for g in grids] or len(values) != (
+                grids[0].count * grids[1].count):
+            return None
+        thetas, phis = (np.array(g.points) for g in grids)
+        return Surface(thetas, phis, np.array(values, dtype=float).reshape(len(thetas), -1))
+    header, _, body = text.partition("\n")
+    if header.strip() != "theta,phi,delta_e":
+        return None
+    cells = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    if cells.shape[1:] != (3,) or len(cells) == 0:
+        return None
+    # a row starts where theta changes; every row is as long as the first
+    theta = cells[:, 0]
+    starts = np.flatnonzero(np.r_[True, theta[1:] != theta[:-1]])
+    n_phi = starts[1] if len(starts) > 1 else len(cells)
+    if len(cells) % n_phi:
+        return None
+    grid = cells.reshape(-1, n_phi, 3)
+    thetas, phis = grid[:, 0, 0], grid[0, :, 1]
+    on_grid = (grid[:, :, 0] == thetas[:, None]).all() and (grid[:, :, 1] == phis).all()
+    if not (on_grid and np.isfinite(thetas).all() and np.isfinite(phis).all()
+            and len(set(thetas.tolist())) == len(thetas) >= 2
+            and len(set(phis.tolist())) == len(phis) >= 2):
+        return None
+    return Surface(thetas, phis, grid[:, :, 2])
+
+
+def reference_report(data: bytes):
+    """The extrema report of a stored file's bytes read on a route of their own: UTF-8 with
+    universal newlines, JSON if the first non-blank character is `{`, then `json.loads` and
+    the envelope's checks, else the CSV header and `np.loadtxt` and the theta x phi grid's
+    checks. None where the file is no surface."""
+    try:
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        surface = _reference_surface(text)
+        return None if surface is None else find_extrema(surface)
+    except (ValueError, KeyError, TypeError, OverflowError):
+        return None
 
 
 def force_worker(monkeypatch) -> None:

@@ -53,9 +53,9 @@ def test_package_top_level_is_lean():
 def test_no_command_loads_numpy_random(tmp_path):
     """No command draws from numpy.random or loads dataclasses, and each command loads only
     the modules it runs: numpy for `sweep` and `check` alone, json only to read or write
-    JSON, the extrema reader only for `extrema` and `sweep --summary`, the worker only for
-    `sweep` and CSV `extrema`, which ask it whether to fork, and no inspect (which numpy
-    loads) where numpy stays unloaded.
+    JSON, the stored forms only for `sweep` and `extrema`, the extrema collector only for
+    `extrema` and `sweep --summary`, the worker only for `sweep` and CSV `extrema`, which
+    ask it whether to fork, and no inspect (which numpy loads) where numpy stays unloaded.
 
     Each command runs in a fresh interpreter that imports nothing else, and the modules
     loaded before the CLI is imported do not count."""
@@ -65,7 +65,7 @@ def test_no_command_loads_numpy_random(tmp_path):
     sweep = ["sweep", "--family", "s1", "--alpha", "0.7", "--omega", "0.3", "--partition", "svp",
              *SMALL_GRID]
     extrema, checks, sweep_module = "spinboost.extrema", "spinboost.checks", "spinboost.sweep"
-    worker = "spinboost.worker"
+    worker, surface = "spinboost.worker", "spinboost.surface"
     expected = [
         (["wigner-angle", "--xi", "1", "--eta", "1"], 0, []),
         (["--help"], 0, []),
@@ -73,11 +73,12 @@ def test_no_command_loads_numpy_random(tmp_path):
         (["wigner-angle", "--xi", "1"], 1, []),  # a usage error: --eta is missing
         (["delta-e", "--state", "s00", "--alpha", "0.7", "--omega", "0.3", "--partition", "1v3"],
          0, []),
-        (["extrema", "--in", str(stored)], 0, [extrema, worker]),
-        ([*sweep, "--out", str(csv)], 0, ["numpy", sweep_module, worker]),
-        ([*sweep, "--out", str(json_out)], 0, ["json", "numpy", sweep_module, worker]),
-        (["extrema", "--in", str(json_out)], 0, ["json", extrema]),
-        ([*sweep, "--out", str(csv), "--summary"], 0, ["numpy", extrema, sweep_module, worker]),
+        (["extrema", "--in", str(stored)], 0, [extrema, surface, worker]),
+        ([*sweep, "--out", str(csv)], 0, ["numpy", surface, sweep_module, worker]),
+        ([*sweep, "--out", str(json_out)], 0, ["json", "numpy", surface, sweep_module, worker]),
+        (["extrema", "--in", str(json_out)], 0, ["json", extrema, surface]),
+        ([*sweep, "--out", str(csv), "--summary"], 0,
+         ["numpy", extrema, surface, sweep_module, worker]),
         (["check"], 0, ["numpy", checks, sweep_module]),
         (["check", "--json"], 0, ["json", "numpy", checks, sweep_module]),
     ]
@@ -89,7 +90,8 @@ def test_no_command_loads_numpy_random(tmp_path):
         "print(rc, *sorted(set(sys.modules) - before), file=sys.stderr)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(spinboost.__file__).resolve().parents[1])}
-    watched = {"dataclasses", "json", "numpy", "numpy.random", checks, extrema, sweep_module, worker}
+    watched = {"dataclasses", "json", "numpy", "numpy.random", checks, extrema, surface,
+               sweep_module, worker}
     reports = []
     for argv, _, loads in expected:
         proc = subprocess.run([sys.executable, "-c", code, *argv],
@@ -155,13 +157,16 @@ def test_command_help_is_the_full_parsers(command, capsys, monkeypatch):
         ["sweep", "--family", "s1", "--alpha", "0.7", "--omega", "0.3", "--partition", "svp"],
         ["extrema", "--in", "{stored}"],
         ["check"],
+        # argparse drops help that its stream cannot take
+        ["--help"],
+        ["sweep", "--help"],
     ],
-    ids=lambda argv: argv[0],
+    ids=lambda argv: "-".join(argv) if "--help" in argv else argv[0],
 )
 def test_failed_stdout_write_exits_two(argv, sink, tmp_path):
     """Output that cannot be written is a runtime failure: one error line and exit 2, whether
     the write fails inside the command or at the final flush of buffered stdout, or stdout
-    is not open at all."""
+    is not open at all; help text too."""
     stored = tmp_path / "stored.csv"
     stored.write_text(STORED_CSV)
     argv = [arg.format(stored=stored) for arg in argv]
@@ -921,14 +926,14 @@ def test_extrema_worker_failures_give_the_one_process_read(tmp_path, capsys, mon
     """A CSV read in two processes whose worker dies, or whose second half is malformed,
     gives what the read in one process gives: the same exit code, report or error line,
     and no process left."""
-    from spinboost import extrema, worker
+    from spinboost import surface, worker
 
     path = tmp_path / "s.csv"
     assert main(["sweep", "--family", "s1", "--alpha", "0.785", "--omega", "0.3",
                  "--partition", "svp", *TWO_BLOCKS, "--out", str(path)]) == 0
     # the 1.8 MB file is seven chunks of the reader's text; read it in two processes
     force_worker(monkeypatch)
-    assert os.path.getsize(path) > 4 * extrema._CSV_CHUNK
+    assert os.path.getsize(path) > 4 * surface._CSV_CHUNK
     lines = path.read_text().splitlines()
 
     def outcome():
@@ -938,7 +943,7 @@ def test_extrema_worker_failures_give_the_one_process_read(tmp_path, capsys, mon
 
     capsys.readouterr()
     one_process = {}
-    read_core, caller = extrema._read_csv, os.getpid()
+    read_core, caller = surface._read_csv, os.getpid()
 
     def dying(*args):
         if os.getpid() != caller:
@@ -955,7 +960,7 @@ def test_extrema_worker_failures_give_the_one_process_read(tmp_path, capsys, mon
             one_process[case] = outcome()
         with monkeypatch.context() as patch:
             if case == "worker-dies":
-                patch.setattr(extrema, "_read_csv", dying)
+                patch.setattr(surface, "_read_csv", dying)
             assert outcome() == one_process[case], case
     assert one_process["worker-dies"] == one_process["valid"]
     assert one_process["valid"][0] == 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from helpers import assemble, entropy, permute_factors
 
+from spinboost import entanglement
 from spinboost.checks import _linear_entropy as checks_entropy
 from spinboost.entanglement import (
     PARTITIONS,
@@ -241,6 +242,25 @@ def test_delta_e_frozen_values(spin, alpha, omega, partition, expected, tol):
     res = delta_e(get_named_state(spin), alpha, omega, PARTITIONS[partition])
     assert abs(res.delta - expected) < tol
     assert res.delta == res.e_after - res.e_before
+
+
+def test_coefficient_pass_adds_front_to_back_on_every_python(monkeypatch):
+    """The coefficient pass adds its products front to back, as sum() did up to Python 3.11,
+    so a point's bits are the same on every supported Python: with math.fsum in place of
+    the builtin sum, which from 3.12 on compensates its rounding too, every family's and
+    partition's quartics keep their bits, and one point keeps the bits it has on 3.11."""
+    cases = [(family, partition) for family in SpinFamily for partition in PARTITIONS.values()]
+
+    def quartics():
+        return [[c.hex() for quartic in entanglement._purity_quartics(
+                    family, 0.7, (0.0, math.pi / 8, math.pi / 2), partition) for c in quartic]
+                for family, partition in cases]
+
+    plain = quartics()
+    monkeypatch.setattr(entanglement, "sum", math.fsum, raising=False)
+    assert quartics() == plain
+    point = delta_e(SpinParams(SpinFamily.S1, 1.1, 2.3), 0.7, math.pi / 8, PARTITIONS["SvsP"])
+    assert point.delta.hex() == "0x1.16e33355ca134p-1"
 
 
 @pytest.mark.parametrize("family", list(SpinFamily))

@@ -1,9 +1,10 @@
 """Layout rules: every public top-level name in src/ has a user outside the tests, src/
 leaves numpy.random unloaded, the checks share no kernel with the evaluator, the evaluator
-uses no part of the dense oracle, no other module reads `tensor`, the CLI reads a stored
-surface only through `extrema.read`, the CLI module loads no numpy, the modules that
-`delta-e` and `extrema` run import nothing beyond the standard library and each other, and
-one function forks, its child ending through os._exit."""
+uses no part of the dense oracle, no other module reads `tensor`, `surface` alone spells the
+stored forms and the format rules, the CLI reads a stored surface only through
+`surface.read`, the CLI module loads no numpy, the modules that `delta-e` and `extrema` run
+import nothing beyond the standard library and each other, and one function forks, its
+child ending through os._exit."""
 
 import ast
 import sys
@@ -111,17 +112,43 @@ def test_only_checks_reads_tensor_and_only_the_factor_order():
     assert imported == [], imported
 
 
-def test_cli_reads_a_stored_surface_only_through_extrema_read():
-    """The format rule (JSON if the first non-blank character is `{`, else CSV) and the
-    choice of a read in two processes belong to `extrema.read`: cli.py imports from
-    `extrema` only `read`, and the collector and merge radius that `sweep --summary` uses."""
+# the JSON envelope's keys, and the format rules' `.json` suffix and `{` sniff
+_FORMAT_TEXTS = {"config", "shape", "values", "theta_grid", "phi_grid", ".json", "{"}
+
+
+def test_only_surface_spells_the_stored_forms():
+    """The CSV header, the JSON envelope's keys and the format rules are string constants of
+    surface.py alone, and `sweep` and `extrema` load no json, open no file and write no
+    number as %.17g: the text forms and the readers are `surface`'s."""
+    spelled = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        spelled += [(path.stem, node.value) for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and (node.value in _FORMAT_TEXTS or "theta,phi,delta_e" in node.value)]
+        if path.stem in ("sweep", "extrema"):
+            forms = [ast.dump(node) for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant) and ".17g" in str(node.value)
+                     or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"
+                     or isinstance(node, ast.Import) and "json" in [a.name for a in node.names]]
+            assert not forms, (path.stem, forms)
+    assert {stem for stem, _ in spelled} == {"surface"}, spelled
+    assert {text for _, text in spelled} >= _FORMAT_TEXTS | {"theta,phi,delta_e"}, spelled
+
+
+def test_cli_reads_a_stored_surface_only_through_surface_read():
+    """The format rules (a sweep writes JSON as `--format` says, else for a `.json` path; a
+    file reads as JSON if its first non-blank character is `{`, else as CSV) and the choice
+    of a read in two processes belong to `surface`: cli.py imports from it only `read` and
+    `writes_json`, and from `extrema` only the collector and merge radius."""
     path = PACKAGE / "cli.py"
-    imported = {alias.name
+    imported = {(node.module.split(".")[-1], alias.name)
                 for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                 if isinstance(node, ast.ImportFrom)
-                and node.module in ("extrema", "spinboost.extrema")
+                and (node.module or "").split(".")[-1] in ("extrema", "surface")
                 for alias in node.names}
-    assert imported == {"read", "HitCollector", "DEFAULT_MERGE_RADIUS"}, imported
+    assert imported == {("surface", "read"), ("surface", "writes_json"),
+                        ("extrema", "HitCollector"), ("extrema", "DEFAULT_MERGE_RADIUS")}, imported
 
 
 def _module_level_imports(path: Path) -> list[str]:
@@ -155,7 +182,7 @@ def test_cli_loads_only_stdlib_and_kinematics():
 
 
 # the modules that `spinboost delta-e` and `spinboost extrema` load besides cli.py
-NUMPY_FREE = ("kinematics", "states", "entanglement", "grid", "extrema", "worker")
+NUMPY_FREE = ("kinematics", "states", "entanglement", "grid", "extrema", "surface", "worker")
 
 
 def test_numpy_free_layer_imports_only_stdlib_and_itself():

@@ -25,7 +25,7 @@ from helpers import (
     write_json,
 )
 
-from spinboost import extrema, sweep
+from spinboost import extrema, surface, sweep
 from spinboost.entanglement import PARTITIONS, delta_e
 from spinboost.extrema import HitCollector, _cluster
 from spinboost.states import SpinFamily, SpinParams
@@ -375,9 +375,9 @@ def test_csv_reader_block_size_does_not_change_the_arrays(monkeypatch):
     middle = "\n".join([header, *rows[:20], "", *rows[20:]]) + "\n"
     after_second = "\n".join([header, *rows[:2], "", *rows[2:]]) + "\n"
     two_rows = len(rows[0]) + len(rows[1]) + 2
-    cases = ((7, text), (7, blank), (extrema._CSV_CHUNK, middle), (two_rows, after_second))
+    cases = ((7, text), (7, blank), (surface._CSV_CHUNK, middle), (two_rows, after_second))
     for chunk, source in cases:
-        monkeypatch.setattr(extrema, "_CSV_CHUNK", chunk)
+        monkeypatch.setattr(surface, "_CSV_CHUNK", chunk)
         blocked = read_surface(read_csv, io.StringIO(source))
         for name in ("thetas", "phis", "values"):
             assert getattr(blocked, name).tobytes() == getattr(plain, name).tobytes()
@@ -559,9 +559,9 @@ _VALID_EDITS = ("valid", "crlf", "phi-zero-spelling", "blank-lines", "non-finite
 
 
 def _read_or_error(path) -> tuple | str:
-    """extrema.read's axes and collector state, or its error message."""
+    """surface.read's axes and collector state, or its error message."""
     try:
-        thetas, phis, hits = extrema.read(path)
+        thetas, phis, hits = surface.read(path)
     except ValueError as exc:
         return str(exc)
     return thetas, phis, vars(hits)
@@ -569,7 +569,7 @@ def _read_or_error(path) -> tuple | str:
 
 @pytest.mark.parametrize("shape", [(3, 3), (121, 241), (401, 801)], ids=lambda s: "x".join(map(str, s)))
 def test_csv_read_in_two_processes_is_the_read_in_one(shape, tmp_path, capsys, monkeypatch):
-    """A CSV surface that extrema.read reads in two halves at once gives what the read in one
+    """A CSV surface that surface.read reads in two halves at once gives what the read in one
     process gives: the axes and the collector when both accept it, else the one-process
     read's error, which it then makes itself. The files are valid surfaces, a copy with
     CRLF line ends, and surfaces with each edit at a line of the first half, at the first
@@ -590,7 +590,7 @@ def test_csv_read_in_two_processes_is_the_read_in_one(shape, tmp_path, capsys, m
     header, *lines = _surface_csv(shape).splitlines()
     data = _surface_csv(shape).encode()
     middle = max(len(data) // 2, len(header) + 1)
-    seam_offset = middle + extrema._seam(data[middle : middle + extrema._SEAM_WINDOW])
+    seam_offset = middle + surface._seam(data[middle : middle + surface._SEAM_WINDOW])
     seam = _surface_csv(shape)[:seam_offset].count("\n") - 1
     positions = {"first-half": seam // 2, "seam-row": seam,
                  "second-half": (seam + len(lines)) // 2}
@@ -624,7 +624,7 @@ def test_csv_read_in_two_processes_is_the_read_in_one(shape, tmp_path, capsys, m
 
 
 def test_csv_read_in_halves_turned_down_reads_only_a_probe(tmp_path, monkeypatch):
-    """Where `worker.usable` turns the worker's share down, extrema.read reads _SEAM_PROBE
+    """Where `worker.usable` turns the worker's share down, surface.read reads _SEAM_PROBE
     bytes at the file's middle, not the whole seam window, and then the file in one
     process; the share it asks about is the cells, one a line, of the file's later half,
     within 1%."""
@@ -642,9 +642,9 @@ def test_csv_read_in_halves_turned_down_reads_only_a_probe(tmp_path, monkeypatch
 
     monkeypatch.setattr(worker, "usable", lambda cells: asked.append(cells) or False)
     monkeypatch.setattr(os, "pread", counted)
-    thetas, phis, hits = extrema.read(path)
+    thetas, phis, hits = surface.read(path)
     assert (len(thetas), len(phis), hits.cells) == (401, 801, 401 * 801)
-    assert reads == [extrema._SEAM_PROBE]
+    assert reads == [surface._SEAM_PROBE]
     later = path.read_bytes()[path.stat().st_size // 2 :].count(b"\n")
     assert abs(asked[0] - later) <= later // 100, (asked, later)
 

@@ -118,7 +118,7 @@ def test_busy_or_one_cpu_machine_sweeps_and_reads_in_one_process(machine, monkey
 def test_library_writers_and_reader_stay_in_one_process(monkeypatch):
     """delta_e_grid and the CSV read in one process run in the caller's process alone, on a
     surface of many blocks and with every share worth a worker: only the command's writer
-    and `extrema.read` fork, where the CLI knows its process's threads."""
+    and `surface.read` fork, where the CLI knows its process's threads."""
     def no_fork():
         raise AssertionError("os.fork called")
 
