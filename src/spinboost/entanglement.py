@@ -192,8 +192,10 @@ def _entropies(partition, quartics, theta_factors, phi_factors):
     _QUARTICS order. The factors are floats for a point, or arrays for a
     grid, theta's shaped (n, 1) and phi's (m,), which broadcast each
     multiply-add to the (n, m) surface; either way a cell gets the bits of
-    its point. Before is the boost by zero, so at omega = 0 both entropies
-    are the same bits.
+    its point. `sweep`'s row kernel for a grid of one block runs these
+    products and sums on floats, in this order, written out term by term.
+    Before is the boost by zero, so at omega = 0 both entropies are the
+    same bits.
     """
     theta_monomials = _monomial_factors(theta_factors)
     phi_monomials = _monomial_factors(phi_factors)

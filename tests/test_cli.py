@@ -52,18 +52,18 @@ def test_package_top_level_is_lean():
 
 def test_no_command_loads_numpy_random(tmp_path):
     """No command draws from numpy.random or loads dataclasses, and each command loads only
-    the modules it runs: numpy for `sweep` and `check` alone, json only to read or write
-    JSON, the stored forms only for `sweep` and `extrema`, the extrema collector only for
-    `extrema` and `sweep --summary`, the worker only for `sweep` and CSV `extrema`, which
-    ask it whether to fork, and no inspect (which numpy loads) where numpy stays unloaded.
+    the modules it runs: numpy for `check` and a `sweep` of more than one block alone, json
+    only to read or write JSON, the stored forms only for `sweep` and `extrema`, the extrema
+    collector only for `extrema` and `sweep --summary`, the worker only for CSV `extrema`
+    and a `sweep` of more than one block, which ask it whether to fork, and no inspect
+    (which numpy loads) where numpy stays unloaded. A default-grid `sweep` is one block.
 
     Each command runs in a fresh interpreter that imports nothing else, and the modules
     loaded before the CLI is imported do not count."""
     csv, json_out = tmp_path / "s.csv", tmp_path / "s.json"
     stored = tmp_path / "stored.csv"
     stored.write_text(STORED_CSV)
-    sweep = ["sweep", "--family", "s1", "--alpha", "0.7", "--omega", "0.3", "--partition", "svp",
-             *SMALL_GRID]
+    sweep = ["sweep", "--family", "s1", "--alpha", "0.7", "--omega", "0.3", "--partition", "svp"]
     extrema, checks, sweep_module = "spinboost.extrema", "spinboost.checks", "spinboost.sweep"
     worker, surface = "spinboost.worker", "spinboost.surface"
     expected = [
@@ -74,11 +74,11 @@ def test_no_command_loads_numpy_random(tmp_path):
         (["delta-e", "--state", "s00", "--alpha", "0.7", "--omega", "0.3", "--partition", "1v3"],
          0, []),
         (["extrema", "--in", str(stored)], 0, [extrema, surface, worker]),
-        ([*sweep, "--out", str(csv)], 0, ["numpy", surface, sweep_module, worker]),
-        ([*sweep, "--out", str(json_out)], 0, ["json", "numpy", surface, sweep_module, worker]),
+        ([*sweep, "--out", str(csv)], 0, [surface, sweep_module]),
+        ([*sweep, "--out", str(json_out)], 0, ["json", surface, sweep_module]),
         (["extrema", "--in", str(json_out)], 0, ["json", extrema, surface]),
-        ([*sweep, "--out", str(csv), "--summary"], 0,
-         ["numpy", extrema, surface, sweep_module, worker]),
+        ([*sweep, "--out", str(csv), "--summary"], 0, [extrema, surface, sweep_module]),
+        ([*sweep, *TWO_BLOCKS, "--out", str(csv)], 0, ["numpy", surface, sweep_module, worker]),
         (["check"], 0, ["numpy", checks, sweep_module]),
         (["check", "--json"], 0, ["json", "numpy", checks, sweep_module]),
     ]
@@ -541,6 +541,24 @@ def test_sweep_summary_flag(tmp_path, capsys, monkeypatch):
         assert "maxima (2 clusters):" in summary and "minima" in summary
         assert main(["extrema", "--in", str(out)]) == 0
         assert capsys.readouterr().out == summary
+
+
+def test_default_sweep_writes_the_bytes_of_numpy_blocks(tmp_path, capsys, monkeypatch):
+    """A default-grid sweep, one block in plain floats, writes the CSV and JSON files and
+    prints the --summary report that the same sweep in numpy blocks of 40 theta rows does,
+    byte for byte."""
+    import spinboost.sweep as sweep
+
+    argv = ["sweep", "--family", "s2", "--alpha", "0.7", "--xi", "0.8", "--eta", "1.5",
+            "--partition", "svp", "--summary"]
+    outputs = []
+    for cells in (sweep._BLOCK_CELLS, 40 * 241):
+        monkeypatch.setattr(sweep, "_BLOCK_CELLS", cells)
+        for name in ("s.csv", "s.json"):
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0
+            outputs.append((name, (tmp_path / name).read_bytes(), capsys.readouterr()))
+    assert outputs[:2] == outputs[2:]
+    assert "maxima (" in outputs[0][2].err
 
 
 def test_extrema_command_flat_and_peaked(tmp_path, capsys):
@@ -1188,8 +1206,8 @@ def test_sweep_memory_does_not_grow_with_the_grid(extra, tmp_path, capsys):
                      "--partition", "1v3", "--theta-grid", f"0:3.141592653589793:{shape[0]}",
                      "--phi-grid", f"0:6.283185307179586:{shape[1]}", "--out", str(out), *extra])
 
-    # the modules a sweep loads are loaded before the trace starts
-    assert sweep((3, 3)) == 0
+    # the modules a sweep of more than one block loads are loaded before the trace starts
+    assert sweep((137, 241)) == 0
     for shape in ((201, 401), (401, 801)):
         tracemalloc.start()
         try:

@@ -3,8 +3,8 @@ leaves numpy.random unloaded, the checks share no kernel with the evaluator, the
 uses no part of the dense oracle, no other module reads `tensor`, `surface` alone spells the
 stored forms and the format rules, the CLI reads a stored surface only through
 `surface.read`, the CLI module loads no numpy, the modules that `delta-e` and `extrema` run
-import nothing beyond the standard library and each other, and one function forks, its
-child ending through os._exit."""
+import nothing beyond the standard library and each other, `sweep` loads numpy only inside
+its functions, and one function forks, its child ending through os._exit."""
 
 import ast
 import sys
@@ -203,6 +203,16 @@ def test_numpy_free_layer_imports_only_stdlib_and_itself():
             outside += [f"{name}.py: {module}" for module in modules
                         if not (_stdlib(module) or module in allowed)]
     assert not outside, f"the numpy-free layer imports: {outside}"
+
+
+def test_sweep_loads_numpy_only_inside_its_functions():
+    """A default-grid `spinboost sweep`, one block in plain floats, never loads numpy: at load
+    time sweep.py imports the standard library and the numpy-free layer only, and numpy is
+    imported inside the functions of the numpy blocks and of delta_e_grid."""
+    allowed = {f".{name}" for name in NUMPY_FREE}
+    loaded = [name for name in _module_level_imports(PACKAGE / "sweep.py")
+              if not (_stdlib(name) or name in allowed)]
+    assert not loaded, f"sweep.py imports at load time: {loaded}"
 
 
 def _is_call(node: ast.AST, module: str, name: str) -> bool:

@@ -91,9 +91,11 @@ def _bits(value: float) -> tuple[float, float]:
 
 
 def test_grid_kernel_matches_scalar_evaluation():
-    """A point and its grid cell run the one 15-term sum, on Python floats and on numpy
-    arrays broadcast over the grid; both give the change the same bits, the edge cells
-    theta in {0, pi} and phi in {0, 2 pi} and the boost by zero included."""
+    """A point and its grid cell run the one 15-term sum, on Python floats for the point and
+    in the row kernel of a one-block grid; both give the change the same bits, the edge
+    cells theta in {0, pi} and phi in {0, 2 pi} and the boost by zero included. The numpy
+    blocks of a larger grid give every cell the row kernel's bits
+    (`test_float_rows_and_numpy_blocks_give_every_cell_the_same_bits`)."""
     thetas = np.linspace(0.0, math.pi, 5)
     phis = np.linspace(0.0, 2 * math.pi, 7)
     for family, partition, omega in itertools.product(
@@ -106,6 +108,59 @@ def test_grid_kernel_matches_scalar_evaluation():
                 assert _bits(grid[i, j]) == _bits(point.delta), (
                     family, partition.name, omega, theta, phi
                 )
+
+
+@pytest.mark.parametrize("shape", [(121, 241), (135, 241), (136, 241)],
+                         ids=["default", "one-full-block", "two-blocks"])
+def test_float_rows_and_numpy_blocks_give_every_cell_the_same_bits(shape, monkeypatch):
+    """The default grid and a 135x241 grid, the largest of one block, are evaluated in plain
+    floats, and a 136x241 grid in two numpy blocks. Each is also evaluated on the other
+    route, by resizing the block, and every cell has the same bits on both (compared as
+    int64, so -0.0 differs from 0.0), for both families, all four partitions and five
+    boosts."""
+    thetas = GridSpec(0.0, math.pi, shape[0]).points
+    phis = GridSpec(0.0, 2 * math.pi, shape[1]).points
+    cells = shape[0] * shape[1]
+    assert (cells <= sweep._BLOCK_CELLS) == (shape[0] <= 135)
+    routes = []
+
+    def spy(kernel, original):
+        def spied(*args):
+            routes.append(kernel)
+            return original(*args)
+
+        monkeypatch.setattr(sweep, kernel, spied)
+
+    for kernel in ("_float_rows", "_array_rows"):
+        spy(kernel, getattr(sweep, kernel))
+    surfaces = {}
+    for route, block_cells in (("_float_rows", cells), ("_array_rows", cells - shape[1])):
+        monkeypatch.setattr(sweep, "_BLOCK_CELLS", block_cells)
+        routes.clear()
+        surfaces[route] = [
+            delta_e_grid(family, 0.7, omega, partition, thetas, phis).view(np.int64)
+            for family, partition, omega in itertools.product(
+                SpinFamily, PARTITIONS.values(), (0.0, math.pi / 8, math.pi / 4, 1.2, math.pi / 2))
+        ]
+        assert set(routes) == {route}
+    for floats, arrays in zip(*surfaces.values()):
+        assert np.array_equal(floats, arrays)
+
+
+@pytest.mark.parametrize("block_cells", [sweep._BLOCK_CELLS, 1], ids=["floats", "numpy"])
+def test_delta_e_grid_rejects_an_empty_or_non_1d_axis(block_cells, monkeypatch):
+    """An empty axis, or one of more or fewer than one dimension, is one ValueError that
+    names the axis, whichever route the grid would take."""
+    monkeypatch.setattr(sweep, "_BLOCK_CELLS", block_cells)
+    config = (SpinFamily.S1, 0.7, math.pi / 8, PARTITIONS["1vs3"])
+    axis = [0.0, 1.0, 2.0]
+    bad = (([], axis, "thetas"), (axis, [], "phis"), (np.empty(0), axis, "thetas"),
+           ([axis], axis, "thetas"), (axis, np.zeros((2, 2)), "phis"), (1.0, axis, "thetas"),
+           (axis, 2.0, "phis"))
+    for thetas, phis, name in bad:
+        with pytest.raises(ValueError, match=f"^{name} must be a nonempty 1-D axis, got shape"):
+            delta_e_grid(*config, thetas, phis)
+    assert delta_e_grid(*config, axis, axis[:1]).shape == (3, 1)
 
 
 def test_grid_cells_independent_of_batching():
