@@ -186,16 +186,14 @@ def _entropies(partition, quartics, theta_factors, phi_factors):
     """Entropy before and after a boost, from the partition's two purity quartics (of
     `_purity_quartics` for the boosts by zero and by omega) and each axis's amplitude factors.
 
-    The partition's total purity is a quartic form in the amplitudes x, and
-    each monomial splits into a theta factor times a phi factor, so an
-    entropy is the number of parts minus 15 multiply-adds, front to back in
-    _QUARTICS order. The factors are floats for a point, or arrays for a
-    grid, theta's shaped (n, 1) and phi's (m,), which broadcast each
-    multiply-add to the (n, m) surface; either way a cell gets the bits of
-    its point. `sweep`'s row kernel for a grid of one block runs these
-    products and sums on floats, in this order, written out term by term.
-    Before is the boost by zero, so at omega = 0 both entropies are the
-    same bits.
+    The partition's total purity is a quartic form in the amplitudes x, and each monomial
+    splits into a theta factor times a phi factor, so an entropy is the number of parts minus
+    a multiply-add for each nonzero coefficient, front to back in _QUARTICS order from 0.0;
+    a zero coefficient's term (nine of 15 before a boost) could flip only the sign of a zero sum,
+    which `parts - sum` erases. The factors are floats for a point, or arrays for a grid,
+    theta's shaped (n, 1) and phi's (m,), which broadcast each term to the (n, m) surface;
+    either way a cell gets the bits of its point, and `sweep._float_rows` runs the same sums
+    on floats. Before is the boost by zero, so at omega = 0 both entropies are the same bits.
     """
     theta_monomials = _monomial_factors(theta_factors)
     phi_monomials = _monomial_factors(phi_factors)
@@ -203,7 +201,8 @@ def _entropies(partition, quartics, theta_factors, phi_factors):
     def entropy(quartic: list[float]):
         purity = 0.0
         for coefficient, theta_part, phi_part in zip(quartic, theta_monomials, phi_monomials):
-            purity += coefficient * theta_part * phi_part
+            if coefficient:
+                purity += coefficient * theta_part * phi_part
         return len(partition.parts) - purity
 
     before, after = quartics

@@ -1159,7 +1159,7 @@ def test_default_sweep_and_small_extrema_never_fork(tmp_path, capsys, monkeypatc
 
 
 def test_sweep_runs_one_coefficient_pass_over_its_blocks(tmp_path, capsys, monkeypatch):
-    """With blocks of three theta rows, a 13-row sweep is five blocks of the 15-term sum and
+    """With blocks of three theta rows, a 13-row sweep is five blocks of `_entropies`' sum and
     one coefficient pass, and it writes the bytes of the sweep in one block. A worker
     evaluates the odd blocks, two of the five."""
     import spinboost.sweep as sweep

@@ -21,6 +21,7 @@ from spinboost.states import (
     NAMED_STATES,
     SpinFamily,
     SpinParams,
+    _phi_factors,
     get_named_state,
     momentum_state,
     spin_state,
@@ -261,6 +262,25 @@ def test_coefficient_pass_adds_front_to_back_on_every_python(monkeypatch):
     assert quartics() == plain
     point = delta_e(SpinParams(SpinFamily.S1, 1.1, 2.3), 0.7, math.pi / 8, PARTITIONS["SvsP"])
     assert point.delta.hex() == "0x1.16e33355ca134p-1"
+
+
+@pytest.mark.parametrize("family", list(SpinFamily))
+def test_unboosted_quartic_is_zero_at_every_odd_monomial(family):
+    """The zeros that the row kernel (`sweep._float_rows`) leaves out of its sums. Unboosted,
+    the three amplitudes sit on three distinct spin basis states (each family's on its own
+    sA and its own sB), so every part's purity is even in each amplitude: the before quartic
+    is exactly 0.0 at the nine monomials with an odd power, at any alpha and in every
+    partition, and the kernel sums only the other six. Two amplitudes on one basis state
+    would break this. Monomial 0, x2^4, has the phi factor 1.0 at every phi, so both of the
+    kernel's sums start from their first term."""
+    odd = [k for k, powers in enumerate(entanglement._QUARTICS) if any(p % 2 for p in powers)]
+    assert odd == [1, 3, 5, 6, 7, 8, 10, 12, 13]
+    alphas = (0.0, 0.3, math.pi / 4, 1.1, math.pi / 2, -2.0, 7.0)
+    for partition, alpha in itertools.product(PARTITIONS.values(), alphas):
+        quartic = entanglement._purity_quartics(family, alpha, (0.0,), partition)[0]
+        assert [quartic[k] for k in odd] == [0.0] * len(odd), (partition.name, alpha)
+    for phi in (0.0, 1e-300, math.pi, 2 * math.pi, -1e3):
+        assert entanglement._monomial_factors(_phi_factors(phi))[0] == 1.0
 
 
 @pytest.mark.parametrize("family", list(SpinFamily))

@@ -91,10 +91,10 @@ def _bits(value: float) -> tuple[float, float]:
 
 
 def test_grid_kernel_matches_scalar_evaluation():
-    """A point and its grid cell run the one 15-term sum, on Python floats for the point and
-    in the row kernel of a one-block grid; both give the change the same bits, the edge
-    cells theta in {0, pi} and phi in {0, 2 pi} and the boost by zero included. The numpy
-    blocks of a larger grid give every cell the row kernel's bits
+    """A point and its grid cell run the one sum of the quartics' terms, on Python floats for
+    the point and in the row kernel of a one-block grid; both give the change the same bits,
+    the edge cells theta in {0, pi} and phi in {0, 2 pi} and the boost by zero included. The
+    numpy blocks of a larger grid give every cell the row kernel's bits
     (`test_float_rows_and_numpy_blocks_give_every_cell_the_same_bits`)."""
     thetas = np.linspace(0.0, math.pi, 5)
     phis = np.linspace(0.0, 2 * math.pi, 7)
@@ -110,14 +110,22 @@ def test_grid_kernel_matches_scalar_evaluation():
                 )
 
 
-@pytest.mark.parametrize("shape", [(121, 241), (135, 241), (136, 241)],
+BOOSTS = (0.0, math.pi / 8, math.pi / 4, 1.2, math.pi / 2)
+# at alpha 0.0 the momentum state is a product and the |p- p+> rows are zero; at 2.0 its
+# |p+ p-> amplitude is negative
+OTHER_ALPHAS = ((0.0, (math.pi / 8,)), (2.0, (math.pi / 8,)))
+
+
+@pytest.mark.parametrize("shape,cases", [((121, 241), ((0.7, BOOSTS), *OTHER_ALPHAS)),
+                                         ((135, 241), ((0.7, BOOSTS),)),
+                                         ((136, 241), ((0.7, BOOSTS),))],
                          ids=["default", "one-full-block", "two-blocks"])
-def test_float_rows_and_numpy_blocks_give_every_cell_the_same_bits(shape, monkeypatch):
+def test_float_rows_and_numpy_blocks_give_every_cell_the_same_bits(shape, cases, monkeypatch):
     """The default grid and a 135x241 grid, the largest of one block, are evaluated in plain
     floats, and a 136x241 grid in two numpy blocks. Each is also evaluated on the other
     route, by resizing the block, and every cell has the same bits on both (compared as
     int64, so -0.0 differs from 0.0), for both families, all four partitions and five
-    boosts."""
+    boosts at alpha 0.7; the default grid also at alpha 0.0 and 2.0, at pi/8."""
     thetas = GridSpec(0.0, math.pi, shape[0]).points
     phis = GridSpec(0.0, 2 * math.pi, shape[1]).points
     cells = shape[0] * shape[1]
@@ -138,9 +146,10 @@ def test_float_rows_and_numpy_blocks_give_every_cell_the_same_bits(shape, monkey
         monkeypatch.setattr(sweep, "_BLOCK_CELLS", block_cells)
         routes.clear()
         surfaces[route] = [
-            delta_e_grid(family, 0.7, omega, partition, thetas, phis).view(np.int64)
+            delta_e_grid(family, alpha, omega, partition, thetas, phis).view(np.int64)
+            for alpha, omegas in cases
             for family, partition, omega in itertools.product(
-                SpinFamily, PARTITIONS.values(), (0.0, math.pi / 8, math.pi / 4, 1.2, math.pi / 2))
+                SpinFamily, PARTITIONS.values(), omegas)
         ]
         assert set(routes) == {route}
     for floats, arrays in zip(*surfaces.values()):
