@@ -235,8 +235,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             with open(tmp, "w", encoding="utf-8") as handle:
                 write(handle)
             os.replace(tmp, args.out)
-        except BaseException:
+        except BaseException as exc:
             tmp.unlink(missing_ok=True)
+            if isinstance(exc, OSError) and exc.filename == str(tmp):
+                # the user named the target, not its temp file
+                raise OSError(exc.errno, exc.strerror, str(args.out)) from None
             raise
     if args.summary:
         report = hits.report(theta_grid.points, phi_grid.points, DEFAULT_MERGE_RADIUS)

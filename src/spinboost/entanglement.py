@@ -190,10 +190,11 @@ def _entropies(partition, quartics, theta_factors, phi_factors):
     splits into a theta factor times a phi factor, so an entropy is the number of parts minus
     a multiply-add for each nonzero coefficient, front to back in _QUARTICS order from 0.0;
     a zero coefficient's term (nine of 15 before a boost) could flip only the sign of a zero sum,
-    which `parts - sum` erases. The factors are floats for a point, or arrays for a grid,
-    theta's shaped (n, 1) and phi's (m,), which broadcast each term to the (n, m) surface;
-    either way a cell gets the bits of its point, and `sweep._float_rows` runs the same sums
-    on floats. Before is the boost by zero, so at omega = 0 both entropies are the same bits.
+    which `parts - sum` erases. The factors are floats for a point; arrays, theta's shaped
+    (n, 1) and phi's (m,), broadcast each term to an (n, m) surface with the same bits in
+    each cell. `sweep._float_rows` runs the same sums on a grid's floats, so a cell gets the
+    bits of its point. Before is the boost by zero, so at omega = 0 both entropies are the
+    same bits.
     """
     theta_monomials = _monomial_factors(theta_factors)
     phi_monomials = _monomial_factors(phi_factors)

@@ -5,11 +5,11 @@ boost angle omega, evaluating the entanglement change for every grid cell.
 Cells are independent pure evaluations with no cross-cell reductions, so
 the emitted grid is deterministic and identical however the cells are
 batched. A surface is evaluated in blocks of whole theta rows and handed on
-row by row, so a sweep's memory does not grow with its grid. A surface of
-one block, the default grid's, is evaluated in plain floats, so its sweep
-never loads numpy; a larger one in numpy blocks. The command's `writer` has
-a forked worker evaluate and format every odd block where `worker.usable`
-holds for their cells.
+row by row, so a sweep's memory does not grow with its grid. Every block is
+evaluated in plain floats, so a sweep never loads numpy; only `delta_e_grid`,
+which returns an array, imports it. The command's `writer` has a forked
+worker evaluate and format every odd block where `worker.usable` holds for
+their cells.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from contextlib import nullcontext
 from operator import mul
 from typing import IO, Callable
 
-from .entanglement import Partition, _entropies, _monomial_factors, _purity_quartics
+from .entanglement import Partition, _monomial_factors, _purity_quartics
 # COLLECT_TOL stays importable here for the callers that read a report beside its band
 from .grid import COLLECT_TOL, GridSpec  # noqa: F401
 from .states import SpinFamily, _phi_factors, _theta_factors
@@ -35,13 +35,13 @@ def _float_rows(partition: Partition, quartics: list[list[float]], phis: list[fl
     """The function that evaluates theta rows, given their thetas, as lists of floats, one
     row at a time, in plain Python floats.
 
-    Each cell runs the sum of `entanglement._entropies` in numpy's order: a coefficient
-    times its theta monomial, once a row, then times the phi monomial, added front to back
-    from the first term, whose phi factor is 1.0. Unboosted, the amplitudes sit on three
+    Each cell runs the sum of `entanglement._entropies` in its order: a coefficient times
+    its theta monomial, once a row, then times the phi monomial, added front to back from
+    the first term, whose phi factor is 1.0. Unboosted, the amplitudes sit on three
     distinct spin basis states, so a purity is even in each, and the before sum keeps only
     the six monomials of even powers: the other nine coefficients are 0.0. So every cell
-    has the bits of its point and of a numpy block's cell. The sums are spelled out term by
-    term: a loop over the terms takes more than twice as long.
+    has the bits of its point. The sums are spelled out term by term: a loop over the
+    terms takes more than twice as long.
     """
     parts = float(len(partition.parts))
     before, after = quartics
@@ -63,44 +63,16 @@ def _float_rows(partition: Partition, quartics: list[list[float]], phis: list[fl
     return lambda thetas: map(row, thetas)
 
 
-def _array_rows(partition: Partition, quartics: list[list[float]], phis: list[float]):
-    """The function that evaluates theta rows, given their thetas, as lists of floats, all
-    at once in numpy and then one row at a time to a list.
-
-    The block runs the sum of `entanglement._entropies` on the axes' amplitude
-    factors as arrays, theta's shaped (rows, 1) and phi's (m,), from `math` as
-    a point's are, so every cell has the bits of its point.
-    """
-    import numpy as np
-
-    def table(factors, points: list[float]) -> np.ndarray:
-        return np.array([factors(point) for point in points]).reshape(-1, 3).T
-
-    phi_table = table(_phi_factors, phis)
-
-    def rows(thetas: list[float]):
-        before, after = _entropies(partition, quartics, table(_theta_factors, thetas)[:, :, None],
-                                   phi_table)
-        after -= before
-        return map(np.ndarray.tolist, after)
-
-    return rows
-
-
 def _blocks(family, alpha, omega, partition, thetas: list[float], phis: list[float]):
     """The surface's blocks of whole theta rows: the first row of each, and a function that
     evaluates the block from a first row as its rows, lists of len(phis) floats, at most
-    _BLOCK_CELLS cells in all. The coefficient pass runs once, in this call.
-
-    A surface of one block is evaluated in plain floats, so it needs no numpy, whose
-    import takes longer than the block; a surface of more blocks in numpy, about 8 times
-    faster a cell. Either way every cell has the bits of its point.
+    _BLOCK_CELLS cells in all. The coefficient pass runs once, in this call, and every block
+    is evaluated in plain floats (`_float_rows`), so every cell has the bits of its point.
     """
     quartics = _purity_quartics(family, alpha, (0.0, omega), partition)
     step = max(1, _BLOCK_CELLS // len(phis))
-    starts = range(0, len(thetas), step)
-    rows = (_float_rows if len(starts) == 1 else _array_rows)(partition, quartics, phis)
-    return starts, lambda start: rows(thetas[start : start + step])
+    rows = _float_rows(partition, quartics, phis)
+    return range(0, len(thetas), step), lambda start: rows(thetas[start : start + step])
 
 
 def delta_e_grid(

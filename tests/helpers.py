@@ -1,6 +1,6 @@
 """Builders that only the tests use: product states, factor reordering, one-state entropy,
-and whole surfaces: swept, written to and read back from a stream, and reported on, also
-on a reference route; and a worker forced on."""
+and whole surfaces: swept, evaluated by numpy broadcasting, written to and read back from a
+stream, and reported on, also on a reference route; and a worker forced on."""
 
 import io
 import json
@@ -10,9 +10,10 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from spinboost.entanglement import Partition
+from spinboost.entanglement import Partition, _entropies, _purity_quartics
 from spinboost.extrema import DEFAULT_MERGE_RADIUS, HitCollector
 from spinboost.grid import GridSpec
+from spinboost.states import _phi_factors, _theta_factors
 from spinboost.surface import _csv_texts, _read_csv, _read_json, csv_form, json_form
 from spinboost.sweep import writer
 from spinboost.tensor import NORM_TOL, FactorOrder, PureState, outer, partial_trace, purity
@@ -53,6 +54,20 @@ def run_sweep(family, alpha, omega, partition, theta_grid, phi_grid) -> Surface:
     rows = []
     writer(family, alpha, omega, partition, theta_grid, phi_grid, False, rows.append)(io.StringIO())
     return Surface(np.array(theta_grid.points), np.array(phi_grid.points), np.array(rows))
+
+
+def broadcast_surface(family, alpha, omega, partition, thetas, phis) -> np.ndarray:
+    """The change over a (theta, phi) grid, theta outer, by numpy broadcasting: the sum of
+    `entanglement._entropies` on the axes' amplitude factors as arrays, theta's shaped
+    (n, 1) and phi's (m,), each from `math` as a point's are. A reference for the row
+    kernel that `sweep` evaluates every block in."""
+    def table(factors, points) -> np.ndarray:
+        return np.array([factors(point) for point in points]).reshape(-1, 3).T
+
+    quartics = _purity_quartics(family, alpha, (0.0, omega), partition)
+    before, after = _entropies(partition, quartics, table(_theta_factors, thetas)[:, :, None],
+                               table(_phi_factors, phis))
+    return after - before
 
 
 def _write(form, rows, stream) -> None:

@@ -52,11 +52,12 @@ def test_package_top_level_is_lean():
 
 def test_no_command_loads_numpy_random(tmp_path):
     """No command draws from numpy.random or loads dataclasses, and each command loads only
-    the modules it runs: numpy for `check` and a `sweep` of more than one block alone, json
-    only to read or write JSON, the stored forms only for `sweep` and `extrema`, the extrema
-    collector only for `extrema` and `sweep --summary`, the worker only for CSV `extrema`
-    and a `sweep` of more than one block, which ask it whether to fork, and no inspect
-    (which numpy loads) where numpy stays unloaded. A default-grid `sweep` is one block.
+    the modules it runs: numpy for `check` alone, json only to read or write JSON, the
+    stored forms only for `sweep` and `extrema`, the extrema collector only for `extrema`
+    and `sweep --summary`, the worker only for CSV `extrema` and a `sweep` of more than one
+    block, which ask it whether to fork, and no inspect (which numpy loads) where numpy
+    stays unloaded. A default-grid `sweep` is one block. A 136x241 JSON `sweep --summary`,
+    two blocks with a worker forced on for the second, loads no numpy either.
 
     Each command runs in a fresh interpreter that imports nothing else, and the modules
     loaded before the CLI is imported do not count."""
@@ -78,7 +79,7 @@ def test_no_command_loads_numpy_random(tmp_path):
         ([*sweep, "--out", str(json_out)], 0, ["json", surface, sweep_module]),
         (["extrema", "--in", str(json_out)], 0, ["json", extrema, surface]),
         ([*sweep, "--out", str(csv), "--summary"], 0, [extrema, surface, sweep_module]),
-        ([*sweep, *TWO_BLOCKS, "--out", str(csv)], 0, ["numpy", surface, sweep_module, worker]),
+        ([*sweep, *TWO_BLOCKS, "--out", str(csv)], 0, [surface, sweep_module, worker]),
         (["check"], 0, ["numpy", checks, sweep_module]),
         (["check", "--json"], 0, ["json", "numpy", checks, sweep_module]),
     ]
@@ -100,6 +101,26 @@ def test_no_command_loads_numpy_random(tmp_path):
         shown = watched if "numpy" in loads else watched | {"inspect"}
         reports.append((argv, int(rc), sorted(shown.intersection(loaded))))
     assert reports == [(argv, rc, sorted(loads)) for argv, rc, loads in expected]
+
+    # the worker takes the second block, one row, and this process evaluates both for the
+    # summary; it reports how often it forked
+    forced = (
+        "import os, sys\n"
+        "before = set(sys.modules)\n"
+        "from spinboost import worker\n"
+        "from spinboost.cli import main\n"
+        "worker.MIN_CELLS, worker._free_cpu, fork, forks = 1, lambda: True, os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(rc, len(forks), *sorted(set(sys.modules) - before), file=sys.stderr)\n"
+    )
+    argv = [*sweep, "--theta-grid", "0:3.141592653589793:136", "--phi-grid",
+            "0:6.283185307179586:241", "--out", str(json_out), "--summary"]
+    proc = subprocess.run([sys.executable, "-c", forced, *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    rc, forks, *loaded = proc.stderr.splitlines()[-1].split()
+    assert (rc, forks, sorted((watched | {"inspect"}).intersection(loaded))) == (
+        "0", "1", ["json", extrema, surface, sweep_module, worker])
 
 
 # one call of each command, a usage error and two help texts
@@ -543,10 +564,9 @@ def test_sweep_summary_flag(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().out == summary
 
 
-def test_default_sweep_writes_the_bytes_of_numpy_blocks(tmp_path, capsys, monkeypatch):
-    """A default-grid sweep, one block in plain floats, writes the CSV and JSON files and
-    prints the --summary report that the same sweep in numpy blocks of 40 theta rows does,
-    byte for byte."""
+def test_default_sweep_writes_the_bytes_of_smaller_blocks(tmp_path, capsys, monkeypatch):
+    """A default-grid sweep, one block, writes the CSV and JSON files and prints the
+    --summary report that the same sweep in blocks of 40 theta rows does, byte for byte."""
     import spinboost.sweep as sweep
 
     argv = ["sweep", "--family", "s2", "--alpha", "0.7", "--xi", "0.8", "--eta", "1.5",
@@ -917,20 +937,41 @@ def test_sweep_writer_failure_leaves_no_partial_file(existing, tmp_path, capsys,
         _no_child_left()
 
 
+def test_sweep_out_that_cannot_be_created_names_the_out_path(tmp_path, capsys):
+    """An --out in a missing directory, or in one where no file can be created (/proc, where
+    there is one), exits 2 with one error line that names the --out path, not the temp file
+    beside it, and leaves no file."""
+    targets = [tmp_path / "nodir" / "s.csv"]
+    if os.path.isfile("/proc/version"):
+        targets.append(Path("/proc/version"))
+    for out in targets:
+        assert main(["sweep", "--family", "s1", "--alpha", "0.785", "--omega", "0.3",
+                     "--partition", "svp", *SMALL_GRID, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert repr(str(out)) in err and ".tmp" not in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_worker_that_dies_fails_the_sweep(tmp_path, capsys, monkeypatch):
     """A worker that ends part-way, without its rows, fails the sweep: exit 2, one error
     line, no temp file and no process left."""
     import spinboost.sweep as sweep
 
     force_worker(monkeypatch)
-    entropies, caller = sweep._entropies, os.getpid()
+    float_rows, caller = sweep._float_rows, os.getpid()
 
     def dying(*args):
-        if os.getpid() != caller:
-            os._exit(1)
-        return entropies(*args)
+        rows = float_rows(*args)
 
-    monkeypatch.setattr(sweep, "_entropies", dying)
+        def block(thetas):
+            if os.getpid() != caller:
+                os._exit(1)
+            return rows(thetas)
+
+        return block
+
+    monkeypatch.setattr(sweep, "_float_rows", dying)
     out = tmp_path / "s.csv"
     assert main(["sweep", "--family", "s1", "--alpha", "0.785", "--omega", "0.3",
                  "--partition", "svp", *TWO_BLOCKS, "--out", str(out)]) == 2
@@ -1159,7 +1200,7 @@ def test_default_sweep_and_small_extrema_never_fork(tmp_path, capsys, monkeypatc
 
 
 def test_sweep_runs_one_coefficient_pass_over_its_blocks(tmp_path, capsys, monkeypatch):
-    """With blocks of three theta rows, a 13-row sweep is five blocks of `_entropies`' sum and
+    """With blocks of three theta rows, a 13-row sweep is five blocks of the row kernel and
     one coefficient pass, and it writes the bytes of the sweep in one block. A worker
     evaluates the odd blocks, two of the five."""
     import spinboost.sweep as sweep
@@ -1171,24 +1212,26 @@ def test_sweep_runs_one_coefficient_pass_over_its_blocks(tmp_path, capsys, monke
     # each call is logged with its process, the worker's included
     log = tmp_path / "calls.log"
 
-    def counted(name):
-        kernel = getattr(sweep, name)
-
+    def logged(name, kernel):
         def call(*args):
             with open(log, "a") as handle:
                 handle.write(f"{os.getpid()} {name}\n")
             return kernel(*args)
 
-        monkeypatch.setattr(sweep, name, call)
+        return call
 
-    counted("_purity_quartics")
-    counted("_entropies")
+    # `_blocks` makes the row kernel once, beside the coefficient pass; it runs once a block
+    float_rows = sweep._float_rows
+    monkeypatch.setattr(sweep, "_purity_quartics",
+                        logged("_purity_quartics", sweep._purity_quartics))
+    monkeypatch.setattr(sweep, "_float_rows",
+                        lambda *args: logged("block", float_rows(*args)))
     monkeypatch.setattr(sweep, "_BLOCK_CELLS", 3 * 25)
     assert main([*argv, "--out", str(tmp_path / "five.csv")]) == 0
     calls = [line.split() for line in log.read_text().splitlines()]
-    assert Counter(name for _, name in calls) == {"_purity_quartics": 1, "_entropies": 5}
+    assert Counter(name for _, name in calls) == {"_purity_quartics": 1, "block": 5}
     here = Counter(name for pid, name in calls if pid == str(os.getpid()))
-    assert here == {"_purity_quartics": 1, "_entropies": 3}
+    assert here == {"_purity_quartics": 1, "block": 3}
     assert (tmp_path / "five.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
     capsys.readouterr()
 

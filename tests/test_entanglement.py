@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,3 +377,30 @@ def test_momentum_phase_is_a_gauge():
             a = entropy(u @ psi_plain.amplitudes, partition)
             b = entropy(u @ psi_phased.amplitudes, partition)
             assert abs(a - b) < 1e-12
+
+
+def test_readme_velocity_table_reads_through_delta_e():
+    """Every cell of README's "Velocity dependence" table is the `delta_e` change of its
+    state and partition at alpha = pi/4 and its omega, to the table's four places; a cell of
+    order 1e-15 is a change below 2e-15. So a change that moves a README number fails."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Velocity dependence\n")[1]
+    section = section.split("\n## ")[0]
+    lines = [line.strip().strip("|") for line in section.splitlines() if line.startswith("|")]
+    header, _, *rows = [[cell.replace("`", "").strip() for cell in line.split("|")]
+                        for line in lines]
+    columns = []
+    for cell in header[1:]:
+        name, angle = cell.split()
+        columns.append((PARTITIONS[name], math.pi / int(angle.removeprefix("pi/"))))
+    assert (len(rows), len(columns)) == (4, 6)
+    for state, *cells in rows:
+        assert len(cells) == len(columns), state
+        for (partition, omega), cell in zip(columns, cells):
+            delta = delta_e(NAMED_STATES[state], math.pi / 4, omega, partition).delta
+            value = float(cell)
+            where = (state, partition.name, omega, cell, delta)
+            if value < 1e-14:
+                assert abs(delta) < 2e-15, where
+            else:
+                assert abs(delta - value) <= 5e-5, where

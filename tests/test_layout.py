@@ -206,13 +206,29 @@ def test_numpy_free_layer_imports_only_stdlib_and_itself():
 
 
 def test_sweep_loads_numpy_only_inside_its_functions():
-    """A default-grid `spinboost sweep`, one block in plain floats, never loads numpy: at load
-    time sweep.py imports the standard library and the numpy-free layer only, and numpy is
-    imported inside the functions of the numpy blocks and of delta_e_grid."""
+    """No `spinboost sweep` loads numpy: at load time sweep.py imports the standard library
+    and the numpy-free layer only, and numpy is imported inside delta_e_grid alone, which
+    returns an array; no other function of sweep.py imports anything else."""
     allowed = {f".{name}" for name in NUMPY_FREE}
-    loaded = [name for name in _module_level_imports(PACKAGE / "sweep.py")
+    path = PACKAGE / "sweep.py"
+    loaded = [name for name in _module_level_imports(path)
               if not (_stdlib(name) or name in allowed)]
     assert not loaded, f"sweep.py imports at load time: {loaded}"
+    inside = []
+    for function in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    # `from . import surface` imports the module surface
+                    modules = ["." * node.level + (node.module or alias.name)
+                               for alias in node.names]
+                else:
+                    continue
+                inside += [(function.name, module) for module in modules
+                           if not (_stdlib(module) or module in allowed)]
+    assert inside == [("delta_e_grid", "numpy")], inside
 
 
 def _is_call(node: ast.AST, module: str, name: str) -> bool:

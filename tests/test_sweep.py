@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from helpers import (
     Surface,
+    broadcast_surface,
     find_extrema,
     force_worker,
     read_csv,
@@ -93,9 +94,9 @@ def _bits(value: float) -> tuple[float, float]:
 def test_grid_kernel_matches_scalar_evaluation():
     """A point and its grid cell run the one sum of the quartics' terms, on Python floats for
     the point and in the row kernel of a one-block grid; both give the change the same bits,
-    the edge cells theta in {0, pi} and phi in {0, 2 pi} and the boost by zero included. The
-    numpy blocks of a larger grid give every cell the row kernel's bits
-    (`test_float_rows_and_numpy_blocks_give_every_cell_the_same_bits`)."""
+    the edge cells theta in {0, pi} and phi in {0, 2 pi} and the boost by zero included. A
+    grid of more blocks, and the same sum by numpy broadcasting, give every cell the same
+    bits (`test_float_rows_and_numpy_blocks_give_every_cell_the_same_bits`)."""
     thetas = np.linspace(0.0, math.pi, 5)
     phis = np.linspace(0.0, 2 * math.pi, 7)
     for family, partition, omega in itertools.product(
@@ -120,46 +121,28 @@ OTHER_ALPHAS = ((0.0, (math.pi / 8,)), (2.0, (math.pi / 8,)))
                                          ((135, 241), ((0.7, BOOSTS),)),
                                          ((136, 241), ((0.7, BOOSTS),))],
                          ids=["default", "one-full-block", "two-blocks"])
-def test_float_rows_and_numpy_blocks_give_every_cell_the_same_bits(shape, cases, monkeypatch):
-    """The default grid and a 135x241 grid, the largest of one block, are evaluated in plain
-    floats, and a 136x241 grid in two numpy blocks. Each is also evaluated on the other
-    route, by resizing the block, and every cell has the same bits on both (compared as
-    int64, so -0.0 differs from 0.0), for both families, all four partitions and five
-    boosts at alpha 0.7; the default grid also at alpha 0.0 and 2.0, at pi/8."""
+def test_float_rows_and_numpy_blocks_give_every_cell_the_same_bits(shape, cases):
+    """The default grid, a 135x241 grid, the largest of one block, and a 136x241 grid of two
+    blocks are evaluated by the row kernel, and every cell has the bits of the same surface
+    by numpy broadcasting (compared as int64, so -0.0 differs from 0.0), for both families,
+    all four partitions and five boosts at alpha 0.7; the default grid also at alpha 0.0
+    and 2.0, at pi/8."""
     thetas = GridSpec(0.0, math.pi, shape[0]).points
     phis = GridSpec(0.0, 2 * math.pi, shape[1]).points
-    cells = shape[0] * shape[1]
-    assert (cells <= sweep._BLOCK_CELLS) == (shape[0] <= 135)
-    routes = []
-
-    def spy(kernel, original):
-        def spied(*args):
-            routes.append(kernel)
-            return original(*args)
-
-        monkeypatch.setattr(sweep, kernel, spied)
-
-    for kernel in ("_float_rows", "_array_rows"):
-        spy(kernel, getattr(sweep, kernel))
-    surfaces = {}
-    for route, block_cells in (("_float_rows", cells), ("_array_rows", cells - shape[1])):
-        monkeypatch.setattr(sweep, "_BLOCK_CELLS", block_cells)
-        routes.clear()
-        surfaces[route] = [
-            delta_e_grid(family, alpha, omega, partition, thetas, phis).view(np.int64)
-            for alpha, omegas in cases
-            for family, partition, omega in itertools.product(
-                SpinFamily, PARTITIONS.values(), omegas)
-        ]
-        assert set(routes) == {route}
-    for floats, arrays in zip(*surfaces.values()):
-        assert np.array_equal(floats, arrays)
+    assert (shape[0] * shape[1] <= sweep._BLOCK_CELLS) == (shape[0] <= 135)
+    for alpha, omegas in cases:
+        for family, partition, omega in itertools.product(
+                SpinFamily, PARTITIONS.values(), omegas):
+            config = (family, alpha, omega, partition, thetas, phis)
+            assert np.array_equal(delta_e_grid(*config).view(np.int64),
+                                  broadcast_surface(*config).view(np.int64)), config[:4]
 
 
-@pytest.mark.parametrize("block_cells", [sweep._BLOCK_CELLS, 1], ids=["floats", "numpy"])
+@pytest.mark.parametrize("block_cells", [sweep._BLOCK_CELLS, 1],
+                         ids=["one-block", "one-row-blocks"])
 def test_delta_e_grid_rejects_an_empty_or_non_1d_axis(block_cells, monkeypatch):
     """An empty axis, or one of more or fewer than one dimension, is one ValueError that
-    names the axis, whichever route the grid would take."""
+    names the axis, whether the grid would be one block or a block a row."""
     monkeypatch.setattr(sweep, "_BLOCK_CELLS", block_cells)
     config = (SpinFamily.S1, 0.7, math.pi / 8, PARTITIONS["1vs3"])
     axis = [0.0, 1.0, 2.0]
